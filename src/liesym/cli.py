@@ -13,10 +13,12 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
+from mpmath import mpf, nstr, workprec
+
 from .catalog import CatalogError, load_catalog, solution_context
 from .expr import ExprError, ResourceLimitError, to_text
 from .jets import PDE, load_pde
-from .numeric import EvalDomainError, eval_numeric
+from .numeric import DD_PREC, EvalDomainError, eval_numeric
 from .normal import canonical
 from .parse import ParseError, parse
 from . import detsys, flows, liealg, verify as verify_mod
@@ -209,7 +211,13 @@ def cmd_sample(args) -> int:
         if i == len(axes):
             try:
                 val = eval_numeric(f, {**fixed, **env}, args.precision)
-                txt = f"{val:.17g}"
+                if args.precision == "dd":
+                    # a dd result is an mpf, or a float where no constant
+                    # entered; mpf() at DD_PREC keeps every bit of either
+                    with workprec(DD_PREC):
+                        txt = nstr(mpf(val), 17)
+                else:
+                    txt = f"{val:.17g}"
             except EvalDomainError:
                 warnings += 1
                 txt = "nan"
@@ -315,21 +323,20 @@ _DEFAULTS = {
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--pde", default=_DEFAULTS["pde"],
+    # every default is None here and filled from _DEFAULTS in main, after
+    # the config file, so an explicit flag always beats the config
+    common.add_argument("--pde",
                         help="PDE definition file (default: shipped kdv31.pde)")
-    common.add_argument("--config", default=None, help="key=value config file")
-    common.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
-    common.add_argument("--tol", type=float, default=_DEFAULTS["tol"])
-    common.add_argument("--points", type=int, default=_DEFAULTS["points"])
-    common.add_argument("--precision", choices=("double", "dd"),
-                        default=_DEFAULTS["precision"])
-    common.add_argument("--degree", type=int, default=_DEFAULTS["degree"],
+    common.add_argument("--config", help="key=value config file")
+    common.add_argument("--seed", type=int)
+    common.add_argument("--tol", type=float)
+    common.add_argument("--points", type=int)
+    common.add_argument("--precision", choices=("double", "dd"))
+    common.add_argument("--degree", type=int,
                         help="polynomial ansatz degree bound")
-    common.add_argument("--out", default=_DEFAULTS["out"],
-                        help="write output to a file")
-    common.add_argument("--json", default=_DEFAULTS["json"],
-                        help="machine-readable summary path")
-    common.add_argument("--catalog", default=_DEFAULTS["catalog"],
+    common.add_argument("--out", help="write output to a file")
+    common.add_argument("--json", help="machine-readable summary path")
+    common.add_argument("--catalog",
                         help="catalog file (default: shipped paper_catalog.txt)")
 
     p = argparse.ArgumentParser(prog="liesym",
@@ -372,9 +379,12 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         for key, value in cfg.items():
-            # explicit flags win; config fills values still at their defaults
-            if key in _DEFAULTS and getattr(args, key, None) == _DEFAULTS[key]:
+            # explicit flags win; config fills values not given on the command line
+            if key in _DEFAULTS and getattr(args, key) is None:
                 setattr(args, key, _CONFIG_TYPES.get(key, str)(value))
+    for key, value in _DEFAULTS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
     handlers = {
         "derive": cmd_derive, "solve": cmd_solve, "table": cmd_table,
         "flow": cmd_flow, "verify": cmd_verify, "sample": cmd_sample,

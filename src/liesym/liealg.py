@@ -39,11 +39,7 @@ class CommutatorTable:
         return not self.failures
 
     def structure_constants(self):
-        n = len(self.basis)
-        return StructureConstants(
-            [[list(self.entries[i][j]) if self.entries[i][j] is not None
-              else None for j in range(n)] for i in range(n)]
-        )
+        return StructureConstants(self.entries)
 
     def is_skew_symmetric(self) -> bool:
         n = len(self.basis)
@@ -58,37 +54,44 @@ class CommutatorTable:
 
 
 class StructureConstants:
+    """Nonzero structure constants, {(i, j): {k: c_ij^k}}.
+
+    Built from a dense n x n x n nested list; the checks below sum only
+    over the nonzero terms.
+    """
+
     def __init__(self, c):
-        self.c = c
         self.n = len(c)
+        self.c = {}
+        for i, row in enumerate(c):
+            for j, cell in enumerate(row):
+                nz = {k: Fraction(x) for k, x in enumerate(cell) if x}
+                if nz:
+                    self.c[(i, j)] = nz
 
     def get(self, i, j, k) -> Fraction:
-        return Fraction(self.c[i][j][k])
+        return self.c.get((i, j), {}).get(k, Fraction(0))
 
     def antisymmetry_violations(self):
-        out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                for k in range(self.n):
-                    if self.get(i, j, k) != -self.get(j, i, k):
-                        out.append((i, j, k))
-        return out
+        """Triples (i, j, k) with c_ij^k != -c_ji^k, in lexicographic order."""
+        support = {(i, j, k) for (i, j), cell in self.c.items() for k in cell}
+        support |= {(j, i, k) for i, j, k in support}
+        return sorted((i, j, k) for i, j, k in support
+                      if self.get(i, j, k) != -self.get(j, i, k))
 
     def jacobi_violations(self):
-        """Triples (i, j, k, l) where the Jacobi identity fails."""
+        """Quadruples (i, j, k, l), i < j < k, where the Jacobi identity fails."""
         out = []
-        n = self.n
+        n, c = self.n, self.c
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    for l in range(n):
-                        s = Fraction(0)
-                        for m in range(n):
-                            s += (self.get(i, j, m) * self.get(m, k, l)
-                                  + self.get(j, k, m) * self.get(m, i, l)
-                                  + self.get(k, i, m) * self.get(m, j, l))
-                        if s != 0:
-                            out.append((i, j, k, l))
+                    s = {}
+                    for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, x in c.get((a, b), {}).items():
+                            for l, y in c.get((m, d), {}).items():
+                                s[l] = s.get(l, 0) + x * y
+                    out.extend((i, j, k, l) for l in sorted(s) if s[l])
         return out
 
 

@@ -1,114 +1,102 @@
-"""Exact rational linear algebra: fraction-free elimination, nullspaces.
+"""Exact rational linear algebra: one sparse reduced-row-echelon kernel.
 
-Row reduction over arbitrary-precision integers (Bareiss), so pivots
-never introduce rational blowup; back-substitution is done in Fractions.
+Rows are held as dicts (column -> nonzero Fraction).  Zero rows and rows
+equal up to a nonzero factor are dropped while the input is converted,
+and each new row is reduced against the pivot rows found so far, so the
+result is the unique reduced row echelon form of the row space.  Its
+pivot columns are the ones greedy column-order elimination picks.
+`nullspace`, `rank` and `lin_solve` read their answers off that form.
 No floating point anywhere.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from itertools import compress, count
 
 
-def _int_rows(rows):
-    out = []
+def _distinct_rows(rows):
+    """Nonzero rows scaled to a leading 1, each line of the row space once."""
+    seen = {}
     for r in rows:
-        scale = 1
-        for c in r:
-            d = Fraction(c).denominator
-            scale = scale * d // math.gcd(scale, d)
-        out.append([int(Fraction(c) * scale) for c in r])
-    return out
+        # inputs are ~99% zeros: compress filters them faster than enumerate
+        row = {j: Fraction(r[j]) for j in compress(count(), r)}
+        if row:
+            lead = row[next(iter(row))]
+            seen.setdefault(tuple((j, c / lead) for j, c in row.items()), None)
+    return [dict(key) for key in seen]
 
 
-def bareiss_echelon(rows):
-    """Fraction-free row echelon form; returns (rows, pivot (row,col) list)."""
-    m = [r[:] for r in rows]
-    n = len(m)
-    cols = len(m[0]) if n else 0
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(cols):
-        p = next((i for i in range(r, n) if m[i][c] != 0), None)
-        if p is None:
+def _subtract(row, f, pivot_row):
+    """row -= f * pivot_row, dropping entries that cancel."""
+    for j, c in pivot_row.items():
+        x = row.get(j, 0) - f * c
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def _rref(rows) -> dict:
+    """Reduced row echelon form: {pivot column: row with a 1 there}.
+
+    Every pivot row is zero in every other pivot column, so a new row is
+    reduced by one pass over the pivot columns it touches.
+    """
+    pivots = {}
+    for row in _distinct_rows(rows):
+        for c in [c for c in row if c in pivots]:
+            _subtract(row, row[c], pivots[c])
+        if not row:
             continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-        for i in range(r + 1, n):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        pivots.append((r, c))
-        r += 1
-        if r == n:
-            break
-    return m, pivots
+        lead = min(row)
+        inv = row[lead]
+        row = {j: c / inv for j, c in row.items()}
+        for p in pivots.values():
+            if lead in p:
+                _subtract(p, p[lead], row)
+        pivots[lead] = row
+    return pivots
 
 
 def nullspace(rows, ncols=None):
-    """Rational basis of the right nullspace of the row list."""
-    if not rows:
-        return [[Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
-                for j in range(ncols or 0)]
-    ncols = ncols or len(rows[0])
-    m, pivots = bareiss_echelon(_int_rows(rows))
-    piv_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(ncols) if c not in piv_cols]
+    """Rational basis of the right nullspace of the row list.
+
+    One vector per free column f: v[f] = 1, v[c] = -R[c][f] on each pivot
+    column c, scaled so the first nonzero coefficient is 1, and sorted.
+    """
+    if rows:
+        ncols = ncols or len(rows[0])
+    pivots = _rref(rows)
     basis = []
-    for f in free_cols:
+    for f in range(ncols or 0):
+        if f in pivots:
+            continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for r, c in reversed(pivots):
-            s = sum((Fraction(m[r][j]) * v[j] for j in range(c + 1, ncols)),
-                    Fraction(0))
-            v[c] = -s / m[r][c]
-        # first nonzero coefficient scaled to 1
+        for c, p in pivots.items():
+            if f in p:
+                v[c] = -p[f]
         lead = next(x for x in v if x != 0)
-        v = [x / lead for x in v]
-        basis.append(v)
+        basis.append([x / lead for x in v])
     basis.sort(key=lambda v: (tuple(i for i, x in enumerate(v) if x != 0),
                               tuple(v)))
     return basis
 
 
 def rank(rows) -> int:
-    if not rows:
-        return 0
-    _, pivots = bareiss_echelon(_int_rows(rows))
-    return len(pivots)
+    return len(_rref(rows))
 
 
 def lin_solve(rows, rhs):
     """One exact solution of rows * x = rhs (free unknowns at 0), or None."""
-    n = len(rows)
-    if n == 0:
+    if not rows:
         return []
     cols = len(rows[0])
-    aug = [[Fraction(c) for c in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        p = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == n:
-            break
-    for i in range(n):
-        if all(x == 0 for x in aug[i][:cols]) and aug[i][cols] != 0:
-            return None
+    pivots = _rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if cols in pivots:      # a pivot in the right-hand side: 0 = 1
+        return None
     x = [Fraction(0)] * cols
-    for r, c in pivots:
-        x[c] = aug[r][cols]
+    for c, p in pivots.items():
+        x[c] = p.get(cols, Fraction(0))
     return x

@@ -163,6 +163,21 @@ class TestSample:
             diff = us - xs * ys / 36.0
             assert -1e-12 <= diff <= 3.0
 
+    def test_dd_precision(self, capsys):
+        rc, out, _ = run(capsys, "sample", "--expr", "x + 1/3",
+                         "--grid", "x=0:1:2", "--precision", "dd")
+        assert rc == 0
+        # 17 digits of the 106-bit value, not of the nearest double
+        assert out.splitlines()[1:] == ["0,0.33333333333333333",
+                                        "1,1.3333333333333333"]
+        grid = ("--name", "u3-kink", "--grid", "x=-1:1:2,y=-1:1:2",
+                "--fix", "z=0,t=0")
+        rc, dd, _ = run(capsys, "sample", *grid, "--precision", "dd")
+        assert rc == 0
+        _, double, _ = run(capsys, "sample", *grid)
+        for a, b in zip(dd.splitlines()[1:], double.splitlines()[1:]):
+            assert abs(float(a.split(",")[-1]) - float(b.split(",")[-1])) < 1e-12
+
     def test_singular_points_emit_nan(self, capsys):
         rc, out, err = run(capsys, "sample", "--expr", "1/x",
                            "--grid", "x=-1:1:3")
@@ -204,6 +219,18 @@ class TestPipeline:
                        "--json", str(j), "--out", str(tmp_path / "t.txt"))
         assert rc == 0
         assert json.loads(j.read_text())["config"]["degree"] == 1
+
+    def test_explicit_flag_beats_config(self, tmp_path, monkeypatch):
+        import liesym.cli as cli
+        seen = []
+        monkeypatch.setattr(cli, "cmd_derive", lambda args: seen.append(args) or 0)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=5\ndegree=3\n")
+        assert main(["derive", "--config", str(cfg), "--seed", "0"]) == 0
+        assert main(["derive", "--config", str(cfg)]) == 0
+        assert main(["derive"]) == 0
+        assert [(a.seed, a.degree, a.points) for a in seen] == \
+            [(0, 3, 100), (5, 3, 100), (0, 2, 100)]
 
     def test_missing_pde_is_input_error(self, capsys):
         rc, _, err = run(capsys, "pipeline", "--pde", "/nonexistent.pde")

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liesym import parse, rat
 from liesym.detsys import (
@@ -87,11 +88,12 @@ class TestSolver:
         assert len(a1.coeffs) == 5 * 6       # 5 * C(6,1)
         assert len(a2.coeffs) == 5 * 21      # 5 * C(7,2)
 
-    @pytest.mark.skipif("not __import__('os').environ.get('LIESYM_SLOW')")
-    def test_dimension_degree_3(self, pde, system):
-        # ~35 s; no cubic infinitesimals appear either
-        basis = solve_poly_ansatz(system, PolyAnsatz(system, 3), pde)
-        assert basis.dimension == 10
+    def test_dimension_degree_3(self, pde, system, basis):
+        # no cubic infinitesimals appear either: the published ten span it
+        basis_d3 = solve_poly_ansatz(system, PolyAnsatz(system, 3), pde)
+        assert basis_d3.dimension == 10
+        for V in basis.fields:
+            assert check_membership(basis_d3, V) is not None
 
 
 class TestMembership:
@@ -173,3 +175,106 @@ class TestLinalg:
         for b in ns:
             for r in rows:
                 assert sum(a * c for a, c in zip(r, b)) == 0
+
+
+def _gauss_jordan(rows, ncols):
+    """Dense Fraction Gauss-Jordan: (reduced nonzero rows, pivot columns)."""
+    m = [[Fraction(c) for c in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        p = next((i for i in range(len(pivots), len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        r = len(pivots)
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def _oracle_nullspace(rows, ncols):
+    red, pivots = _gauss_jordan(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, c in zip(red, pivots):
+            v[c] = -r[f]
+        lead = next(x for x in v if x != 0)
+        basis.append([x / lead for x in v])
+    basis.sort(key=lambda v: (tuple(i for i, x in enumerate(v) if x != 0),
+                              tuple(v)))
+    return basis
+
+
+def _oracle_solve(rows, rhs, ncols):
+    red, pivots = _gauss_jordan([list(r) + [b] for r, b in zip(rows, rhs)],
+                                ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, c in zip(red, pivots):
+        x[c] = r[ncols]
+    return x
+
+
+_entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                     st.fractions(min_value=-4, max_value=4, max_denominator=3))
+_factors = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def _matrices(draw):
+    """Small rational matrices with zero, repeated and proportional rows."""
+    ncols = draw(st.integers(1, 6))
+    base = draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols),
+                         max_size=5))
+    rows = list(base)
+    if base:
+        for i, f in draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
+                                            _factors), max_size=4)):
+            rows.append([f * c for c in base[i]])
+    rows += [[Fraction(0)] * ncols] * draw(st.integers(0, 2))
+    rows = draw(st.permutations(rows))
+    rhs = draw(st.lists(_entries, min_size=len(rows), max_size=len(rows)))
+    return rows, ncols, rhs
+
+
+class TestLinalgOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_matrices())
+    def test_matches_dense_gauss_jordan(self, case):
+        rows, ncols, rhs = case
+        ns = linalg.nullspace(rows, ncols)
+        assert ns == _oracle_nullspace(rows, ncols)
+        assert linalg.rank(rows) == ncols - len(ns)
+        if not rows:
+            assert linalg.lin_solve(rows, rhs) == []
+            return
+        # consistent by construction, then an arbitrary right-hand side
+        x0 = [Fraction(j + 1, 2) for j in range(ncols)]
+        image = [sum(a * b for a, b in zip(r, x0)) for r in rows]
+        for b in (image, rhs):
+            x = linalg.lin_solve(rows, b)
+            assert x == _oracle_solve(rows, b, ncols)
+            if x is not None:
+                assert [sum(a * c for a, c in zip(r, x)) for r in rows] == b
+        assert linalg.lin_solve(rows, image) is not None
+
+    def test_pivot_in_rhs_column(self):
+        # proportional rows with disagreeing right-hand sides: 0 = 1
+        rows = [[Fraction(1), Fraction(2)], [Fraction(-2), Fraction(-4)]]
+        assert linalg.lin_solve(rows, [1, -2]) == [Fraction(1), Fraction(0)]
+        assert linalg.lin_solve(rows, [1, 3]) is None
+        assert _oracle_solve(rows, [1, 3], 2) is None
+
+    def test_empty_rows(self):
+        assert linalg.nullspace([], 3) == _oracle_nullspace([], 3)
+        assert linalg.nullspace([], 3)[0] == [1, 0, 0]
+        assert linalg.rank([]) == 0

@@ -105,9 +105,32 @@ class TestStructureConstants:
 
     def test_corrupted_constant_reported(self, table):
         sc = table.structure_constants()
-        sc.c[0][1][1] = Fraction(1, 3)  # corrupt c[1][2][2]
+        sc.c[(0, 1)][1] = Fraction(1, 3)  # corrupt c[1][2][2]
         rep = jacobi_check(sc)
         assert not rep["ok"]
+
+    def test_sparse_checks_match_brute_force(self, table):
+        n = len(table.basis)
+        rng = random.Random(3)
+        found = 0
+        for _ in range(4):
+            c = [[list(e) for e in row] for row in table.entries]
+            for _ in range(rng.randint(1, 3)):
+                c[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] = \
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            jacobi = [(i, j, k, l)
+                      for i in range(n) for j in range(i + 1, n)
+                      for k in range(j + 1, n) for l in range(n)
+                      if sum(c[i][j][m] * c[m][k][l] + c[j][k][m] * c[m][i][l]
+                             + c[k][i][m] * c[m][j][l] for m in range(n)) != 0]
+            anti = [(i, j, k) for i in range(n) for j in range(n)
+                    for k in range(n) if c[i][j][k] != -c[j][i][k]]
+            rep = jacobi_check(StructureConstants(c))
+            assert rep["jacobi_violations"] == jacobi
+            assert rep["antisymmetry_violations"] == anti
+            assert rep["ok"] == (not jacobi and not anti)
+            found += len(jacobi) + len(anti)
+        assert found    # the corruptions were seen
 
     def test_trivial_algebra_vacuous(self):
         sc = StructureConstants([[[Fraction(0)]]])
