@@ -18,7 +18,7 @@ from mpmath import mpf, nstr, workprec
 from .catalog import CatalogError, load_catalog, solution_context
 from .expr import ExprError, ResourceLimitError, to_text
 from .jets import PDE, load_pde
-from .numeric import DD_PREC, EvalDomainError, eval_numeric
+from .numeric import DD_PREC, DOMAIN_ERRORS, compile_expr
 from .normal import canonical
 from .parse import ParseError, parse
 from . import detsys, flows, liealg, verify as verify_mod
@@ -203,14 +203,20 @@ def cmd_sample(args) -> int:
     grids = []
     for _, lo, hi, count in axes:
         grids.append([lo + i * (hi - lo) / (count - 1) for i in range(count)])
+    fn, syms = compile_expr(f, args.precision)
     rows = [",".join(swept + ["u"])]
     warnings = 0
 
     def rec_loop(i, env):
         nonlocal warnings
         if i == len(axes):
+            point = {**fixed, **env}
             try:
-                val = eval_numeric(f, {**fixed, **env}, args.precision)
+                val = fn(*[point[s.name] for s in syms])[0]
+            except DOMAIN_ERRORS:
+                warnings += 1
+                txt = "nan"
+            else:
                 if args.precision == "dd":
                     # a dd result is an mpf, or a float where no constant
                     # entered; mpf() at DD_PREC keeps every bit of either
@@ -218,9 +224,6 @@ def cmd_sample(args) -> int:
                         txt = nstr(mpf(val), 17)
                 else:
                     txt = f"{val:.17g}"
-            except EvalDomainError:
-                warnings += 1
-                txt = "nan"
             rows.append(",".join([f"{env[n]:.17g}" for n in swept] + [txt]))
             return
         for v in grids[i]:

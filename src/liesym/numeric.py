@@ -110,66 +110,92 @@ _BACKENDS = {
     ),
 }
 
+# what a compiled function raises at a point outside its domain
+DOMAIN_ERRORS = (EvalDomainError, ZeroDivisionError, OverflowError, ValueError)
+
 _compiled: dict = {}
 
 
-def _emit(e: Expr, names: dict, consts: list, backend: dict) -> str:
-    t = type(e)
-    if t is Rat:
-        consts.append(backend["const"](Fraction(e.value)))
-        return f"C[{len(consts) - 1}]"
-    if t is Sym:
-        return names[e]
-    if t is Jet:
-        raise EvalDomainError(f"cannot evaluate jet variable {e.dep}")
-    if t is Ufunc:
-        raise EvalDomainError(f"cannot evaluate unknown function {e.name}")
-    if t is Fun:
-        return f"{e.fn}({_emit(e.arg, names, consts, backend)})"
-    if t is Pow:
-        b = _emit(e.base, names, consts, backend)
-        q = e.exp
-        if q.denominator == 1:
-            return f"({b})**({q.numerator})"
-        return f"rp({b},{q.numerator},{q.denominator})"
-    if t is Mul:
-        return "*".join(f"({_emit(f, names, consts, backend)})" for f in e.factors)
-    if t is Add:
-        return "+".join(f"({_emit(x, names, consts, backend)})" for x in e.terms)
-    raise ExprError(f"cannot compile {e!r}")
+def _emit(terms, names: dict, backend: dict):
+    """Straight-line code for terms, one assignment per distinct subtree.
+
+    Returns (lines, consts, results): the `tN = ...` lines in evaluation
+    order, the backend constants that `C[k]` refers to, and the local
+    holding each term.  Operands are computed in the order the stored
+    tree lists them and Add/Mul fold left, so every value equals what a
+    nested expression of the same tree gives.
+    """
+    memo = dict(names)
+    lines: list = []
+    consts: list = []
+
+    def local(e: Expr) -> str:
+        got = memo.get(e)
+        if got is not None:
+            return got
+        t = type(e)
+        if t is Rat:
+            consts.append(backend["const"](e.value))
+            rhs = f"C[{len(consts) - 1}]"
+        elif t is Fun:
+            rhs = f"{e.fn}({local(e.arg)})"
+        elif t is Pow:
+            b, q = local(e.base), e.exp
+            if q.denominator == 1:
+                rhs = f"{b}**({q.numerator})"
+            else:
+                rhs = f"rp({b},{q.numerator},{q.denominator})"
+        elif t is Mul:
+            rhs = "*".join(local(f) for f in e.factors)
+        elif t is Add:
+            rhs = "+".join(local(x) for x in e.terms)
+        else:
+            raise ExprError(f"cannot compile {e!r}")
+        got = memo[e] = f"t{len(lines)}"
+        lines.append(f"{got} = {rhs}")
+        return got
+
+    return lines, consts, [local(e) for e in terms]
+
+
+def compile_terms(terms, precision: str = "double", complex_mode: bool = False):
+    """Compile terms into one function; return (fn, symbol order).
+
+    fn takes one positional value per symbol and returns the tuple of term
+    values.  A subtree shared between or within terms is computed once.
+    """
+    for e in terms:
+        if free_jets(e):
+            raise EvalDomainError("expression contains jet variables")
+        if ufunc_names(e):
+            raise EvalDomainError("expression contains unbound unknown functions")
+    backend = _BACKENDS[(precision, complex_mode)]
+    syms = sorted(set().union(*map(free_symbols, terms)), key=lambda s: s.name)
+    names = {s: f"v{i}" for i, s in enumerate(syms)}
+    with mpmath.workprec(DD_PREC):  # dd constants; double ones ignore it
+        lines, consts, results = _emit(terms, names, backend)
+    body = lines + [f"return ({''.join(r + ', ' for r in results)})"]
+    if precision == "dd":
+        body = ["with workprec(DD_PREC):"] + ["    " + ln for ln in body]
+    src = (f"def _f({', '.join(names.values())}):\n"
+           + "".join(f"    {ln}\n" for ln in body))
+    ns = dict(backend, C=consts, workprec=mpmath.workprec, DD_PREC=DD_PREC)
+    exec(src, ns)
+    return ns["_f"], tuple(syms)
 
 
 def compile_expr(e: Expr, precision: str = "double", complex_mode: bool = False):
-    """Compile to (fn, symbol order); fn takes one positional value per symbol."""
+    """Memoized one-term compile_terms: (fn, symbol order), fn returns a 1-tuple."""
     key = (e, precision, complex_mode)
     got = _compiled.get(key)
-    if got is not None:
-        return got
-    backend = _BACKENDS[(precision, complex_mode)]
-    syms = sorted(free_symbols(e), key=lambda s: s.name)
-    names = {s: f"v{i}" for i, s in enumerate(syms)}
-    consts: list = []
-    if precision == "dd":
-        with mpmath.workprec(DD_PREC):
-            body = _emit(e, names, consts, backend)
-    else:
-        body = _emit(e, names, consts, backend)
-    src = f"def _f({', '.join(names[s] for s in syms)}):\n    return {body}\n"
-    ns = dict(backend)
-    ns["C"] = consts
-    exec(src, ns)
-    fn = ns["_f"]
-    _compiled[key] = (fn, tuple(syms))
-    return fn, tuple(syms)
+    if got is None:
+        got = _compiled[key] = compile_terms((e,), precision, complex_mode)
+    return got
 
 
 def eval_numeric(e: Expr, env: dict, precision: str = "double",
                  complex_mode: bool = False):
     """Evaluate at a point; env maps symbols (or their names) to numbers."""
-    if free_jets(e):
-        raise EvalDomainError("expression contains jet variables")
-    if ufunc_names(e):
-        raise EvalDomainError("expression contains unbound unknown functions")
     fn, syms = compile_expr(e, precision, complex_mode)
     vals = []
     for s in syms:
@@ -180,13 +206,10 @@ def eval_numeric(e: Expr, env: dict, precision: str = "double",
         else:
             raise EvalDomainError(f"unbound symbol {s.name!r}")
     try:
-        if precision == "dd":
-            with mpmath.workprec(DD_PREC):
-                return fn(*vals)
-        return fn(*vals)
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise EvalDomainError(str(exc)) from None
-    except ValueError as exc:
+        return fn(*vals)[0]
+    except EvalDomainError:
+        raise
+    except DOMAIN_ERRORS as exc:
         raise EvalDomainError(str(exc)) from None
 
 

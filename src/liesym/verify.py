@@ -17,7 +17,7 @@ from .expr import (
 )
 from .jets import PDE
 from .normal import as_expr, canonical, is_zero, nf_div_exact, normalize
-from .numeric import eval_numeric
+from .numeric import DOMAIN_ERRORS, compile_terms, eval_numeric
 from .parse import ParseContext, parse
 from . import weierstrass as wz
 
@@ -61,26 +61,26 @@ def _numeric_residual(terms, variables, params, points, tol, seed, precision,
                       complex_mode=False, box=(0.5, 2.5)):
     """Max of |sum terms| / (1 + sum |terms|) over seeded sample points."""
     rng = random.Random(seed)
-    syms = sorted(set().union(*(free_symbols(t) for t in terms)),
-                  key=lambda s: s.name)
-    fixed = {}
-    for s in syms:
+    fn, syms = compile_terms(terms, precision, complex_mode)
+    args = [None] * len(syms)
+    free = []
+    for k, s in enumerate(syms):
         if s.name in params:
-            fixed[s] = params[s.name]
+            args[k] = params[s.name]
         elif s.name == "i":
-            fixed[s] = 1j
-    free = [s for s in syms if s not in fixed]
+            args[k] = 1j
+        else:
+            free.append(k)
     worst = 0.0
     good = 0
     attempts = 0
     while good < points and attempts < points * 20:
         attempts += 1
-        env = dict(fixed)
-        for s in free:
-            env[s] = rng.uniform(*box) * rng.choice((1.0, -1.0))
+        for k in free:
+            args[k] = rng.uniform(*box) * rng.choice((1.0, -1.0))
         try:
-            vals = [eval_numeric(t, env, precision, complex_mode) for t in terms]
-        except EvalDomainError:
+            vals = fn(*args)
+        except DOMAIN_ERRORS:
             continue
         scale = sum(abs(v) for v in vals)
         if scale > 1e12:
