@@ -13,12 +13,12 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from mpmath import mpf, nstr, workprec
+from mpmath import nstr
 
 from .catalog import CatalogError, load_catalog, solution_context
 from .expr import ExprError, ResourceLimitError, to_text
 from .jets import PDE, load_pde
-from .numeric import DD_PREC, DOMAIN_ERRORS, compile_expr
+from .numeric import DOMAIN_ERRORS, compile_expr
 from .normal import canonical
 from .parse import ParseError, parse
 from . import detsys, flows, liealg, verify as verify_mod
@@ -217,13 +217,7 @@ def cmd_sample(args) -> int:
                 warnings += 1
                 txt = "nan"
             else:
-                if args.precision == "dd":
-                    # a dd result is an mpf, or a float where no constant
-                    # entered; mpf() at DD_PREC keeps every bit of either
-                    with workprec(DD_PREC):
-                        txt = nstr(mpf(val), 17)
-                else:
-                    txt = f"{val:.17g}"
+                txt = nstr(val, 17) if args.precision == "dd" else f"{val:.17g}"
             rows.append(",".join([f"{env[n]:.17g}" for n in swept] + [txt]))
             return
         for v in grids[i]:

@@ -1,10 +1,19 @@
 """Numeric evaluation, seeded sampling, and randomized equivalence.
 
-Expressions compile to Python callables once per (expression, backend)
-pair.  Backends: double (float/complex) and dd (mpmath real/complex at a
-fixed 106-bit precision, the double-double significand budget).
-Evaluation order follows the stored tree, so results are deterministic
-for a fixed backend.
+`compile_terms` turns a list of expressions, such as the terms of one
+residual claim, into one generated Python function that returns all of
+their values as a tuple.  The function is straight-line code with one
+local per distinct subtree, so a `tanh(xi)` or a product shared between
+terms is computed once per point.  `compile_expr` is its memoized
+one-term case, and `eval_numeric` evaluates through it.
+
+Backends: double (float/complex) and dd (mpmath real/complex at a fixed
+106-bit precision, the double-double significand budget).  A dd function
+converts its inputs to mpmath numbers exactly in its prologue and runs
+under that precision, so no term is left computing in double.
+Evaluation order follows the stored tree (Add/Mul fold left), so results
+are deterministic for a fixed backend and do not depend on how terms
+share subtrees.
 """
 
 from __future__ import annotations
@@ -12,13 +21,12 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from fractions import Fraction
 
 import mpmath
 
 from .expr import (
-    Add, EvalDomainError, Expr, ExprError, Fun, Jet, Mul, Pow, Rat, Sym,
-    Ufunc, free_jets, free_symbols, ufunc_names,
+    Add, EvalDomainError, Expr, ExprError, Fun, Mul, Pow, Rat, free_jets,
+    free_symbols, ufunc_names,
 )
 
 DD_PREC = 106
@@ -176,10 +184,13 @@ def compile_terms(terms, precision: str = "double", complex_mode: bool = False):
         lines, consts, results = _emit(terms, names, backend)
     body = lines + [f"return ({''.join(r + ', ' for r in results)})"]
     if precision == "dd":
+        # inputs enter exactly, so no term is left computing in double
+        body = [f"{v} = mpmathify({v})" for v in names.values()] + body
         body = ["with workprec(DD_PREC):"] + ["    " + ln for ln in body]
     src = (f"def _f({', '.join(names.values())}):\n"
            + "".join(f"    {ln}\n" for ln in body))
-    ns = dict(backend, C=consts, workprec=mpmath.workprec, DD_PREC=DD_PREC)
+    ns = dict(backend, C=consts, mpmathify=mpmath.mpmathify,
+              workprec=mpmath.workprec, DD_PREC=DD_PREC)
     exec(src, ns)
     return ns["_f"], tuple(syms)
 
@@ -207,9 +218,7 @@ def eval_numeric(e: Expr, env: dict, precision: str = "double",
             raise EvalDomainError(f"unbound symbol {s.name!r}")
     try:
         return fn(*vals)[0]
-    except EvalDomainError:
-        raise
-    except DOMAIN_ERRORS as exc:
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
         raise EvalDomainError(str(exc)) from None
 
 

@@ -492,7 +492,8 @@ def verify_record(rec: Record, pde: PDE, points=100, tol=1e-9, seed=0,
         return CatalogResult(rec.name, kind, "falsified", expected,
                              f"unknown record kind {kind!r}")
     except Exception as exc:  # report, never crash the table
-        return CatalogResult(rec.name, kind, "error", expected, str(exc))
+        return CatalogResult(rec.name, kind, "error", expected,
+                             f"{type(exc).__name__}: {exc}")
 
 
 def verify_catalog(records, pde: PDE, points=100, tol=1e-9, seed=0,

@@ -230,6 +230,7 @@ def test_criterion_9_group_actions(pde, records, flows10):
     solutions = [r for r in records
                  if r.kind == "solution" and r.expected == "zero"]
     failures = []
+    worst = 0.0
     for rec in solutions:
         f = parse(rec.get("claim"), solution_context())
         for i, g in enumerate(flows10, 1):
@@ -237,9 +238,11 @@ def test_criterion_9_group_actions(pde, records, flows10):
                                       samples=50, tol=1e-8, precision="dd")
             if not rep["pass"]:
                 failures.append((rec.name, f"g{i}", rep["max_rel"]))
-    _report(9, not failures,
+            worst = max(worst, rep["max_rel"])
+    # dd sampling carries no double rounding, so the residual sits far below tol
+    _report(9, not failures and worst < 1e-15,
             f"{len(solutions)} solutions x {len(flows10)} flows at 50 dd points"
-            f" failures={failures}")
+            f" worst max_rel={worst:.2e} failures={failures}")
 
 
 def test_criterion_10_pipeline_determinism(tmp_path):

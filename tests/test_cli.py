@@ -178,6 +178,19 @@ class TestSample:
         for a, b in zip(dd.splitlines()[1:], double.splitlines()[1:]):
             assert abs(float(a.split(",")[-1]) - float(b.split(",")[-1])) < 1e-12
 
+    def test_dd_inputs_enter_exactly(self, capsys):
+        rc, out, _ = run(capsys, "sample", "--expr", "1/x",
+                         "--grid", "x=3:6:2", "--precision", "dd")
+        assert rc == 0
+        # a float input left in double would print ...331 and ...666
+        assert out.splitlines()[1:] == ["3,0.33333333333333333",
+                                        "6,0.16666666666666667"]
+
+    def test_jet_expression_is_input_error(self, capsys):
+        rc, out, err = run(capsys, "sample", "--expr", "u_x", "--grid", "x=0:1:2")
+        assert rc == 2
+        assert "jet" in err and out == ""
+
     def test_singular_points_emit_nan(self, capsys):
         rc, out, err = run(capsys, "sample", "--expr", "1/x",
                            "--grid", "x=-1:1:3")

@@ -175,6 +175,17 @@ class TestCatalog:
         e = parse("1/(b1*x + b2)", solution_context())
         assert undeclared_divisors(e, ("b1",), ("x", "y", "z", "t")) == ("b2",)
 
+    @pytest.mark.parametrize("claim, kind", [
+        ("tanh(x", "ParseError: "),
+        ("1/(x-x)", "EvalDomainError: "),
+        ("(-1 - x^2*y^2*z^2*t^2)^(1/2)", "EvalDomainError: "),
+    ])
+    def test_error_rows_keep_exception_type(self, pde, claim, kind):
+        rec = parse_catalog(f"[bad]\nkind: solution\nclaim: {claim}\nexpected: zero\n")[0]
+        res = verify_record(rec, pde, points=5)
+        assert res.status == "error"
+        assert res.detail.startswith(kind)
+
     def test_weierstrass_records(self, pde, by_name):
         ok = verify_record(by_name["wp-equianharmonic"], pde, points=15)
         assert ok.status == "verified"
