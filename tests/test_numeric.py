@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liesym import add, fun, mul, parse, pow_, rat, symbol
-from liesym.expr import Add, ExprError, Fun, Mul, Pow, Rat, Sym
+from liesym.expr import ExprError, Fun, Mul, Pow, Rat, Sym
 from liesym.numeric import (
     DD_PREC, DOMAIN_ERRORS, _BACKENDS, compile_terms, eval_numeric,
 )
@@ -64,13 +64,6 @@ def _built(make):
     return build
 
 
-def _trees(depth):
-    leaf = st.sampled_from(_syms) | st.sampled_from(_RATS)
-    if depth == 0:
-        return leaf
-    return _combine(_trees(depth - 1)) | leaf
-
-
 def _combine(sub):
     # uniform operand counts: longer sums and products show the fold order
     operands = st.integers(2, 4).flatmap(lambda n: st.lists(sub, min_size=n, max_size=n))
@@ -81,6 +74,9 @@ def _combine(sub):
         .filter(lambda e: e is not None),
         st.tuples(st.sampled_from(_FUNS), sub).map(lambda p: fun(*p)),
     )
+
+
+_leaves = st.sampled_from(_syms) | st.sampled_from(_RATS)
 
 
 def _point(complex_mode):
@@ -97,7 +93,8 @@ def _point(complex_mode):
 @given(data=st.data())
 def test_claim_callable_matches_tree_evaluation(precision, complex_mode, data):
     # terms drawn from a small pool, so subtrees repeat within and across terms
-    pool = data.draw(st.lists(_trees(1), min_size=2, max_size=4, unique=True))
+    pool = data.draw(st.lists(_combine(_leaves) | _leaves, min_size=2, max_size=4,
+                              unique=True))
     terms = data.draw(st.lists(_combine(st.sampled_from(pool)),
                                min_size=1, max_size=4))
     fn, syms = compile_terms(terms, precision, complex_mode)
