@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from importlib import resources
 
-from .expr import Expr, KIND_PARAM, symbol
+from .expr import Expr, KIND_PARAM, Pow, children, free_symbols
 from .parse import ParseContext, parse
 
 
@@ -118,29 +118,12 @@ def record_context(rec: Record) -> ParseContext:
 
 def undeclared_divisors(e: Expr, declared, coords) -> tuple:
     """Parameter symbols occurring in denominators but not declared nonzero."""
-    from .expr import Add, Fun, Mul, Pow, Ufunc, free_symbols
-
     bad = set()
-
-    def walk(x):
-        t = type(x)
-        if t is Pow:
-            if x.exp < 0:
-                for s in free_symbols(x.base):
-                    if s.name not in declared and s.name not in coords:
-                        bad.add(s.name)
-            walk(x.base)
-        elif t is Fun:
-            walk(x.arg)
-        elif t is Ufunc:
-            for a in x.args:
-                walk(a)
-        elif t is Add:
-            for c in x.terms:
-                walk(c)
-        elif t is Mul:
-            for c in x.factors:
-                walk(c)
-
-    walk(e)
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if type(x) is Pow and x.exp < 0:
+            bad.update(s.name for s in free_symbols(x.base)
+                       if s.name not in declared and s.name not in coords)
+        stack.extend(children(x))
     return tuple(sorted(bad))

@@ -14,10 +14,10 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .expr import (
-    Add, Expr, Fun, Jet, KIND_ANSATZ, KIND_INDEP, Mul, Pow, Rat, Sym, Ufunc,
-    add, free_jets, jet, mul, pow_, rat, substitute, symbol,
+    Expr, Jet, KIND_ANSATZ, KIND_INDEP, Rat, Sym, Ufunc,
+    add, jet, mul, rat, rewrite, substitute, symbol,
 )
-from .jets import PDE, VectorField, restrict_on_shell, symmetry_condition
+from .jets import PDE, VectorField, jet_bindings, restrict_on_shell, symmetry_condition
 from .normal import NF, as_expr, is_zero, mono_key, normalize, _primitive
 from . import linalg
 
@@ -64,24 +64,14 @@ def _ufunc_to_jets(e: Expr, pde: PDE) -> Expr:
     coords = [v.name for v in pde.vars] + [pde.dep]
     u_sym = symbol(pde.dep, KIND_INDEP)
 
-    def walk(x: Expr) -> Expr:
-        t = type(x)
-        if t is Ufunc and x.name in names:
-            idx = {coords[i]: k for i, k in enumerate(x.dorders) if k}
-            return jet(x.name, idx)
-        if t is Jet and x.dep == pde.dep and x.order == 0:
+    def leaf(x: Expr) -> Expr:
+        if type(x) is Ufunc and x.name in names:
+            return jet(x.name, {coords[i]: k for i, k in enumerate(x.dorders) if k})
+        if type(x) is Jet and x.dep == pde.dep and x.order == 0:
             return u_sym
-        if t is Add:
-            return add(*(walk(c) for c in x.terms))
-        if t is Mul:
-            return mul(*(walk(c) for c in x.factors))
-        if t is Pow:
-            return pow_(walk(x.base), x.exp)
-        if t is Fun:
-            return Fun(x.fn, walk(x.arg))
         return x
 
-    return walk(e)
+    return rewrite(e, leaf)
 
 
 def _primitive_expr(nf: NF) -> Expr:
@@ -154,23 +144,6 @@ def _monomials_upto(coords, degree):
     return tuple(out)
 
 
-def _jet_bindings(sys: DeterminingSystem, polys: dict) -> dict:
-    """Bind every unknown jet appearing in the constraints to poly derivatives."""
-    from .expr import diff_n
-
-    coord_by_name = {c.name: c for c in sys.coords}
-    bindings = {}
-    for c in sys.constraints:
-        for j in free_jets(c):
-            if j.dep not in polys or j in bindings:
-                continue
-            e = polys[j.dep]
-            for name, count in j.idx:
-                e = diff_n(e, coord_by_name[name], count)
-            bindings[j] = e
-    return bindings
-
-
 class SymmetryBasis:
     def __init__(self, fields, ansatz=None, vectors=None):
         self.fields = tuple(fields)
@@ -188,7 +161,7 @@ class SymmetryBasis:
 def solve_poly_ansatz(sys: DeterminingSystem, ansatz: PolyAnsatz,
                       pde: PDE = None) -> SymmetryBasis:
     """Exact nullspace of the constraint system on the ansatz coefficients."""
-    bindings = _jet_bindings(sys, ansatz.polys)
+    bindings = jet_bindings(sys.constraints, ansatz.polys, sys.coords)
     coeff_index = {a: i for i, a in enumerate(ansatz.coeffs)}
     ncols = len(ansatz.coeffs)
     rows: dict = {}
@@ -270,7 +243,7 @@ def satisfies_system(sys: DeterminingSystem, V: VectorField) -> bool:
     polys = {}
     for name, c in zip(sys.unknowns, (*V.xi, V.eta)):
         polys[name] = substitute(c, {jet(V.dep, ()): u_sym})
-    bindings = _jet_bindings(sys, polys)
+    bindings = jet_bindings(sys.constraints, polys, sys.coords)
     return all(is_zero(substitute(c, bindings)) for c in sys.constraints)
 
 

@@ -510,78 +510,104 @@ def symbol(name: str, kind: str = KIND_PARAM) -> Sym:
 
 
 def reset_session():
+    """Forget every symbol and every memo keyed on expressions.
+
+    Symbols compare by name only, so a memo that outlived the registry could
+    hand back an atom of the kind a name had before the reset.
+    """
+    from . import detsys, jets, normal, numeric
     _registry.clear()
-    skey.cache_clear()
-    free_symbols.cache_clear()
-    free_jets.cache_clear()
-    ufunc_names.cache_clear()
+    for cached in (skey, free_symbols, free_jets, ufunc_names, normal.normalize,
+                   detsys._monomials_upto):
+        cached.cache_clear()
+    numeric._compiled.clear()
+    jets._prolong_memo.clear()
 
 
 # ---------------------------------------------------------------------------
-# structure queries
+# tree walking: children() is the one place that knows where a node keeps
+# its subtrees
+
+def children(e: Expr) -> tuple:
+    """The direct subtrees of e in stored order; () for a leaf."""
+    t = type(e)
+    if t is Add:
+        return e.terms
+    if t is Mul:
+        return e.factors
+    if t is Pow:
+        return (e.base,)
+    if t is Fun:
+        return (e.arg,)
+    if t is Ufunc:
+        return e.args
+    return ()
+
+
+_NOTHING = frozenset()
+
+
+def _union(e: Expr, query) -> frozenset:
+    """Union of query over the children of e; one child's set is shared."""
+    kids = children(e)
+    if len(kids) == 1:
+        return query(kids[0])
+    out = _NOTHING
+    for c in kids:
+        out |= query(c)
+    return out
+
 
 @lru_cache(maxsize=None)
 def free_symbols(e: Expr) -> frozenset:
-    t = type(e)
-    if t is Sym:
-        return frozenset((e,))
-    if t in (Rat, Jet):
-        return frozenset()
-    if t is Fun:
-        return free_symbols(e.arg)
-    if t is Pow:
-        return free_symbols(e.base)
-    if t is Ufunc:
-        out = frozenset()
-        for a in e.args:
-            out |= free_symbols(a)
-        return out
-    out = frozenset()
-    for c in e.terms if t is Add else e.factors:
-        out |= free_symbols(c)
-    return out
+    return frozenset((e,)) if type(e) is Sym else _union(e, free_symbols)
 
 
 @lru_cache(maxsize=None)
 def free_jets(e: Expr) -> frozenset:
-    t = type(e)
-    if t is Jet:
-        return frozenset((e,))
-    if t in (Rat, Sym):
-        return frozenset()
-    if t is Fun:
-        return free_jets(e.arg)
-    if t is Pow:
-        return free_jets(e.base)
-    if t is Ufunc:
-        out = frozenset()
-        for a in e.args:
-            out |= free_jets(a)
-        return out
-    out = frozenset()
-    for c in e.terms if t is Add else e.factors:
-        out |= free_jets(c)
-    return out
+    return frozenset((e,)) if type(e) is Jet else _union(e, free_jets)
 
 
 @lru_cache(maxsize=None)
 def ufunc_names(e: Expr) -> frozenset:
-    t = type(e)
-    if t is Ufunc:
-        out = frozenset((e.name,))
-        for a in e.args:
-            out |= ufunc_names(a)
+    out = _union(e, ufunc_names)
+    return out | {e.name} if type(e) is Ufunc else out
+
+
+_REBUILD = {
+    Add: lambda e, kids: add(*kids),
+    Mul: lambda e, kids: mul(*kids),
+    Pow: lambda e, kids: pow_(kids[0], e.exp),
+    Fun: lambda e, kids: fun(e.fn, kids[0]),
+}
+
+
+def rewrite(e: Expr, leaf) -> Expr:
+    """Rebuild e bottom-up through the smart constructors.
+
+    leaf(x) gives the replacement of every Sym, Jet and Ufunc node; a Ufunc
+    reaches it with its arguments already rewritten.  Each distinct subtree
+    is rebuilt once.
+    """
+    memo: dict = {}
+
+    def walk(x: Expr) -> Expr:
+        got = memo.get(x)
+        if got is not None:
+            return got
+        t = type(x)
+        if t is Rat:
+            out = x
+        elif t is Sym or t is Jet:
+            out = leaf(x)
+        else:
+            kids = tuple(map(walk, children(x)))
+            out = (leaf(Ufunc(x.name, kids, x.dorders)) if t is Ufunc
+                   else _REBUILD[t](x, kids))
+        memo[x] = out
         return out
-    if t in (Rat, Sym, Jet):
-        return frozenset()
-    if t is Fun:
-        return ufunc_names(e.arg)
-    if t is Pow:
-        return ufunc_names(e.base)
-    out = frozenset()
-    for c in e.terms if t is Add else e.factors:
-        out |= ufunc_names(c)
-    return out
+
+    return walk(e)
 
 
 # ---------------------------------------------------------------------------
@@ -666,43 +692,21 @@ def substitute(e: Expr, bindings: dict) -> Expr:
             raise CyclicBindingError(
                 f"binding for {name!r} references bound function(s) {sorted(hit)}"
             )
-    memo: dict = {}
 
-    def walk(x: Expr) -> Expr:
-        got = memo.get(x)
-        if got is not None:
-            return got
-        t = type(x)
-        if t in (Sym, Jet):
-            out = bindings.get(x, x)
-        elif t is Rat:
-            out = x
-        elif t is Add:
-            out = add(*(walk(c) for c in x.terms))
-        elif t is Mul:
-            out = mul(*(walk(c) for c in x.factors))
-        elif t is Pow:
-            out = pow_(walk(x.base), x.exp)
-        elif t is Fun:
-            out = fun(x.fn, walk(x.arg))
-        elif t is Ufunc:
-            new_args = tuple(walk(a) for a in x.args)
-            bound = ufn.get(x.name)
-            if bound is None:
-                out = Ufunc(x.name, new_args, x.dorders)
-            else:
-                params, body = bound
-                if len(params) != len(x.args):
-                    raise ExprError(f"arity mismatch substituting {x.name!r}")
-                for p, k in zip(params, x.dorders):
-                    body = diff_n(body, p, k)
-                out = substitute(body, dict(zip(params, new_args)))
-        else:
-            raise ExprError(f"cannot substitute into {x!r}")
-        memo[x] = out
-        return out
+    def leaf(x: Expr) -> Expr:
+        if type(x) is not Ufunc:
+            return bindings.get(x, x)
+        bound = ufn.get(x.name)
+        if bound is None:
+            return x
+        params, body = bound
+        if len(params) != len(x.args):
+            raise ExprError(f"arity mismatch substituting {x.name!r}")
+        for p, k in zip(params, x.dorders):
+            body = diff_n(body, p, k)
+        return substitute(body, dict(zip(params, x.args)))
 
-    return walk(e)
+    return rewrite(e, leaf)
 
 
 # ---------------------------------------------------------------------------

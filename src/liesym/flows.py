@@ -155,11 +155,9 @@ def verify_group_action(g: GroupElement, f: Expr, pde, params=None,
     The group parameter is sampled along with the coordinates; passes iff
     the maximal relative residual stays below tol.
     """
-    from .verify import _numeric_residual, _jet_bindings_for, _top_terms
+    from .verify import _numeric_residual, substituted_terms
 
-    moved = transform_solution(g, f)
-    terms = [substitute(term, _jet_bindings_for(term, moved, pde.vars, pde.dep))
-             for term in _top_terms(pde.delta)]
+    terms = substituted_terms(pde.delta, transform_solution(g, f), pde.vars, pde.dep)
     worst, good = _numeric_residual(terms, pde.vars, params or {}, samples,
                                     tol, seed, precision, box=(0.4, 1.6))
     return {"max_rel": worst, "samples": good, "pass": worst < tol}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .expr import (
-    Expr, Jet, Rat, Sym, add, differentiate,
+    Expr, Jet, Rat, Sym, add, diff_n, differentiate,
     free_jets, jet, mul, pow_, rat, substitute,
 )
 from .normal import canonical, is_zero
@@ -84,6 +84,22 @@ def total_derivative_multi(e: Expr, variables) -> Expr:
     for v in variables:
         e = total_derivative(e, v)
     return e
+
+
+def jet_bindings(exprs, funcs: dict, variables) -> dict:
+    """Bind every jet in exprs whose dependent variable has an entry in
+    funcs to the matching partial derivative of that entry."""
+    var_by_name = {v.name: v for v in variables}
+    bindings = {}
+    for e in exprs:
+        for j in free_jets(e):
+            f = funcs.get(j.dep)
+            if f is None or j in bindings:
+                continue
+            for name, count in j.idx:
+                f = diff_n(f, var_by_name[name], count)
+            bindings[j] = f
+    return bindings
 
 
 class VectorField:
@@ -241,7 +257,3 @@ def restrict_on_shell(e: Expr, pde: PDE) -> Expr:
         targets.sort(key=lambda j: (dict(j.idx).get(ev, 0), j.order), reverse=True)
         bindings = {j: _onshell_jet(pde, j) for j in targets}
         e = substitute(e, bindings)
-
-
-def clear_caches():
-    _prolong_memo.clear()

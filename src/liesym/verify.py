@@ -12,10 +12,10 @@ from fractions import Fraction
 
 from .catalog import Record, record_context, solution_context, undeclared_divisors
 from .expr import (
-    Add, EvalDomainError, Expr, Sym, add, diff_n, free_jets,
-    free_symbols, jet, mul, rat, substitute, symbol,
+    Add, EvalDomainError, Expr, Ufunc, add, free_jets, free_symbols, jet,
+    mul, rat, rewrite, substitute, symbol, ufunc_names,
 )
-from .jets import PDE
+from .jets import PDE, jet_bindings
 from .normal import as_expr, canonical, is_zero, nf_div_exact, normalize
 from .numeric import DOMAIN_ERRORS, compile_terms, eval_numeric
 from .parse import ParseContext, parse
@@ -37,24 +37,6 @@ class ResidualReport:
     def __repr__(self):
         return (f"<residual {self.symbolic}; max_rel={self.max_rel:.3e} "
                 f"over {self.samples} pts ({self.precision})>")
-
-
-def _jet_bindings_for(delta: Expr, f: Expr, variables, dep: str) -> dict:
-    """Bind every jet of dep in delta to the matching derivative of f."""
-    var_by_name = {v.name: v for v in variables}
-    bindings = {}
-    for j in free_jets(delta):
-        if j.dep != dep:
-            continue
-        e = f
-        for name, count in j.idx:
-            e = diff_n(e, var_by_name[name], count)
-        bindings[j] = e
-    return bindings
-
-
-def substituted_delta(f: Expr, pde: PDE) -> Expr:
-    return substitute(pde.delta, _jet_bindings_for(pde.delta, f, pde.vars, pde.dep))
 
 
 def _numeric_residual(terms, variables, params, points, tol, seed, precision,
@@ -97,16 +79,20 @@ def _top_terms(e: Expr):
     return list(e.terms) if type(e) is Add else [e]
 
 
+def substituted_terms(equation: Expr, f: Expr, variables, dep: str) -> list:
+    """The top-level terms of equation with every jet of dep bound to the
+    matching derivative of the claim f."""
+    terms = _top_terms(equation)
+    bindings = jet_bindings(terms, {dep: f}, variables)
+    return [substitute(t, bindings) for t in terms]
+
+
 def residual(f: Expr, pde: PDE, params=None, points: int = 100,
              tol: float = 1e-9, seed: int = 0, precision: str = "double",
              complex_mode: bool = False) -> ResidualReport:
     """Substitute f into the equation; decide symbolically, sample numerically."""
-    delta_sub = substituted_delta(f, pde)
-    n = normalize(delta_sub)
-    symbolic = "zero" if n.is_zero() else "undecided"
-    terms = [substitute(term,
-                        _jet_bindings_for(term, f, pde.vars, pde.dep))
-             for term in _top_terms(pde.delta)]
+    terms = substituted_terms(pde.delta, f, pde.vars, pde.dep)
+    symbolic = "zero" if normalize(add(*terms)).is_zero() else "undecided"
     worst, good = _numeric_residual(terms, pde.vars, params or {}, points, tol,
                                     seed, precision, complex_mode)
     if symbolic == "undecided":
@@ -116,8 +102,7 @@ def residual(f: Expr, pde: PDE, params=None, points: int = 100,
 
 def residual_condition(f: Expr, pde: PDE, condition: Expr):
     """Exact multiplier m with residual == m * condition, or None."""
-    delta_sub = substituted_delta(f, pde)
-    return nf_div_exact(normalize(delta_sub), normalize(condition))
+    return ode_condition(f, pde.delta, pde.vars, pde.dep, condition)
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +111,9 @@ def residual_condition(f: Expr, pde: PDE, condition: Expr):
 def ode_residual(solution: Expr, equation: Expr, variables, dep: str,
                  params=None, points: int = 60, tol: float = 1e-9,
                  seed: int = 0, precision: str = "double") -> ResidualReport:
-    bindings = _jet_bindings_for(equation, solution, variables, dep)
-    res = substitute(equation, bindings)
-    n = normalize(res)
-    symbolic = "zero" if n.is_zero() else "undecided"
-    terms = [substitute(t, bindings) for t in _top_terms(equation)]
-    if any(_has_ufunc(t) or free_jets(t) for t in terms):
+    terms = substituted_terms(equation, solution, variables, dep)
+    symbolic = "zero" if normalize(add(*terms)).is_zero() else "undecided"
+    if any(ufunc_names(t) or free_jets(t) for t in terms):
         # formal unknown functions cannot be sampled numerically
         return ResidualReport(symbolic, 0.0, 0, precision,
                               {"formal": True})
@@ -144,14 +126,8 @@ def ode_residual(solution: Expr, equation: Expr, variables, dep: str,
 
 def ode_condition(solution: Expr, equation: Expr, variables, dep: str,
                   condition: Expr):
-    bindings = _jet_bindings_for(equation, solution, variables, dep)
-    res = substitute(equation, bindings)
-    return nf_div_exact(normalize(res), normalize(condition))
-
-
-def _has_ufunc(e: Expr) -> bool:
-    from .expr import ufunc_names
-    return bool(ufunc_names(e))
+    terms = substituted_terms(equation, solution, variables, dep)
+    return nf_div_exact(normalize(add(*terms)), normalize(condition))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +181,6 @@ class ReductionAnsatz:
         self.new_syms = tuple(nctx.symbol(v) for v in self.new_vars)
 
     def ansatz_expr(self) -> Expr:
-        from .expr import Ufunc
         f = Ufunc(self.unknown, tuple(e for _, e in self.defs))
         return add(mul(self.prefactor, f), self.shift)
 
@@ -217,9 +192,8 @@ def check_reduction(ans: ReductionAnsatz, tol: float = 1e-9) -> ReductionReport:
     quotient is not a single monomial the proportionality is confirmed by
     seeded sampling instead (the ratio must not depend on the jet values).
     """
-    u_expr = ans.ansatz_expr()
-    bindings = _jet_bindings_for(ans.equation, u_expr, ans.old_vars, ans.old_dep)
-    res = substitute(ans.equation, bindings)
+    res = add(*substituted_terms(ans.equation, ans.ansatz_expr(), ans.old_vars,
+                                 ans.old_dep))
     res = substitute(res, ans.back)
     res = _ufunc_slots_to_jets(res, ans.unknown, ans.new_syms)
     n_res = normalize(res)
@@ -234,14 +208,6 @@ def check_reduction(ans: ReductionAnsatz, tol: float = 1e-9) -> ReductionReport:
     if _proportional_by_sampling(res, ans.claim, ans.unknown, tol):
         return ReductionReport(True, numeric=True)
     return ReductionReport(False, leftover=canonical(res))
-
-
-def _jets_to_symbols(e: Expr):
-    """Replace jet variables by fresh symbols so the tree can be evaluated."""
-    mapping = {}
-    for k, j in enumerate(sorted(free_jets(e), key=lambda j: (j.dep, j.idx))):
-        mapping[j] = symbol(f"jv{j.dep}{k}")
-    return substitute(e, mapping), mapping
 
 
 def _proportional_by_sampling(res: Expr, claim: Expr, unknown: str,
@@ -288,32 +254,19 @@ def _proportional_by_sampling(res: Expr, claim: Expr, unknown: str,
 def _ufunc_slots_to_jets(e: Expr, name: str, new_syms) -> Expr:
     """Replace slot derivatives F^{(k...)}(args) by jets once args are the
     similarity variables themselves."""
-    from .expr import Fun, Mul, Pow, Ufunc
 
-    def walk(x: Expr) -> Expr:
-        t = type(x)
-        if t is Ufunc and x.name == name:
-            for a, s in zip(x.args, new_syms):
-                if not is_zero(add(a, mul(rat(-1), s))):
-                    raise ValueError(
-                        f"unknown-function argument {a} is not similarity "
-                        f"variable {s.name} after the inverse substitution"
-                    )
-            idx = {s.name: k for s, k in zip(new_syms, x.dorders) if k}
-            return jet(name, idx)
-        if t is Add:
-            return add(*(walk(c) for c in x.terms))
-        if t is Mul:
-            return mul(*(walk(c) for c in x.factors))
-        if t is Pow:
-            from .expr import pow_
-            return pow_(walk(x.base), x.exp)
-        if t is Fun:
-            from .expr import fun
-            return fun(x.fn, walk(x.arg))
-        return x
+    def leaf(x: Expr) -> Expr:
+        if type(x) is not Ufunc or x.name != name:
+            return x
+        for a, s in zip(x.args, new_syms):
+            if not is_zero(add(a, mul(rat(-1), s))):
+                raise ValueError(
+                    f"unknown-function argument {a} is not similarity "
+                    f"variable {s.name} after the inverse substitution"
+                )
+        return jet(name, {s.name: k for s, k in zip(new_syms, x.dorders) if k})
 
-    return walk(e)
+    return rewrite(e, leaf)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ from liesym import (
     CyclicBindingError, add, differentiate, equivalent, fun, is_zero, jet,
     mul, normalize, parse, pow_, rat, substitute, symbol, to_text, ufunc,
 )
-from liesym.expr import Rat, Ufunc
+from liesym.expr import (
+    Add, Fun, Jet, Mul, Pow, Rat, Sym, Ufunc, free_jets, free_symbols, rewrite,
+    ufunc_names,
+)
 from liesym.normal import as_expr
 from liesym.numeric import EvalDomainError, eval_numeric, random_equiv
 from liesym.parse import ParseError
@@ -195,25 +198,34 @@ class TestRandomEquiv:
 # property-based checks
 
 _names = ("x", "y", "t")
+_jets = (jet("u", ()), jet("u", "x"), jet("u", "xxt"), jet("v", "y"))
 
 
-def _exprs(depth):
+def _exprs(depth, walker=False):
+    """Random trees; walker=True adds jets and unknown functions with slot
+    orders, which parse/print round trips do not cover."""
     leaf = st.one_of(
         st.sampled_from([symbol(n, "independent-variable") for n in _names]),
         st.integers(-3, 3).map(rat),
         st.tuples(st.integers(1, 5), st.integers(1, 4)).map(lambda p: rat(*p)),
+        *([st.sampled_from(_jets)] if walker else []),
     )
     if depth == 0:
         return leaf
-    sub = _exprs(depth - 1)
-    return st.one_of(
+    sub = _exprs(depth - 1, walker)
+    nodes = [
         leaf,
         st.lists(sub, min_size=2, max_size=3).map(lambda xs: add(*xs)),
         st.lists(sub, min_size=2, max_size=3).map(lambda xs: mul(*xs)),
         st.tuples(sub, st.sampled_from([2, 3])).map(lambda p: pow_(*p)),
         sub.map(lambda e: fun("tanh", e)),
         sub.map(lambda e: fun("exp", e)),
-    )
+    ]
+    if walker:
+        nodes.append(st.tuples(st.sampled_from("FG"), sub, sub, st.integers(0, 2),
+                               st.integers(0, 2))
+                     .map(lambda p: Ufunc(p[0], p[1:3], p[3:])))
+    return st.one_of(*nodes)
 
 
 small_exprs = _exprs(2)
@@ -252,3 +264,71 @@ def test_normalize_multiplicative(e1, e2):
 def test_derivative_linear(e):
     d2 = differentiate(mul(rat(2), e), x)
     assert is_zero(add(d2, mul(rat(-2), differentiate(e, x))))
+
+
+# ---------------------------------------------------------------------------
+# the tree walker against walks written out here, node kind by node kind
+
+walker_exprs = _exprs(2, walker=True)
+
+
+def _kids(e):
+    if isinstance(e, Add):
+        return e.terms
+    if isinstance(e, Mul):
+        return e.factors
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, Fun):
+        return (e.arg,)
+    if isinstance(e, Ufunc):
+        return e.args
+    return ()
+
+
+def _nodes(e):
+    yield e
+    for c in _kids(e):
+        yield from _nodes(c)
+
+
+def _naive_substitute(e, bindings):
+    if isinstance(e, (Sym, Jet)):
+        return bindings.get(e, e)
+    if isinstance(e, Add):
+        return add(*(_naive_substitute(c, bindings) for c in e.terms))
+    if isinstance(e, Mul):
+        return mul(*(_naive_substitute(c, bindings) for c in e.factors))
+    if isinstance(e, Pow):
+        return pow_(_naive_substitute(e.base, bindings), e.exp)
+    if isinstance(e, Fun):
+        return fun(e.fn, _naive_substitute(e.arg, bindings))
+    if isinstance(e, Ufunc):
+        return Ufunc(e.name, tuple(_naive_substitute(a, bindings) for a in e.args),
+                     e.dorders)
+    return e
+
+
+_bindable = [symbol(n, "independent-variable") for n in _names] + list(_jets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(walker_exprs)
+def test_structure_queries_match_brute_force(e):
+    nodes = list(_nodes(e))
+    assert free_symbols(e) == {n for n in nodes if isinstance(n, Sym)}
+    assert free_jets(e) == {n for n in nodes if isinstance(n, Jet)}
+    assert ufunc_names(e) == {n.name for n in nodes if isinstance(n, Ufunc)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(walker_exprs, st.dictionaries(st.sampled_from(_bindable), _exprs(1, walker=True),
+                                     max_size=4))
+def test_substitute_matches_naive(e, bindings):
+    assert substitute(e, bindings) == _naive_substitute(e, bindings)
+
+
+@settings(max_examples=150, deadline=None)
+@given(walker_exprs)
+def test_identity_rewrite_rebuilds_the_same_tree(e):
+    assert rewrite(e, lambda x: x) == e
