@@ -82,6 +82,10 @@ def _top_terms(e: Expr):
 def substituted_terms(equation: Expr, f: Expr, variables, dep: str) -> list:
     """The top-level terms of equation with every jet of dep bound to the
     matching derivative of the claim f."""
+    own = sorted(str(j) for j in free_jets(f) if j.dep == dep)
+    if own:
+        # derivatives of a jet by a variable are 0, so the claim would pass
+        raise ValueError(f"claim for {dep} contains its own jets {', '.join(own)}")
     terms = _top_terms(equation)
     bindings = jet_bindings(terms, {dep: f}, variables)
     return [substitute(t, bindings) for t in terms]

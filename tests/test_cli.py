@@ -107,6 +107,13 @@ class TestVerify:
         rc, out, _ = run(capsys, "verify", "--catalog", str(bad), "--points", "8")
         assert rc == 1
 
+    def test_claim_with_jets_of_u_is_an_error_row(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("[jet-claim]\nkind: solution\nclaim: u_x*y\nexpected: zero\n")
+        rc, out, _ = run(capsys, "verify", "--catalog", str(bad), "--points", "8")
+        assert rc == 1
+        assert "error" in out and "ValueError: claim for u contains its own jets u_x" in out
+
 
 class TestSample:
     def test_exact_grid_values(self, capsys):
@@ -248,3 +255,11 @@ class TestPipeline:
     def test_missing_pde_is_input_error(self, capsys):
         rc, _, err = run(capsys, "pipeline", "--pde", "/nonexistent.pde")
         assert rc == 2
+
+    @pytest.mark.parametrize("eq", ["x + y", "u_x + u"])
+    def test_pde_without_evolution_derivative_is_input_error(self, capsys, tmp_path, eq):
+        bad = tmp_path / "bad.pde"
+        bad.write_text(f"vars x y z t\ndep u\neq {eq}\n")
+        rc, _, err = run(capsys, "solve", "--degree", "1", "--pde", str(bad))
+        assert rc == 2
+        assert "no u_t term" in err

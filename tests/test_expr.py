@@ -134,6 +134,17 @@ class TestSubstitute:
             substitute(F, {"F": ((a,), ufunc("F", (a,)))})
 
 
+def test_reset_session_forgets_normal_forms():
+    # symbols compare by name, so a stale normal form would keep the old kind
+    from liesym.expr import KIND_ANSATZ, KIND_PARAM, reset_session
+    reset_session()
+    normalize(symbol("a0c0", KIND_PARAM))
+    reset_session()
+    (mono,) = normalize(symbol("a0c0", KIND_ANSATZ)).terms
+    ((atom, _),) = mono
+    assert atom.kind == KIND_ANSATZ
+
+
 class TestEvalNumeric:
     def test_tanh_zero(self):
         assert eval_numeric(fun("tanh", rat(0)), {}) == 0.0
