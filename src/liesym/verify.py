@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import mpmath
+
 from .catalog import Record, record_context, solution_context, undeclared_divisors
 from .expr import (
     Add, EvalDomainError, Expr, Ufunc, add, free_jets, free_symbols, jet,
@@ -17,7 +19,7 @@ from .expr import (
 )
 from .jets import PDE, jet_bindings
 from .normal import as_expr, canonical, is_zero, nf_div_exact, normalize
-from .numeric import DOMAIN_ERRORS, compile_terms, eval_numeric
+from .numeric import DD_PREC, DOMAIN_ERRORS, compile_terms, eval_numeric
 from .parse import ParseContext, parse
 from . import weierstrass as wz
 
@@ -64,10 +66,11 @@ def _numeric_residual(terms, variables, params, points, tol, seed, precision,
             vals = fn(*args)
         except DOMAIN_ERRORS:
             continue
-        scale = sum(abs(v) for v in vals)
+        with mpmath.workprec(DD_PREC):  # dd values sum at 106 bits; floats ignore it
+            scale = sum(abs(v) for v in vals)
+            rel = float(abs(sum(vals)) / (1 + scale))
         if scale > 1e12:
             continue
-        rel = float(abs(sum(vals)) / (1 + scale))
         worst = max(worst, rel)
         good += 1
     if good == 0:
@@ -296,7 +299,6 @@ def weierstrass_claim_residual(rec: Record, points: int = 40, seed: int = 0):
     worst = 0.0
     good = 0
     attempts = 0
-    import mpmath
     while good < points and attempts < points * 30:
         attempts += 1
         q = rng.uniform(0.15, 1.6) * rng.choice((1.0, -1.0))
