@@ -14,8 +14,8 @@ import mpmath
 
 from .catalog import Record, record_context, solution_context, undeclared_divisors
 from .expr import (
-    Add, EvalDomainError, Expr, Ufunc, add, free_jets, free_symbols, jet,
-    mul, rat, rewrite, substitute, symbol, ufunc_names,
+    Add, EvalDomainError, Expr, Ufunc, add, children, free_jets, free_symbols,
+    jet, mul, rat, rewrite, substitute, symbol, ufunc_names,
 )
 from .jets import PDE, jet_bindings
 from .normal import as_expr, canonical, is_zero, nf_div_exact, normalize
@@ -78,10 +78,6 @@ def _numeric_residual(terms, variables, params, points, tol, seed, precision,
     return worst, good
 
 
-def _top_terms(e: Expr):
-    return list(e.terms) if type(e) is Add else [e]
-
-
 def substituted_terms(equation: Expr, f: Expr, variables, dep: str) -> list:
     """The top-level terms of equation with every jet of dep bound to the
     matching derivative of the claim f."""
@@ -89,7 +85,7 @@ def substituted_terms(equation: Expr, f: Expr, variables, dep: str) -> list:
     if own:
         # derivatives of a jet by a variable are 0, so the claim would pass
         raise ValueError(f"claim for {dep} contains its own jets {', '.join(own)}")
-    terms = _top_terms(equation)
+    terms = children(equation) if type(equation) is Add else (equation,)
     bindings = jet_bindings(terms, {dep: f}, variables)
     return [substitute(t, bindings) for t in terms]
 

@@ -10,8 +10,8 @@ from liesym import (
     mul, normalize, parse, pow_, rat, substitute, symbol, to_text, ufunc,
 )
 from liesym.expr import (
-    Add, Fun, Jet, Mul, Pow, Rat, Sym, Ufunc, free_jets, free_symbols, rewrite,
-    ufunc_names,
+    Add, Fun, Jet, Mul, Pow, Rat, Sym, Ufunc, diff_n, free_jets, free_symbols,
+    rewrite, ufunc_names,
 )
 from liesym.normal import as_expr
 from liesym.numeric import EvalDomainError, eval_numeric, random_equiv
@@ -315,8 +315,13 @@ def _naive_substitute(e, bindings):
     if isinstance(e, Fun):
         return fun(e.fn, _naive_substitute(e.arg, bindings))
     if isinstance(e, Ufunc):
-        return Ufunc(e.name, tuple(_naive_substitute(a, bindings) for a in e.args),
-                     e.dorders)
+        args = tuple(_naive_substitute(a, bindings) for a in e.args)
+        if e.name not in bindings:
+            return Ufunc(e.name, args, e.dorders)
+        params, body = bindings[e.name]
+        for p, k in zip(params, e.dorders):
+            body = diff_n(body, p, k)
+        return _naive_substitute(body, dict(zip(params, args)))
     return e
 
 
@@ -334,8 +339,11 @@ def test_structure_queries_match_brute_force(e):
 
 @settings(max_examples=150, deadline=None)
 @given(walker_exprs, st.dictionaries(st.sampled_from(_bindable), _exprs(1, walker=True),
-                                     max_size=4))
-def test_substitute_matches_naive(e, bindings):
+                                     max_size=4),
+       st.none() | _exprs(1))
+def test_substitute_matches_naive(e, bindings, body):
+    if body is not None:
+        bindings["F"] = ((x, y), body)
     assert substitute(e, bindings) == _naive_substitute(e, bindings)
 
 
