@@ -7,6 +7,10 @@ powers, and flattened sums/products.  Trees never mutate after
 construction.  The smart constructors do the cheap canonical work
 (flattening, like-term merging, a fixed total order on node shapes);
 anything that expands goes through normal.normalize.
+
+`children` is the one place that knows where a node keeps its subtrees.
+The structure queries are unions over it, and every rewriting walk,
+substitution included, is a leaf function passed to `rewrite`.
 """
 
 from __future__ import annotations

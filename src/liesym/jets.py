@@ -31,9 +31,6 @@ class PDE:
         self._onshell_memo: dict = {}
         self._lead_rhs = None
 
-    def var_names(self):
-        return tuple(v.name for v in self.vars)
-
     def multi_index(self, j: Jet):
         """Counts of j in the declared variable order."""
         d = dict(j.idx)
@@ -82,12 +79,6 @@ def total_derivative(e: Expr, v: Sym) -> Expr:
             continue
         parts.append(mul(j.lifted(v.name), de))
     return add(*parts)
-
-
-def total_derivative_multi(e: Expr, variables) -> Expr:
-    for v in variables:
-        e = total_derivative(e, v)
-    return e
 
 
 def jet_bindings(exprs, funcs: dict, variables) -> dict:
