@@ -10,7 +10,9 @@ anything that expands goes through normal.normalize.
 
 `children` is the one place that knows where a node keeps its subtrees.
 The structure queries are unions over it, and every rewriting walk,
-substitution included, is a leaf function passed to `rewrite`.
+substitution included, is a leaf function passed to `rewrite`.  In the
+same way every derivative, partial or total, is the derivative of the
+leaves passed to `derivation`.
 """
 
 from __future__ import annotations
@@ -626,6 +628,48 @@ _FUN_DERIV = {
 }
 
 
+def derivation(e: Expr, dleaf) -> Expr:
+    """Extend dleaf, the derivative of every Sym and Jet leaf, to e.
+
+    Sums, products, rational powers, the elementary functions and the
+    slots of unknown functions follow the chain rule; rationals are
+    constants.  Each distinct subtree is differentiated once per call.
+    """
+    memo: dict = {}
+
+    def walk(x: Expr) -> Expr:
+        got = memo.get(x)
+        if got is not None:
+            return got
+        t = type(x)
+        if t is Rat:
+            out = ZERO
+        elif t is Sym or t is Jet:
+            out = dleaf(x)
+        elif t is Add:
+            out = add(*map(walk, x.terms))
+        elif t is Mul:
+            fs = x.factors
+            out = add(*(mul(*fs[:i], d, *fs[i + 1:])
+                        for i, d in enumerate(map(walk, fs)) if d != ZERO))
+        elif t is Pow:
+            d = walk(x.base)
+            out = ZERO if d == ZERO else mul(Rat(x.exp), pow_(x.base, x.exp - 1), d)
+        elif t is Fun:
+            d = walk(x.arg)
+            out = ZERO if d == ZERO else mul(_FUN_DERIV[x.fn](x.arg), d)
+        elif t is Ufunc:
+            ks = x.dorders
+            out = add(*(mul(Ufunc(x.name, x.args, ks[:i] + (ks[i] + 1,) + ks[i + 1:]), d)
+                        for i, d in enumerate(map(walk, x.args)) if d != ZERO))
+        else:
+            raise ExprError(f"cannot differentiate {x!r}")
+        memo[x] = out
+        return out
+
+    return walk(e)
+
+
 def differentiate(e: Expr, v) -> Expr:
     """Exact partial derivative with respect to a symbol or a jet variable.
 
@@ -633,44 +677,7 @@ def differentiate(e: Expr, v) -> Expr:
     unknown functions pick up formal slot derivatives through the chain
     rule.
     """
-    t = type(e)
-    if t is Rat:
-        return ZERO
-    if t is Sym:
-        return ONE if e == v else ZERO
-    if t is Jet:
-        return ONE if e == v else ZERO
-    if t is Add:
-        return add(*(differentiate(x, v) for x in e.terms))
-    if t is Mul:
-        parts = []
-        for i, f in enumerate(e.factors):
-            df = differentiate(f, v)
-            if type(df) is Rat and df.value == 0:
-                continue
-            parts.append(mul(*e.factors[:i], df, *e.factors[i + 1:]))
-        return add(*parts) if parts else ZERO
-    if t is Pow:
-        db = differentiate(e.base, v)
-        if type(db) is Rat and db.value == 0:
-            return ZERO
-        return mul(Rat(e.exp), pow_(e.base, e.exp - 1), db)
-    if t is Fun:
-        da = differentiate(e.arg, v)
-        if type(da) is Rat and da.value == 0:
-            return ZERO
-        return mul(_FUN_DERIV[e.fn](e.arg), da)
-    if t is Ufunc:
-        parts = []
-        for i, a in enumerate(e.args):
-            da = differentiate(a, v)
-            if type(da) is Rat and da.value == 0:
-                continue
-            dk = list(e.dorders)
-            dk[i] += 1
-            parts.append(mul(Ufunc(e.name, e.args, dk), da))
-        return add(*parts) if parts else ZERO
-    raise ExprError(f"cannot differentiate {e!r}")
+    return derivation(e, lambda x: ONE if x == v else ZERO)
 
 
 def diff_n(e: Expr, v, n: int) -> Expr:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .expr import (
-    Expr, Jet, Rat, Sym, add, diff_n, differentiate,
+    ONE, ZERO, Expr, Jet, Rat, Sym, add, derivation, diff_n, differentiate,
     free_jets, jet, mul, pow_, rat, substitute,
 )
 from .normal import canonical, is_zero
@@ -71,14 +71,10 @@ def load_pde(text: str) -> PDE:
 # total derivatives
 
 def total_derivative(e: Expr, v: Sym) -> Expr:
-    """D_v e = d e/d v + sum over jet variables u_J of u_{J+v} * d e/d u_J."""
-    parts = [differentiate(e, v)]
-    for j in free_jets(e):
-        de = differentiate(e, j)
-        if type(de) is Rat and de.value == 0:
-            continue
-        parts.append(mul(j.lifted(v.name), de))
-    return add(*parts)
+    """D_v e = d e/d v + sum over jets u_J of u_{J+v} * d e/d u_J, in one
+    walk: the derivation that sends v to 1 and each jet u_J to u_{J+v}."""
+    return derivation(e, lambda x: x.lifted(v.name) if type(x) is Jet
+                      else ONE if x == v else ZERO)
 
 
 def jet_bindings(exprs, funcs: dict, variables) -> dict:

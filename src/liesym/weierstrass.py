@@ -9,7 +9,8 @@ using the algebraic duplication maps
     zeta(2w) = 2 zeta(w) + P''(w) / (2 P'(w))
 
 where R is the rational map above.  Derivative values propagate through
-the doublings, so no ODE shortcut is needed at the evaluation point.
+the doublings, so no ODE shortcut is needed at the evaluation point and
+wp'' is exact; the finite differences below only serve as a check.
 """
 
 from __future__ import annotations
@@ -140,9 +141,11 @@ def weierstrass_p_prime(zv, g3, precision="double"):
     return ctx.run(lambda: _eval_jet(zv, g3, ctx)[1])
 
 
-def weierstrass_p_second(zv, g3, precision="double"):
+def weierstrass_p_with_second(zv, g3, precision="double"):
+    """(wp, wp'') at zv from one jet evaluation."""
     ctx = _Ctx(precision)
-    return ctx.run(lambda: _eval_jet(zv, g3, ctx)[2])
+    P, _, P2, _ = ctx.run(lambda: _eval_jet(zv, g3, ctx))
+    return P, P2
 
 
 def weierstrass_zeta(zv, g3, precision="double"):
