@@ -158,8 +158,8 @@ def verify_group_action(g: GroupElement, f: Expr, pde, params=None,
     from .verify import _numeric_residual, substituted_terms
 
     terms = substituted_terms(pde.delta, transform_solution(g, f), pde.vars, pde.dep)
-    worst, good = _numeric_residual(terms, pde.vars, params or {}, samples,
-                                    tol, seed, precision, box=(0.4, 1.6))
+    worst, good = _numeric_residual(terms, params or {}, samples, seed,
+                                    precision, box=(0.4, 1.6))
     return {"max_rel": worst, "samples": good, "pass": worst < tol}
 
 

@@ -41,7 +41,7 @@ class ResidualReport:
                 f"over {self.samples} pts ({self.precision})>")
 
 
-def _numeric_residual(terms, variables, params, points, tol, seed, precision,
+def _numeric_residual(terms, params, points, seed, precision,
                       complex_mode=False, box=(0.5, 2.5)):
     """Max of |sum terms| / (1 + sum |terms|) over seeded sample points."""
     rng = random.Random(seed)
@@ -78,6 +78,14 @@ def _numeric_residual(terms, variables, params, points, tol, seed, precision,
     return worst, good
 
 
+def _check_claim(f: Expr, dep: str):
+    """Refuse a claim containing jets of its own dependent variable: a jet
+    is constant under symbol derivatives, so every bound term would be 0."""
+    own = sorted(str(j) for j in free_jets(f) if j.dep == dep)
+    if own:
+        raise ValueError(f"claim contains jets of {dep}: {', '.join(own)}")
+
+
 def substituted_terms(equation: Expr, f: Expr, variables, dep: str) -> list:
     """The top-level terms of equation with every jet of dep bound to the
     matching derivative of the claim f."""
@@ -90,10 +98,11 @@ def residual(f: Expr, pde: PDE, params=None, points: int = 100,
              tol: float = 1e-9, seed: int = 0, precision: str = "double",
              complex_mode: bool = False) -> ResidualReport:
     """Substitute f into the equation; decide symbolically, sample numerically."""
+    _check_claim(f, pde.dep)
     terms = substituted_terms(pde.delta, f, pde.vars, pde.dep)
     symbolic = "zero" if normalize(add(*terms)).is_zero() else "undecided"
-    worst, good = _numeric_residual(terms, pde.vars, params or {}, points, tol,
-                                    seed, precision, complex_mode)
+    worst, good = _numeric_residual(terms, params or {}, points, seed,
+                                    precision, complex_mode)
     if symbolic == "undecided":
         symbolic = "nonzero" if worst > tol else "undecided"
     return ResidualReport(symbolic, worst, good, precision)
@@ -110,14 +119,15 @@ def residual_condition(f: Expr, pde: PDE, condition: Expr):
 def ode_residual(solution: Expr, equation: Expr, variables, dep: str,
                  params=None, points: int = 60, tol: float = 1e-9,
                  seed: int = 0, precision: str = "double") -> ResidualReport:
+    _check_claim(solution, dep)
     terms = substituted_terms(equation, solution, variables, dep)
     symbolic = "zero" if normalize(add(*terms)).is_zero() else "undecided"
     if any(ufunc_names(t) or free_jets(t) for t in terms):
         # formal unknown functions cannot be sampled numerically
         return ResidualReport(symbolic, 0.0, 0, precision,
                               {"formal": True})
-    worst, good = _numeric_residual(terms, variables, params or {}, points,
-                                    tol, seed, precision)
+    worst, good = _numeric_residual(terms, params or {}, points, seed,
+                                    precision)
     if symbolic == "undecided":
         symbolic = "nonzero" if worst > tol else "undecided"
     return ResidualReport(symbolic, worst, good, precision)
@@ -125,6 +135,7 @@ def ode_residual(solution: Expr, equation: Expr, variables, dep: str,
 
 def ode_condition(solution: Expr, equation: Expr, variables, dep: str,
                   condition: Expr):
+    _check_claim(solution, dep)
     terms = substituted_terms(equation, solution, variables, dep)
     return nf_div_exact(normalize(add(*terms)), normalize(condition))
 
@@ -279,47 +290,36 @@ def weierstrass_claim_residual(rec: Record, points: int = 40, seed: int = 0):
                  6 H'^2 + a H''' = 0, written via wp as
                  6 P^2 mu^2 wp^2 - a P mu^3 wp'' = 0.
     wp and wp'' come from one jet evaluation per sample point, wp''
-    carried exactly through the duplication maps.
+    carried exactly through the duplication maps.  The record's constants,
+    mu = cbrt(-1/a), the argument and the residual are all taken at 106 bits.
     """
-    import math
-    a = float(Fraction(rec.get("a")))
-    c1 = float(Fraction(rec.get("c1", "0")))
-    g3 = float(Fraction(rec.get("c2", "1")))
-    inv = -1.0 / a
-    mu = math.copysign(abs(inv) ** (1.0 / 3.0), inv)  # real cube root
     form = rec.get("form", "p")
     rng = random.Random(seed)
     worst = 0.0
     good = 0
     attempts = 0
-    while good < points and attempts < points * 30:
-        attempts += 1
-        q = rng.uniform(0.15, 1.6) * rng.choice((1.0, -1.0))
-        arg = mu * (q + c1)
-        try:
-            p, p2 = wz.weierstrass_p_with_second(arg, g3, "dd")
-        except EvalDomainError:
-            continue
-        if abs(p) > 50:
-            continue
-        if form == "p":
-            f = p / mu
-            f2 = mu * p2
-            resv = 6 * f * f + a * f2
-            scale = abs(6 * f * f) + abs(a * f2)
-        else:
-            if rec.get("prefactor") == "a*mu":
-                P = a * mu
-            elif rec.get("prefactor") == "a/mu":
-                P = a / mu
+    with mpmath.workprec(DD_PREC):
+        a, c1, g3 = (mpmath.mpf(v.numerator) / v.denominator for v in map(
+            Fraction, (rec.get("a"), rec.get("c1", "0"), rec.get("c2", "1"))))
+        mu = mpmath.sign(-a) * mpmath.cbrt(1 / abs(a))  # real cube root
+        P = {"a*mu": a * mu, "a/mu": a / mu}.get(rec.get("prefactor"))
+        if form != "p" and P is None:
+            raise ValueError("zeta record needs prefactor a*mu or a/mu")
+        while good < points and attempts < points * 30:
+            attempts += 1
+            q = rng.uniform(0.15, 1.6) * rng.choice((1.0, -1.0))
+            try:
+                p, p2 = wz.weierstrass_p_with_second(mu * (q + c1), g3, "dd")
+            except EvalDomainError:
+                continue
+            if abs(p) > 50:
+                continue
+            if form == "p":  # f = wp/mu, f'' = mu wp''
+                terms = (6 * (p / mu) ** 2, a * mu * p2)
             else:
-                raise ValueError("zeta record needs prefactor a*mu or a/mu")
-            h1sq = (P * mu * p) ** 2 * 6
-            ah3 = -a * P * mu ** 3 * p2
-            resv = h1sq + ah3
-            scale = abs(h1sq) + abs(ah3)
-        worst = max(worst, float(abs(resv) / (1 + scale)))
-        good += 1
+                terms = (6 * (P * mu * p) ** 2, -a * P * mu ** 3 * p2)
+            worst = max(worst, float(abs(sum(terms)) / (1 + sum(map(abs, terms)))))
+            good += 1
     if good == 0:
         raise EvalDomainError("all Weierstrass sample points rejected")
     return worst, good
@@ -360,10 +360,6 @@ def verify_record(rec: Record, pde: PDE, points=100, tol=1e-9, seed=0,
         if kind in ("solution", "solution-complex"):
             ctx = solution_context()
             f = parse(rec.get("claim"), ctx)
-            own = sorted(str(j) for j in free_jets(f) if j.dep == pde.dep)
-            if own:
-                # derivatives of a jet by a variable are 0, so the claim would pass
-                raise ValueError(f"claim contains jets of {pde.dep}: {', '.join(own)}")
             bad = undeclared_divisors(f, rec.nonzero(), ("x", "y", "z", "t", "i"))
             detail_extra = f" undeclared-divisors={','.join(bad)}" if bad else ""
             cmplx = kind == "solution-complex"

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism, CSV."""
 
+import hashlib
 import json
 import math
 
@@ -21,6 +22,14 @@ class TestDerive:
         lines = [l for l in out.splitlines() if l.strip()]
         assert len(lines) > 20
         assert any("eta" in l for l in lines)
+
+    def test_output_is_byte_stable(self, capsys):
+        # the determining system of the shipped kdv31.pde, as every earlier
+        # version printed it (independent of PYTHONHASHSEED)
+        rc, out, _ = run(capsys, "derive")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "466bc5dca8c279efbf1e5eedaa615ea47785a486107b3a198955fa858467c882")
 
     def test_output_reparses(self, capsys, pde):
         from liesym.parse import ParseContext, parse
@@ -113,6 +122,14 @@ class TestVerify:
         rc, out, _ = run(capsys, "verify", "--catalog", str(bad), "--points", "8")
         assert rc == 1
         assert "error" in out and "ValueError: claim contains jets of u: u_x" in out
+
+    def test_ode_solution_with_own_jets_is_an_error_row(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("[jet-ode]\nkind: ode\nvars: w\nunknown: R\nequation: R_ww\n"
+                       "solution: R_w*w\nexpected: zero\n")
+        rc, out, _ = run(capsys, "verify", "--catalog", str(bad), "--points", "8")
+        assert rc == 1
+        assert "error" in out and "ValueError: claim contains jets of R: R_w" in out
 
 
 class TestSample:

@@ -17,6 +17,8 @@ from liesym.normal import as_expr
 from liesym.numeric import EvalDomainError, eval_numeric, random_equiv
 from liesym.parse import ParseError
 
+from conftest import TREE_JETS, TREE_SYMBOLS, expr_trees
+
 
 x = symbol("x", "independent-variable")
 y = symbol("y", "independent-variable")
@@ -208,38 +210,7 @@ class TestRandomEquiv:
 # ---------------------------------------------------------------------------
 # property-based checks
 
-_names = ("x", "y", "t")
-_jets = (jet("u", ()), jet("u", "x"), jet("u", "xxt"), jet("v", "y"))
-
-
-def _exprs(depth, walker=False):
-    """Random trees; walker=True adds jets and unknown functions with slot
-    orders, which parse/print round trips do not cover."""
-    leaf = st.one_of(
-        st.sampled_from([symbol(n, "independent-variable") for n in _names]),
-        st.integers(-3, 3).map(rat),
-        st.tuples(st.integers(1, 5), st.integers(1, 4)).map(lambda p: rat(*p)),
-        *([st.sampled_from(_jets)] if walker else []),
-    )
-    if depth == 0:
-        return leaf
-    sub = _exprs(depth - 1, walker)
-    nodes = [
-        leaf,
-        st.lists(sub, min_size=2, max_size=3).map(lambda xs: add(*xs)),
-        st.lists(sub, min_size=2, max_size=3).map(lambda xs: mul(*xs)),
-        st.tuples(sub, st.sampled_from([2, 3])).map(lambda p: pow_(*p)),
-        sub.map(lambda e: fun("tanh", e)),
-        sub.map(lambda e: fun("exp", e)),
-    ]
-    if walker:
-        nodes.append(st.tuples(st.sampled_from("FG"), sub, sub, st.integers(0, 2),
-                               st.integers(0, 2))
-                     .map(lambda p: Ufunc(p[0], p[1:3], p[3:])))
-    return st.one_of(*nodes)
-
-
-small_exprs = _exprs(2)
+small_exprs = expr_trees(2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,7 +251,7 @@ def test_derivative_linear(e):
 # ---------------------------------------------------------------------------
 # the tree walker against walks written out here, node kind by node kind
 
-walker_exprs = _exprs(2, walker=True)
+walker_exprs = expr_trees(2, walker=True)
 
 
 def _kids(e):
@@ -325,7 +296,31 @@ def _naive_substitute(e, bindings):
     return e
 
 
-_bindable = [symbol(n, "independent-variable") for n in _names] + list(_jets)
+_bindable = TREE_SYMBOLS + TREE_JETS
+
+
+_NAIVE_FUN_DERIV = {"tanh": lambda a: pow_(fun("sech", a), 2), "exp": lambda a: fun("exp", a)}
+
+
+def _naive_derivative(e, v):
+    """The chain rule node kind by node kind, without a memo or zero tests."""
+    if isinstance(e, (Sym, Jet)):
+        return rat(1) if e == v else rat(0)
+    if isinstance(e, Add):
+        return add(*(_naive_derivative(c, v) for c in e.terms))
+    if isinstance(e, Mul):
+        fs = e.factors
+        return add(*(mul(*fs[:i], _naive_derivative(f, v), *fs[i + 1:])
+                     for i, f in enumerate(fs)))
+    if isinstance(e, Pow):
+        return mul(rat(e.exp), pow_(e.base, e.exp - 1), _naive_derivative(e.base, v))
+    if isinstance(e, Fun):
+        return mul(_NAIVE_FUN_DERIV[e.fn](e.arg), _naive_derivative(e.arg, v))
+    if isinstance(e, Ufunc):
+        return add(*(mul(Ufunc(e.name, e.args, [k + (i == j) for j, k in enumerate(e.dorders)]),
+                         _naive_derivative(a, v))
+                     for i, a in enumerate(e.args)))
+    return rat(0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -338,13 +333,19 @@ def test_structure_queries_match_brute_force(e):
 
 
 @settings(max_examples=150, deadline=None)
-@given(walker_exprs, st.dictionaries(st.sampled_from(_bindable), _exprs(1, walker=True),
+@given(walker_exprs, st.dictionaries(st.sampled_from(_bindable), expr_trees(1, walker=True),
                                      max_size=4),
-       st.none() | _exprs(1))
+       st.none() | expr_trees(1))
 def test_substitute_matches_naive(e, bindings, body):
     if body is not None:
         bindings["F"] = ((x, y), body)
     assert substitute(e, bindings) == _naive_substitute(e, bindings)
+
+
+@settings(max_examples=150, deadline=None)
+@given(walker_exprs, st.sampled_from(_bindable))
+def test_differentiate_matches_naive(e, v):
+    assert differentiate(e, v) == _naive_derivative(e, v)
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,14 +3,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from liesym import add, is_zero, jet, mul, parse, pow_, rat, symbol, to_text
+from liesym import (
+    add, differentiate, is_zero, jet, mul, normalize, parse, pow_, rat, symbol, to_text,
+)
+from liesym.expr import free_jets
 from liesym.jets import (
     VectorField, prolongation_coefficient, restrict_on_shell,
     symmetry_condition, total_derivative,
 )
 from liesym.detsys import generic_field
 from liesym.normal import canonical
+
+from conftest import TREE_SYMBOLS, expr_trees
 
 
 def VF(pde, xs, eta):
@@ -43,6 +49,15 @@ class TestTotalDerivative:
             lhs = total_derivative(total_derivative(e, x), y)
             rhs = total_derivative(total_derivative(e, y), x)
             assert is_zero(add(lhs, mul(rat(-1), rhs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(expr_trees(2, walker=True), st.sampled_from(TREE_SYMBOLS))
+def test_total_derivative_matches_definition(e, v):
+    # D_v e = d e/d v + sum over jets u_J of u_{J+v} * d e/d u_J, term by term
+    expect = add(differentiate(e, v),
+                 *(mul(j.lifted(v.name), differentiate(e, j)) for j in free_jets(e)))
+    assert normalize(total_derivative(e, v)) == normalize(expect)
 
 
 class TestProlongation:

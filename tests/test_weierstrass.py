@@ -7,7 +7,8 @@ import pytest
 
 from liesym.expr import EvalDomainError
 from liesym.weierstrass import (
-    _Ctx, _dup, _series_eval, first_difference, weierstrass_p, weierstrass_p_prime, weierstrass_zeta, wp_ode_residual,
+    _Ctx, _dup, _series_eval, first_difference, second_difference, weierstrass_p,
+    weierstrass_p_prime, weierstrass_p_with_second, weierstrass_zeta, wp_ode_residual,
     zeta_defining_residual,
 )
 
@@ -71,6 +72,18 @@ class TestDefiningRelations:
                                       mpmath.mpc(z), mpmath.mpf(1e-5))
                 direct = weierstrass_p_prime(z, g3, "dd")
                 assert abs(fd - direct) / (1 + abs(direct)) < 1e-10
+
+    def test_wp_second_consistent(self):
+        import mpmath
+        for z, g3 in _annulus_points(20, 4):
+            with mpmath.workprec(106):
+                fd = second_difference(lambda w: weierstrass_p(w, g3, "dd"),
+                                       mpmath.mpc(z), mpmath.mpf(1e-5))
+                p, direct = weierstrass_p_with_second(z, g3, "dd")
+                assert p == weierstrass_p(z, g3, "dd")
+                assert abs(fd - direct) / (1 + abs(direct)) < 1e-10
+                # wp'' = 6 wp^2 when g2 = 0, to the working precision
+                assert abs(direct - 6 * p * p) / (1 + abs(6 * p * p)) < 1e-24
 
     def test_algebraic_first_integral(self):
         # wp'^2 = 4 wp^3 - g3 when g2 = 0
