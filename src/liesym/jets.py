@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .expr import (
-    ONE, ZERO, Expr, Jet, Rat, Sym, add, derivation, diff_n, differentiate,
+    ONE, ZERO, Expr, Jet, Rat, Sym, add, derivation, differentiate,
     free_jets, jet, mul, pow_, rat, substitute,
 )
 from .normal import canonical, is_zero
@@ -79,17 +79,25 @@ def total_derivative(e: Expr, v: Sym) -> Expr:
 
 def jet_bindings(exprs, funcs: dict, variables) -> dict:
     """Bind every jet in exprs whose dependent variable has an entry in
-    funcs to the matching partial derivative of that entry."""
+    funcs to the matching partial derivative of that entry.
+
+    Jets are taken in sorted order of (dep, single-variable steps in j.idx
+    order), so each extends the longest prefix of the previous one, kept
+    on a stack: every shared prefix is derived once, and only one chain of
+    prefixes is alive at a time.
+    """
     var_by_name = {v.name: v for v in variables}
-    bindings = {}
-    for e in exprs:
-        for j in free_jets(e):
-            f = funcs.get(j.dep)
-            if f is None or j in bindings:
-                continue
-            for name, count in j.idx:
-                f = diff_n(f, var_by_name[name], count)
-            bindings[j] = f
+    wanted = {(j.dep, *(n for n, c in j.idx for _ in range(c))): j
+              for e in exprs for j in free_jets(e) if j.dep in funcs}
+    bindings, stack = {}, []
+    for key, j in sorted(wanted.items()):
+        while stack and key[:len(stack[-1][0])] != stack[-1][0]:
+            stack.pop()
+        if not stack:
+            stack.append((key[:1], funcs[key[0]]))
+        for i in range(len(stack[-1][0]), len(key)):
+            stack.append((key[:i + 1], differentiate(stack[-1][1], var_by_name[key[i]])))
+        bindings[j] = stack[-1][1]
     return bindings
 
 

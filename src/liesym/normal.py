@@ -9,7 +9,9 @@ integer powers of sums are cleared into the denominator, so rational
 identities decide exactly.  The only rewrite rules applied are
 sech(h)^2 -> 1 - tanh(h)^2 and cosh(h)^2 -> 1 + sinh(h)^2, plus additive
 splitting of exp arguments (exp(a*m) -> exp(m)^a) used for argument
-identification.
+identification.  A denominator sum cancels when exact Laurent division
+by it succeeds; a trailing-monomial bound ends an inexact division early
+when the divisor's atoms are plain (see _try_div).
 """
 
 from __future__ import annotations
@@ -412,13 +414,9 @@ def _mono_div(m1: Monomial, m2: Monomial) -> Monomial:
     return _mono(acc)
 
 
-def _lex_lead(term_maps):
-    """Leading monomial of each map under one shared lex order.
-
-    The order compares exponent vectors over the union of atoms, so it is
-    translation invariant: lead(m * p) = m + lead(p).  Returns one lead
-    per input map.
-    """
+def _lex_vec(term_maps):
+    """Exponent vector of a monomial over the union of the maps' atoms; the
+    lex order on vectors is a group order: vec(m * p) = vec(m) + vec(p)."""
     atoms = sorted({a for tm in term_maps for m in tm for a, _ in m}, key=skey)
     pos = {a: i for i, a in enumerate(atoms)}
 
@@ -428,20 +426,49 @@ def _lex_lead(term_maps):
             v[pos[a]] = e
         return tuple(v)
 
-    return [max(tm, key=vec) for tm in term_maps]
+    return vec
+
+
+def _plain_atom(a) -> bool:
+    """True for atoms whose exponents _canon_term only adds."""
+    return type(a) in (Sym, Jet, Ufunc) or (type(a) is Fun and a.fn not in ("sech", "cosh"))
 
 
 def _try_div(terms: dict, patoms: dict):
-    """Exact division of a term map by a primitive sum polynomial, or None."""
+    """Exact division of a term map by a primitive sum polynomial, or None.
+
+    Quotient monomials come off in decreasing lex order.  If every divisor
+    atom is plain, multiplying by the divisor P only adds exponents, so
+    terms = Q*P splits into A_g = Q_g*P per group g of exponents on the
+    other atoms, and trail(A_g) = trail(Q_g)*trail(P) (Cox, Little and
+    O'Shea, ch. 2): a quotient monomial below trail(A_g)/trail(P) proves
+    the division inexact.  Otherwise a rewrite may bring in new atoms, so
+    the order is rebuilt each step.  The step limit is the backstop.
+    """
     rem = dict(terms)
     quot: dict = {}
     limit = 4 * len(terms) + 16
+    vec = _lex_vec([terms, patoms])
+    plead = max(patoms, key=vec)
+    plc = patoms[plead]
+    pat = {a for m in patoms for a, _ in m}
+    bound = None
+    if all(_plain_atom(a) for a in pat):
+        def group(m):
+            return tuple(p for p in m if p[0] not in pat)
+        ptrail = min(patoms, key=vec)
+        bound = {}
+        for m in sorted(terms, key=vec, reverse=True):  # the group's trail last
+            bound[group(m)] = vec(_mono_div(m, ptrail))
     for _ in range(limit):
         if not rem:
             return quot
-        lead, plead = _lex_lead([rem, patoms])
-        plc = patoms[plead]
+        if bound is None:
+            vec = _lex_vec([rem, patoms])
+        lead = max(rem, key=vec)
         qm = _mono_div(lead, plead)
+        if bound is not None and vec(qm) < bound[group(lead)]:
+            return None
         qc = rem[lead] / plc
         piece = _canon_term(dict(qm), qc)
         if piece.den != _EMPTY or len(piece.terms) != 1:
@@ -562,7 +589,8 @@ def nf_div_exact(a: NF, b: NF):
         return None
     if a.is_zero():
         return NF_ZERO
-    lead_a, lead_b = _lex_lead([a.terms, b.terms])
+    vec = _lex_vec([a.terms, b.terms])
+    lead_a, lead_b = max(a.terms, key=vec), max(b.terms, key=vec)
     entries = {atom: Fraction(e) for atom, e in lead_a}
     for atom, e in lead_b:
         entries[atom] = entries.get(atom, Fraction(0)) - e

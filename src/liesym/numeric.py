@@ -235,7 +235,10 @@ def random_equiv(e1: Expr, e2: Expr, trials: int = 64, tol: float = 1e-9,
     evaluates cleanly; raises SamplingError when every point hits a
     singularity.
     """
-    syms = sorted(free_symbols(e1) | free_symbols(e2), key=lambda s: s.name)
+    try:
+        fn, syms = compile_terms((e1, e2))
+    except EvalDomainError as exc:  # no point can evaluate
+        raise SamplingError(str(exc)) from None
     rng = random.Random(seed)
     good = 0
     for _ in range(trials * 4):
@@ -243,9 +246,8 @@ def random_equiv(e1: Expr, e2: Expr, trials: int = 64, tol: float = 1e-9,
             break
         env = sample_point(syms, rng, box)
         try:
-            v1 = eval_numeric(e1, env)
-            v2 = eval_numeric(e2, env)
-        except EvalDomainError:
+            v1, v2 = fn(*env.values())
+        except DOMAIN_ERRORS:
             continue
         if any(abs(v) > 1e12 for v in (v1, v2)):
             continue

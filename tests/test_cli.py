@@ -248,6 +248,16 @@ class TestPipeline:
         assert summary["ok"] and summary["solve"]["dimension"] == 10
         assert summary["table"]["golden_mismatches"] == 0
 
+    def test_degree_two_json_is_byte_stable(self, capsys, tmp_path):
+        # the pipeline summary every earlier version wrote (independent of
+        # PYTHONHASHSEED)
+        j = tmp_path / "p.json"
+        rc, _, _ = run(capsys, "pipeline", "--degree", "2", "--json", str(j),
+                       "--out", str(tmp_path / "p.txt"))
+        assert rc == 0
+        assert hashlib.sha256(j.read_bytes()).hexdigest() == (
+            "38865c31ff67918d61b4be13703b5775b995b49c7ebe8a9924482a6cbddbf1a8")
+
     def test_config_file_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("degree=1\npoints=8\n")

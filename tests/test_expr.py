@@ -206,6 +206,11 @@ class TestRandomEquiv:
         with pytest.raises(SamplingError):
             random_equiv(e, e, 8, 1e-9)
 
+    def test_jet_cannot_be_sampled(self):
+        from liesym.numeric import SamplingError
+        with pytest.raises(SamplingError):
+            random_equiv(jet("u", "x"), x, 8, 1e-9)
+
 
 # ---------------------------------------------------------------------------
 # property-based checks

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from liesym import (
     add, differentiate, is_zero, jet, mul, normalize, parse, pow_, rat, symbol, to_text,
 )
-from liesym.expr import free_jets
+from liesym import jets
+from liesym.expr import diff_n, free_jets
 from liesym.jets import (
-    VectorField, prolongation_coefficient, restrict_on_shell,
+    VectorField, jet_bindings, prolongation_coefficient, restrict_on_shell,
     symmetry_condition, total_derivative,
 )
 from liesym.detsys import generic_field
@@ -58,6 +59,44 @@ def test_total_derivative_matches_definition(e, v):
     expect = add(differentiate(e, v),
                  *(mul(j.lifted(v.name), differentiate(e, j)) for j in free_jets(e)))
     assert normalize(total_derivative(e, v)) == normalize(expect)
+
+
+# jets over TREE_SYMBOLS that share prefixes, plus one with no binding
+_BIND_JETS = [jet(dep, idx) for dep in ("u", "v")
+              for idx in ((), "x", "y", "xx", "xy", "xxt", "xxy", "ttx", "yyy")]
+_BIND_JETS.append(jet("w", "x"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(_BIND_JETS), min_size=1, max_size=6),
+       expr_trees(2), expr_trees(2))
+def test_jet_bindings_match_per_jet_derivatives(js, f, g):
+    funcs = {"u": f, "v": g}
+    var_by_name = {v.name: v for v in TREE_SYMBOLS}
+    expect = {}
+    for j in js:
+        if j.dep in funcs:
+            h = funcs[j.dep]
+            for name, count in j.idx:
+                h = diff_n(h, var_by_name[name], count)
+            expect[j] = h
+    assert jet_bindings([add(*js), mul(*js)], funcs, TREE_SYMBOLS) == expect
+
+
+def test_jet_bindings_derive_each_prefix_once(pde, monkeypatch):
+    # the 8 jets of kdv31.pde have orders summing to 18 but 10 distinct
+    # derivative prefixes: t, x, y, z, xx, xxx, xxxx, xxxxz, xxy, xxz
+    assert len(free_jets(pde.delta)) == 8
+    calls = []
+    diff = jets.differentiate
+
+    def counting(e, v):
+        calls.append(v)
+        return diff(e, v)
+
+    monkeypatch.setattr(jets, "differentiate", counting)
+    jet_bindings([pde.delta], {"u": parse("x^5*y*z*t + tanh(x*y)")}, pde.vars)
+    assert len(calls) == 10
 
 
 class TestProlongation:

@@ -3,15 +3,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liesym import (
     ResourceLimitError, add, fun, is_zero, mul, normalize, parse, pow_, rat,
     symbol, set_expansion_limit,
 )
+from liesym import normal
 from liesym.normal import as_expr, nf_div_exact
 
 x = symbol("x", "independent-variable")
 y = symbol("y", "independent-variable")
+z = symbol("z", "independent-variable")
 th = symbol("th")
 
 
@@ -131,3 +134,92 @@ def test_randomized_zero_identities():
         else:
             z = pow_(add(e, f), 2) - mul(e, e) - mul(rat(2), e, f) - mul(f, f)
         assert is_zero(z), (style, e, f, g)
+
+
+# ---------------------------------------------------------------------------
+# exact division: the early exit against the step-limited loop
+
+
+def _try_div_oracle(terms, patoms):
+    """The division loop without the early exit: only the step limit stops
+    an inexact division."""
+    rem = dict(terms)
+    quot = {}
+    for _ in range(4 * len(terms) + 16):
+        if not rem:
+            return quot
+        vec = normal._lex_vec([rem, patoms])
+        lead, plead = max(rem, key=vec), max(patoms, key=vec)
+        qm = normal._mono_div(lead, plead)
+        piece = normal._canon_term(dict(qm), rem[lead] / patoms[plead])
+        if piece.den != () or len(piece.terms) != 1:
+            return None
+        (qm2, qc2), = piece.terms.items()
+        quot[qm2] = quot.get(qm2, Fraction(0)) + qc2
+        sub = normal._terms_mul({qm2: qc2}, patoms)
+        if sub.den != ():
+            return None
+        for m, c in sub.terms.items():
+            v = rem.get(m, Fraction(0)) - c
+            if v:
+                rem[m] = v
+            else:
+                rem.pop(m, None)
+    return None
+
+
+# plain atoms take the early exit; a surd or sech(x) in the divisor keeps
+# the step limit (sech(x)^2 rewrites to tanh(x))
+_PLAIN = (x, y, z, fun("tanh", y))
+_ALL = _PLAIN + (pow_(rat(2), Fraction(1, 2)), fun("sech", x))
+_EXPS = st.sampled_from([Fraction(k) for k in (-2, -1, 0, 0, 0, 1, 2)]
+                        + [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 3)])
+# sech exponents stay >= 0, so no sum is cleared into a denominator
+_SECH_EXPS = st.sampled_from([Fraction(k, 2) for k in range(5)])
+
+
+def _term_maps(atoms, min_size):
+    mono = st.tuples(st.integers(-3, 3).filter(bool),
+                     *(_SECH_EXPS if a == fun("sech", x) else _EXPS for a in atoms))
+    return (st.lists(mono.map(lambda p: mul(rat(p[0]), *map(pow_, atoms, p[1:]))),
+                     min_size=min_size, max_size=4)
+            .map(lambda ms: normalize(add(*ms)))
+            .filter(lambda n: n.den == () and len(n.terms) >= min_size)
+            .map(lambda n: n.terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([_PLAIN, _ALL]).flatmap(
+    lambda atoms: st.tuples(_term_maps(atoms, 2), _term_maps(_ALL, 1),
+                            _term_maps(_ALL, 1))))
+def test_try_div_matches_step_limited_loop(case):
+    p, q, a = case
+    qp = normal._terms_mul(q, p)
+    assert qp.den == ()
+    got = normal._try_div(qp.terms, p)
+    assert got == _try_div_oracle(qp.terms, p)
+    if all(normal._plain_atom(b) for m in p for b, _ in m):
+        assert got == q
+    assert normal._try_div(a, p) == _try_div_oracle(a, p)
+
+
+def test_inexact_catalog_division_stops_early(monkeypatch):
+    # a division the catalog check of pipeline --degree 2 makes; the
+    # step-limited loop spends 160 _canon_term calls before giving up
+    a = normalize(parse(
+        "5*b1*x*y^3/(6*t^2) - b1*x*y*z/(2*t) - b2*x*y/(2*t)"
+        " - (-1)^(1/2)*5^(1/2)*b2*x*(3*b1*t*z - 5*b1*y^2 + 3*b2*t)^(1/2)/(20*b1^(1/2)*t)"
+        " + (-1)^(1/2)*5^(1/2)*b1^(1/2)*x*y^2*(3*b1*t*z - 5*b1*y^2 + 3*b2*t)^(1/2)/(6*t^2)"
+        " - (-1)^(1/2)*5^(1/2)*b1^(1/2)*x*z*(3*b1*t*z - 5*b1*y^2 + 3*b2*t)^(1/2)/(20*t)"))
+    p = normalize(parse("3*b1*t*z - 5*b1*y^2 + 3*b2*t"))
+    assert len(a.terms) == 6 and a.den == () and len(p.terms) == 3
+    calls = []
+    canon = normal._canon_term
+
+    def counting(raw, coeff):
+        calls.append(raw)
+        return canon(raw, coeff)
+
+    monkeypatch.setattr(normal, "_canon_term", counting)
+    assert normal._try_div(a.terms, p.terms) is None
+    assert len(calls) <= 8
