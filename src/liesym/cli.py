@@ -18,7 +18,7 @@ from mpmath import nstr
 from .catalog import CatalogError, load_catalog, solution_context
 from .expr import ExprError, ResourceLimitError, to_text
 from .jets import PDE, load_pde
-from .numeric import DOMAIN_ERRORS, compile_expr
+from .numeric import DOMAIN_ERRORS, compile_terms
 from .normal import canonical
 from .parse import ParseError, parse
 from . import detsys, flows, liealg, verify as verify_mod
@@ -203,7 +203,7 @@ def cmd_sample(args) -> int:
     grids = []
     for _, lo, hi, count in axes:
         grids.append([lo + i * (hi - lo) / (count - 1) for i in range(count)])
-    fn, syms = compile_expr(f, args.precision)
+    fn, syms = compile_terms((f,), args.precision)
     rows = [",".join(swept + ["u"])]
     warnings = 0
 

@@ -521,12 +521,11 @@ def reset_session():
     Symbols compare by name only, so a memo that outlived the registry could
     hand back an atom of the kind a name had before the reset.
     """
-    from . import detsys, jets, normal, numeric
+    from . import detsys, jets, normal
     _registry.clear()
     for cached in (skey, free_symbols, free_jets, ufunc_names, normal.normalize,
                    detsys._monomials_upto):
         cached.cache_clear()
-    numeric._compiled.clear()
     jets._prolong_memo.clear()
 
 
@@ -613,7 +612,9 @@ def rewrite(e: Expr, leaf) -> Expr:
         memo[x] = out
         return out
 
-    return walk(e)
+    out = walk(e)
+    del walk  # walk's closure holds walk itself; unbind it to leave no cycle
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +668,9 @@ def derivation(e: Expr, dleaf) -> Expr:
         memo[x] = out
         return out
 
-    return walk(e)
+    out = walk(e)
+    del walk  # as in rewrite: no cycle is left for the collector
+    return out
 
 
 def differentiate(e: Expr, v) -> Expr:

@@ -4,8 +4,9 @@
 residual claim, into one generated Python function that returns all of
 their values as a tuple.  The function is straight-line code with one
 local per distinct subtree, so a `tanh(xi)` or a product shared between
-terms is computed once per point.  `compile_expr` is its memoized
-one-term case, and `eval_numeric` evaluates through it.
+terms is computed once per point.  `eval_numeric` compiles its one term
+per call; callers that evaluate many points compile once themselves and
+draw the points from `sampled`, the one seeded sampler.
 
 Backends: double (float/complex) and dd (mpmath real/complex at a fixed
 106-bit precision, the double-double significand budget).  A dd function
@@ -97,6 +98,10 @@ def _mp_sech(v):
     return 1 / mpmath.cosh(v)
 
 
+# the dd backends differ only in the branch of rational powers
+_DD = dict(tanh=mpmath.tanh, sech=_mp_sech, sinh=mpmath.sinh, cosh=mpmath.cosh,
+           exp=mpmath.exp, const=lambda c: mpmath.mpf(c.numerator) / c.denominator)
+
 _BACKENDS = {
     ("double", False): dict(
         tanh=math.tanh, sech=_sech, sinh=math.sinh, cosh=math.cosh,
@@ -106,22 +111,12 @@ _BACKENDS = {
         tanh=cmath.tanh, sech=_csech, sinh=cmath.sinh, cosh=cmath.cosh,
         exp=cmath.exp, rp=_rp_complex, const=complex,
     ),
-    ("dd", False): dict(
-        tanh=mpmath.tanh, sech=_mp_sech, sinh=mpmath.sinh, cosh=mpmath.cosh,
-        exp=mpmath.exp, rp=_mp_rp_real,
-        const=lambda c: mpmath.mpf(c.numerator) / c.denominator,
-    ),
-    ("dd", True): dict(
-        tanh=mpmath.tanh, sech=_mp_sech, sinh=mpmath.sinh, cosh=mpmath.cosh,
-        exp=mpmath.exp, rp=_mp_rp_complex,
-        const=lambda c: mpmath.mpf(c.numerator) / c.denominator,
-    ),
+    ("dd", False): dict(_DD, rp=_mp_rp_real),
+    ("dd", True): dict(_DD, rp=_mp_rp_complex),
 }
 
 # what a compiled function raises at a point outside its domain
 DOMAIN_ERRORS = (EvalDomainError, ZeroDivisionError, OverflowError, ValueError)
-
-_compiled: dict = {}
 
 
 def _emit(terms, names: dict, backend: dict):
@@ -195,42 +190,46 @@ def compile_terms(terms, precision: str = "double", complex_mode: bool = False):
     return ns["_f"], tuple(syms)
 
 
-def compile_expr(e: Expr, precision: str = "double", complex_mode: bool = False):
-    """Memoized one-term compile_terms: (fn, symbol order), fn returns a 1-tuple."""
-    key = (e, precision, complex_mode)
-    got = _compiled.get(key)
-    if got is None:
-        got = _compiled[key] = compile_terms((e,), precision, complex_mode)
-    return got
-
-
 def eval_numeric(e: Expr, env: dict, precision: str = "double",
                  complex_mode: bool = False):
     """Evaluate at a point; env maps symbols (or their names) to numbers."""
-    fn, syms = compile_expr(e, precision, complex_mode)
-    vals = []
-    for s in syms:
-        if s in env:
-            vals.append(env[s])
-        elif s.name in env:
-            vals.append(env[s.name])
-        else:
-            raise EvalDomainError(f"unbound symbol {s.name!r}")
+    fn, syms = compile_terms((e,), precision, complex_mode)
+    try:
+        vals = [env[s] if s in env else env[s.name] for s in syms]
+    except KeyError as exc:
+        raise EvalDomainError(f"unbound symbol {exc.args[0]!r}") from None
     try:
         return fn(*vals)[0]
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
         raise EvalDomainError(str(exc)) from None
 
 
-def sample_point(syms, rng: random.Random, box=(-2.0, 2.0)) -> dict:
-    lo, hi = box
-    return {s: rng.uniform(lo, hi) for s in syms}
+def sampled(fn, nfree: int, points: int, budget: int, seed: int, box):
+    """Yield fn(*draw) for seeded draws of nfree values each.
+
+    Every value is uniform in the magnitude range box with a random sign.
+    A draw is rejected exactly when fn raises one of DOMAIN_ERRORS, and a
+    rejected draw still uses up budget.  Stops after points accepted draws
+    or budget draws, whichever comes first.
+    """
+    rng = random.Random(seed)
+    for _ in range(budget):
+        if points == 0:
+            return
+        draw = [rng.uniform(*box) * rng.choice((1.0, -1.0)) for _ in range(nfree)]
+        try:
+            out = fn(*draw)
+        except DOMAIN_ERRORS:
+            continue
+        points -= 1
+        yield out
 
 
 def random_equiv(e1: Expr, e2: Expr, trials: int = 64, tol: float = 1e-9,
-                 seed: int = 0, box=(-2.0, 2.0)) -> bool:
+                 seed: int = 0, box=(0.0, 2.0)) -> bool:
     """Numeric equivalence at seeded sample points.
 
+    box is the magnitude range of every coordinate; signs are random.
     True iff |e1-e2| <= tol*(1+max(|e1|,|e2|)) at every point that
     evaluates cleanly; raises SamplingError when every point hits a
     singularity.
@@ -239,21 +238,14 @@ def random_equiv(e1: Expr, e2: Expr, trials: int = 64, tol: float = 1e-9,
         fn, syms = compile_terms((e1, e2))
     except EvalDomainError as exc:  # no point can evaluate
         raise SamplingError(str(exc)) from None
-    rng = random.Random(seed)
-    good = 0
-    for _ in range(trials * 4):
-        if good >= trials:
-            break
-        env = sample_point(syms, rng, box)
-        try:
-            v1, v2 = fn(*env.values())
-        except DOMAIN_ERRORS:
-            continue
-        if any(abs(v) > 1e12 for v in (v1, v2)):
-            continue
-        good += 1
-        if abs(v1 - v2) > tol * (1 + max(abs(v1), abs(v2))):
-            return False
-    if good == 0:
+
+    def close(*draw):
+        v1, v2 = fn(*draw)
+        if abs(v1) > 1e12 or abs(v2) > 1e12:
+            raise EvalDomainError("value too large at sample")
+        return not abs(v1 - v2) > tol * (1 + max(abs(v1), abs(v2)))  # nan passes
+
+    verdicts = list(sampled(close, len(syms), trials, trials * 4, seed, box))
+    if not verdicts:
         raise SamplingError("all sampled points hit singularities")
-    return True
+    return all(verdicts)

@@ -7,19 +7,18 @@ exceptions.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import mpmath
 
 from .catalog import Record, record_context, solution_context, undeclared_divisors
 from .expr import (
-    Add, EvalDomainError, Expr, Ufunc, add, children, free_jets, free_symbols,
-    jet, mul, rat, rewrite, substitute, symbol, ufunc_names,
+    Add, EvalDomainError, Expr, Ufunc, add, children, free_jets, jet, mul,
+    rat, rewrite, substitute, symbol, ufunc_names,
 )
 from .jets import PDE, jet_bindings
 from .normal import as_expr, canonical, is_zero, nf_div_exact, normalize
-from .numeric import DD_PREC, DOMAIN_ERRORS, compile_terms, eval_numeric
+from .numeric import DD_PREC, compile_terms, sampled
 from .parse import ParseContext, parse
 from . import weierstrass as wz
 
@@ -41,41 +40,33 @@ class ResidualReport:
                 f"over {self.samples} pts ({self.precision})>")
 
 
+def _worst(rels, empty: str):
+    """(max, count) of the sampled relative residuals; raise empty if none."""
+    rels = list(rels)
+    if not rels:
+        raise EvalDomainError(empty)
+    return max([0.0] + rels), len(rels)
+
+
 def _numeric_residual(terms, params, points, seed, precision,
                       complex_mode=False, box=(0.5, 2.5)):
     """Max of |sum terms| / (1 + sum |terms|) over seeded sample points."""
-    rng = random.Random(seed)
     fn, syms = compile_terms(terms, precision, complex_mode)
-    args = [None] * len(syms)
-    free = []
-    for k, s in enumerate(syms):
-        if s.name in params:
-            args[k] = params[s.name]
-        elif s.name == "i":
-            args[k] = 1j
-        else:
-            free.append(k)
-    worst = 0.0
-    good = 0
-    attempts = 0
-    while good < points and attempts < points * 20:
-        attempts += 1
-        for k in free:
-            args[k] = rng.uniform(*box) * rng.choice((1.0, -1.0))
-        try:
-            vals = fn(*args)
-        except DOMAIN_ERRORS:
-            continue
+    args = [params.get(s.name, 1j if s.name == "i" else None) for s in syms]
+    free = [k for k, v in enumerate(args) if v is None]
+
+    def rel(*draw):
+        for k, v in zip(free, draw):
+            args[k] = v
+        vals = fn(*args)
         with mpmath.workprec(DD_PREC):  # dd values sum at 106 bits; floats ignore it
             scale = sum(abs(v) for v in vals)
-            rel = float(abs(sum(vals)) / (1 + scale))
-        if scale > 1e12:
-            continue
-        worst = max(worst, rel)
-        good += 1
-    if good == 0:
-        raise EvalDomainError("all residual sample points hit singularities")
-    return worst, good
+            if scale > 1e12:
+                raise EvalDomainError("residual terms too large at sample")
+            return float(abs(sum(vals)) / (1 + scale))
+
+    return _worst(sampled(rel, len(free), points, points * 20, seed, box),
+                  "all residual sample points hit singularities")
 
 
 def _check_claim(f: Expr, dep: str):
@@ -98,14 +89,8 @@ def residual(f: Expr, pde: PDE, params=None, points: int = 100,
              tol: float = 1e-9, seed: int = 0, precision: str = "double",
              complex_mode: bool = False) -> ResidualReport:
     """Substitute f into the equation; decide symbolically, sample numerically."""
-    _check_claim(f, pde.dep)
-    terms = substituted_terms(pde.delta, f, pde.vars, pde.dep)
-    symbolic = "zero" if normalize(add(*terms)).is_zero() else "undecided"
-    worst, good = _numeric_residual(terms, params or {}, points, seed,
-                                    precision, complex_mode)
-    if symbolic == "undecided":
-        symbolic = "nonzero" if worst > tol else "undecided"
-    return ResidualReport(symbolic, worst, good, precision)
+    return ode_residual(f, pde.delta, pde.vars, pde.dep, params, points, tol,
+                        seed, precision, complex_mode)
 
 
 def residual_condition(f: Expr, pde: PDE, condition: Expr):
@@ -118,7 +103,8 @@ def residual_condition(f: Expr, pde: PDE, condition: Expr):
 
 def ode_residual(solution: Expr, equation: Expr, variables, dep: str,
                  params=None, points: int = 60, tol: float = 1e-9,
-                 seed: int = 0, precision: str = "double") -> ResidualReport:
+                 seed: int = 0, precision: str = "double",
+                 complex_mode: bool = False) -> ResidualReport:
     _check_claim(solution, dep)
     terms = substituted_terms(equation, solution, variables, dep)
     symbolic = "zero" if normalize(add(*terms)).is_zero() else "undecided"
@@ -127,7 +113,7 @@ def ode_residual(solution: Expr, equation: Expr, variables, dep: str,
         return ResidualReport(symbolic, 0.0, 0, precision,
                               {"formal": True})
     worst, good = _numeric_residual(terms, params or {}, points, seed,
-                                    precision)
+                                    precision, complex_mode)
     if symbolic == "undecided":
         symbolic = "nonzero" if worst > tol else "undecided"
     return ResidualReport(symbolic, worst, good, precision)
@@ -215,47 +201,48 @@ def check_reduction(ans: ReductionAnsatz, tol: float = 1e-9) -> ReductionReport:
         multiplier = as_expr(m)
         if not any(j.dep == ans.unknown for j in free_jets(multiplier)):
             return ReductionReport(True, multiplier=multiplier)
-    if _proportional_by_sampling(res, ans.claim, ans.unknown, tol):
+    if _proportional_by_sampling(res, ans.claim, tol):
         return ReductionReport(True, numeric=True)
     return ReductionReport(False, leftover=canonical(res))
 
 
-def _proportional_by_sampling(res: Expr, claim: Expr, unknown: str,
-                              tol: float, seed: int = 0) -> bool:
+def _proportional_by_sampling(res: Expr, claim: Expr, tol: float,
+                              seed: int = 0) -> bool:
     """res == (jet-independent factor) * claim at seeded sample points.
 
     For several base points the jets are resampled; the ratio res/claim
-    must stay fixed while jets vary, and must be nonzero somewhere.
+    must stay fixed while jets vary, and must be nonzero somewhere.  A
+    draw holds the base symbols, then 4 resamplings of the jets in sorted
+    order, so the stream does not depend on hash order.
     """
-    all_jets = {j for j in free_jets(res) | free_jets(claim)}
-    sub = {j: symbol(f"jv{j.dep}{k}")
-           for k, j in enumerate(sorted(all_jets, key=lambda j: (j.dep, j.idx)))}
-    res_s = substitute(res, sub)
-    claim_s = substitute(claim, sub)
-    jet_syms = set(sub.values())
-    base_syms = sorted((free_symbols(res_s) | free_symbols(claim_s)) - jet_syms,
-                       key=lambda s: s.name)
-    rng = random.Random(seed)
+    jets = sorted(free_jets(res) | free_jets(claim), key=lambda j: (j.dep, j.idx))
+    sub = {j: symbol(f"jv{j.dep}{k}") for k, j in enumerate(jets)}
+    try:
+        fn, syms = compile_terms((substitute(claim, sub), substitute(res, sub)))
+    except EvalDomainError:  # unbound unknown functions: no point evaluates
+        return False
+    jet_slots = [syms.index(s) for s in sub.values()]
+    base_slots = [k for k in range(len(syms)) if k not in jet_slots]
+    nb, nj = len(base_slots), len(jet_slots)
+    args = [None] * len(syms)
+
+    def ratios(*draw):
+        """res/claim at one base point under 4 resamplings of the jets."""
+        for k, v in zip(base_slots, draw):
+            args[k] = v
+        out = []
+        for r in range(4):
+            for k, v in zip(jet_slots, draw[nb + r * nj:]):
+                args[k] = v
+            cv, rv = fn(*args)
+            if abs(cv) < 1e-6:
+                raise EvalDomainError("claim too small at sample")
+            out.append(rv / cv)
+        return out
+
     confirmed = 0
-    for _ in range(80):
-        if confirmed >= 8:
-            return True
-        env = {s: rng.uniform(0.4, 1.7) * rng.choice((1.0, -1.0))
-               for s in base_syms}
-        ratios = []
-        try:
-            for _ in range(4):
-                for s in jet_syms:
-                    env[s] = rng.uniform(0.4, 1.7) * rng.choice((1.0, -1.0))
-                cv = eval_numeric(claim_s, env)
-                rv = eval_numeric(res_s, env)
-                if abs(cv) < 1e-6:
-                    raise EvalDomainError("claim too small at sample")
-                ratios.append(rv / cv)
-        except EvalDomainError:
-            continue
-        spread = max(ratios) - min(ratios)
-        if abs(ratios[0]) < 1e-9 or spread > tol * (1 + abs(ratios[0])) * 100:
+    for rs in sampled(ratios, nb + 4 * nj, 8, 80, seed, (0.4, 1.7)):
+        if abs(rs[0]) < 1e-9 or max(rs) - min(rs) > tol * (1 + abs(rs[0])) * 100:
             return False
         confirmed += 1
     return confirmed >= 4
@@ -294,10 +281,6 @@ def weierstrass_claim_residual(rec: Record, points: int = 40, seed: int = 0):
     mu = cbrt(-1/a), the argument and the residual are all taken at 106 bits.
     """
     form = rec.get("form", "p")
-    rng = random.Random(seed)
-    worst = 0.0
-    good = 0
-    attempts = 0
     with mpmath.workprec(DD_PREC):
         a, c1, g3 = (mpmath.mpf(v.numerator) / v.denominator for v in map(
             Fraction, (rec.get("a"), rec.get("c1", "0"), rec.get("c2", "1"))))
@@ -305,24 +288,19 @@ def weierstrass_claim_residual(rec: Record, points: int = 40, seed: int = 0):
         P = {"a*mu": a * mu, "a/mu": a / mu}.get(rec.get("prefactor"))
         if form != "p" and P is None:
             raise ValueError("zeta record needs prefactor a*mu or a/mu")
-        while good < points and attempts < points * 30:
-            attempts += 1
-            q = rng.uniform(0.15, 1.6) * rng.choice((1.0, -1.0))
-            try:
-                p, p2 = wz.weierstrass_p_with_second(mu * (q + c1), g3, "dd")
-            except EvalDomainError:
-                continue
+
+        def rel(q):
+            p, p2 = wz.weierstrass_p_with_second(mu * (q + c1), g3, "dd")
             if abs(p) > 50:
-                continue
+                raise EvalDomainError("wp too large at sample")
             if form == "p":  # f = wp/mu, f'' = mu wp''
                 terms = (6 * (p / mu) ** 2, a * mu * p2)
             else:
                 terms = (6 * (P * mu * p) ** 2, -a * P * mu ** 3 * p2)
-            worst = max(worst, float(abs(sum(terms)) / (1 + sum(map(abs, terms)))))
-            good += 1
-    if good == 0:
-        raise EvalDomainError("all Weierstrass sample points rejected")
-    return worst, good
+            return float(abs(sum(terms)) / (1 + sum(map(abs, terms))))
+
+        return _worst(sampled(rel, 1, points, points * 30, seed, (0.15, 1.6)),
+                      "all Weierstrass sample points rejected")
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,19 @@ class TestVerify:
         assert rc == 0
         assert "records as expected" in out
 
+    @pytest.mark.parametrize("argv, digest", [
+        (("--seed", "0"),
+         "557ff443730ca78698e8da95082d84d66914cdd143121f10766563fe5d84e157"),
+        (("--seed", "7", "--precision", "dd"),
+         "4adb71d6f8f40f87c8b1a8fe20ba3fa453e8e010e1d308fbbf34505dd93652e2"),
+    ])
+    def test_output_is_byte_stable(self, capsys, argv, digest):
+        # the sampled max_rel digits and "over N pts" counts every earlier
+        # version printed (independent of PYTHONHASHSEED)
+        rc, out, _ = run(capsys, "verify", *argv)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_empty_catalog_vacuous(self, capsys, tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("# nothing here\n")

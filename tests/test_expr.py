@@ -147,6 +147,21 @@ def test_reset_session_forgets_normal_forms():
     assert atom.kind == KIND_ANSATZ
 
 
+def test_walks_leave_no_cyclic_garbage():
+    # a rewrite or derivation frees its memo by reference counting alone,
+    # so peak memory does not wait for the cycle collector
+    import gc
+    e = parse("(x^3*y + tanh(x*y))^3*exp(x) + sech(x)^2*y")
+    gc.collect()
+    gc.disable()
+    try:
+        differentiate(e, x)
+        substitute(e, {x: add(y, t)})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestEvalNumeric:
     def test_tanh_zero(self):
         assert eval_numeric(fun("tanh", rat(0)), {}) == 0.0

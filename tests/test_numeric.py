@@ -1,4 +1,5 @@
-"""Compiled claim callables against a recursive evaluator of the stored tree."""
+"""Compiled claim callables against a recursive evaluator of the stored tree,
+and the one seeded sampler."""
 
 import operator
 from functools import reduce
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liesym import add, fun, mul, parse, pow_, rat, symbol
-from liesym.expr import ExprError, Fun, Mul, Pow, Rat, Sym
+from liesym.expr import EvalDomainError, ExprError, Fun, Mul, Pow, Rat, Sym
 from liesym.numeric import (
-    DD_PREC, DOMAIN_ERRORS, _BACKENDS, compile_terms, eval_numeric,
+    DD_PREC, DOMAIN_ERRORS, _BACKENDS, compile_terms, eval_numeric, sampled,
 )
 
 _syms = [symbol(n, "independent-variable") for n in ("x", "y", "t")]
@@ -127,3 +128,65 @@ def test_dd_inputs_enter_exactly():
     with mpmath.workprec(DD_PREC):
         assert v == mpmath.mpf(1) / 3
     assert isinstance(v, mpmath.mpf)
+
+
+class TestSampled:
+    BOX = (0.5, 1.5)
+
+    def test_stops_at_points_or_budget(self):
+        calls = []
+
+        def fn(*draw):
+            calls.append(draw)
+            return draw
+
+        assert len(list(sampled(fn, 2, 5, 100, 0, self.BOX))) == 5
+        assert len(calls) == 5
+        calls.clear()
+        assert len(list(sampled(fn, 2, 50, 7, 0, self.BOX))) == 7
+        assert len(calls) == 7
+        assert all(len(d) == 2 for d in calls)
+
+    def test_values_are_signed_magnitudes_in_the_box(self):
+        vals = [v for d in sampled(lambda *d: d, 3, 50, 50, 1, self.BOX) for v in d]
+        assert all(0.5 <= abs(v) <= 1.5 for v in vals)
+        assert min(vals) < 0 < max(vals)
+
+    def test_rejected_draw_uses_budget(self):
+        full = list(sampled(lambda v: v, 1, 9, 9, 0, self.BOX))
+        calls = []
+
+        def every_other(v):
+            calls.append(v)
+            if len(calls) % 2:
+                raise EvalDomainError("rejected")
+            return v
+
+        out = list(sampled(every_other, 1, 10, 9, 0, self.BOX))
+        # nine draws are spent, and a rejection does not shift the stream
+        assert calls == full and out == full[1::2]
+
+    def test_same_seed_same_stream(self):
+        def stream(seed):
+            return list(sampled(lambda *d: d, 3, 20, 20, seed, self.BOX))
+
+        assert stream(5) == stream(5)
+        assert stream(5) != stream(6)
+
+    @pytest.mark.parametrize("exc", DOMAIN_ERRORS)
+    def test_always_raising_yields_nothing(self, exc):
+        calls = []
+
+        def fn(*draw):
+            calls.append(draw)
+            raise exc("no value here")
+
+        assert list(sampled(fn, 2, 5, 12, 0, self.BOX)) == []
+        assert len(calls) == 12
+
+    def test_other_errors_propagate(self):
+        def fn(*draw):
+            raise KeyError("not a domain error")
+
+        with pytest.raises(KeyError):
+            next(sampled(fn, 1, 5, 10, 0, self.BOX))
