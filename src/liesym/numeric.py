@@ -194,23 +194,28 @@ def eval_numeric(e: Expr, env: dict, precision: str = "double",
                  complex_mode: bool = False):
     """Evaluate at a point; env maps symbols (or their names) to numbers."""
     fn, syms = compile_terms((e,), precision, complex_mode)
-    try:
-        vals = [env[s] if s in env else env[s.name] for s in syms]
-    except KeyError as exc:
-        raise EvalDomainError(f"unbound symbol {exc.args[0]!r}") from None
+    vals = []
+    for s in syms:
+        if s in env:
+            vals.append(env[s])
+        elif s.name in env:
+            vals.append(env[s.name])
+        else:
+            raise EvalDomainError(f"unbound symbol {s.name!r}")
     try:
         return fn(*vals)[0]
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
         raise EvalDomainError(str(exc)) from None
 
 
-def sampled(fn, nfree: int, points: int, budget: int, seed: int, box):
+def sampled(fn, nfree: int, points: int, budget: int, seed: int, box,
+            reject=DOMAIN_ERRORS):
     """Yield fn(*draw) for seeded draws of nfree values each.
 
     Every value is uniform in the magnitude range box with a random sign.
-    A draw is rejected exactly when fn raises one of DOMAIN_ERRORS, and a
-    rejected draw still uses up budget.  Stops after points accepted draws
-    or budget draws, whichever comes first.
+    A draw is rejected exactly when fn raises one of reject, and a rejected
+    draw still uses up budget; any other exception propagates.  Stops after
+    points accepted draws or budget draws, whichever comes first.
     """
     rng = random.Random(seed)
     for _ in range(budget):
@@ -219,7 +224,7 @@ def sampled(fn, nfree: int, points: int, budget: int, seed: int, box):
         draw = [rng.uniform(*box) * rng.choice((1.0, -1.0)) for _ in range(nfree)]
         try:
             out = fn(*draw)
-        except DOMAIN_ERRORS:
+        except reject:
             continue
         points -= 1
         yield out
@@ -245,7 +250,11 @@ def random_equiv(e1: Expr, e2: Expr, trials: int = 64, tol: float = 1e-9,
             raise EvalDomainError("value too large at sample")
         return not abs(v1 - v2) > tol * (1 + max(abs(v1), abs(v2)))  # nan passes
 
-    verdicts = list(sampled(close, len(syms), trials, trials * 4, seed, box))
-    if not verdicts:
+    good = 0
+    for ok in sampled(close, len(syms), trials, trials * 4, seed, box):
+        if not ok:
+            return False
+        good += 1
+    if good == 0:
         raise SamplingError("all sampled points hit singularities")
-    return all(verdicts)
+    return True

@@ -52,8 +52,15 @@ def _numeric_residual(terms, params, points, seed, precision,
                       complex_mode=False, box=(0.5, 2.5)):
     """Max of |sum terms| / (1 + sum |terms|) over seeded sample points."""
     fn, syms = compile_terms(terms, precision, complex_mode)
-    args = [params.get(s.name, 1j if s.name == "i" else None) for s in syms]
-    free = [k for k, v in enumerate(args) if v is None]
+    args = [None] * len(syms)
+    free = []
+    for k, s in enumerate(syms):
+        if s.name in params:
+            args[k] = params[s.name]
+        elif s.name == "i":
+            args[k] = 1j
+        else:
+            free.append(k)
 
     def rel(*draw):
         for k, v in zip(free, draw):
@@ -88,9 +95,17 @@ def substituted_terms(equation: Expr, f: Expr, variables, dep: str) -> list:
 def residual(f: Expr, pde: PDE, params=None, points: int = 100,
              tol: float = 1e-9, seed: int = 0, precision: str = "double",
              complex_mode: bool = False) -> ResidualReport:
-    """Substitute f into the equation; decide symbolically, sample numerically."""
-    return ode_residual(f, pde.delta, pde.vars, pde.dep, params, points, tol,
-                        seed, precision, complex_mode)
+    """Substitute f into the equation; decide symbolically, sample numerically.
+
+    Unlike a reduced-equation claim, a solution is never accepted formally:
+    one that holds unknown functions or unbound jets raises EvalDomainError.
+    """
+    rep = ode_residual(f, pde.delta, pde.vars, pde.dep, params, points, tol,
+                       seed, precision, complex_mode)
+    if rep.detail.get("formal"):
+        raise EvalDomainError("solution holds unknown functions or jets; "
+                              "no point can be sampled")
+    return rep
 
 
 def residual_condition(f: Expr, pde: PDE, condition: Expr):
@@ -299,7 +314,8 @@ def weierstrass_claim_residual(rec: Record, points: int = 40, seed: int = 0):
                 terms = (6 * (P * mu * p) ** 2, -a * P * mu ** 3 * p2)
             return float(abs(sum(terms)) / (1 + sum(map(abs, terms))))
 
-        return _worst(sampled(rel, 1, points, points * 30, seed, (0.15, 1.6)),
+        return _worst(sampled(rel, 1, points, points * 30, seed, (0.15, 1.6),
+                              reject=EvalDomainError),
                       "all Weierstrass sample points rejected")
 
 

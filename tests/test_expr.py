@@ -214,6 +214,19 @@ class TestRandomEquiv:
         e2 = parse("x*y/(6*t) + 1/1000")
         assert not random_equiv(e1, e2, 32, 1e-9)
 
+    def test_stops_at_first_mismatch(self, monkeypatch):
+        from liesym import numeric
+        real, drawn = numeric.sampled, []
+
+        def counting(*args, **kw):
+            for v in real(*args, **kw):
+                drawn.append(v)
+                yield v
+
+        monkeypatch.setattr(numeric, "sampled", counting)
+        assert not random_equiv(parse("x"), parse("x + 1"), 32, 1e-9)
+        assert drawn == [False]
+
     def test_all_singular_reported(self):
         from liesym.numeric import SamplingError
         # sqrt(-1 - x^2) has no real value anywhere in the sampling box

@@ -190,3 +190,15 @@ class TestSampled:
 
         with pytest.raises(KeyError):
             next(sampled(fn, 1, 5, 10, 0, self.BOX))
+
+    def test_reject_narrows_the_rejected_errors(self):
+        def fn(kind):
+            def raising(*draw):
+                raise kind("no value here")
+            return raising
+
+        assert list(sampled(fn(EvalDomainError), 1, 5, 10, 0, self.BOX,
+                            reject=EvalDomainError)) == []
+        with pytest.raises(ZeroDivisionError):
+            next(sampled(fn(ZeroDivisionError), 1, 5, 10, 0, self.BOX,
+                         reject=EvalDomainError))

@@ -7,10 +7,13 @@ from liesym.catalog import (
     load_catalog, parse_catalog, solution_context,
     undeclared_divisors,
 )
+from liesym.expr import EvalDomainError
 from liesym.parse import ParseContext
+from liesym import verify as verify_mod
 from liesym.verify import (
-    ReductionAnsatz, check_reduction, ode_condition, ode_residual, residual,
-    residual_condition, verify_catalog, verify_record,
+    ReductionAnsatz, _numeric_residual, check_reduction, ode_condition,
+    ode_residual, residual, residual_condition, verify_catalog, verify_record,
+    weierstrass_claim_residual,
 )
 from liesym.normal import canonical
 
@@ -186,6 +189,36 @@ class TestCatalog:
         res = verify_record(rec, pde, points=5)
         assert res.status == "error"
         assert res.detail.startswith(kind)
+
+    @pytest.mark.parametrize("kind", ["solution", "solution-complex"])
+    def test_solution_with_unknown_function_is_an_error_row(self, pde, kind):
+        # a solution is sampled, never accepted formally; no point of F(x)
+        # can be evaluated, so this must not read as verified over 0 points
+        rec = parse_catalog(f"[uf]\nkind: {kind}\nclaim: F(x) + y\nexpected: zero\n")[0]
+        res = verify_record(rec, pde, points=5)
+        assert res.status == "error"
+        assert res.detail.startswith("EvalDomainError: ")
+        with pytest.raises(EvalDomainError):
+            residual(parse("F(x) + y", solution_context()), pde, points=5)
+
+    def test_overflowing_complex_terms_are_rejected_points(self):
+        # |a + a*i| overflows a double; such a point's scale is above 1e12,
+        # so it is rejected like one, not raised as OverflowError
+        terms = (parse("a + a*i", solution_context()),)
+        with pytest.raises(EvalDomainError, match="all residual sample points"):
+            _numeric_residual(terms, {"a": 1e308}, 5, 0, "double", complex_mode=True)
+
+    @pytest.mark.parametrize("exc", [EvalDomainError, ZeroDivisionError])
+    def test_weierstrass_rejects_only_domain_errors(self, by_name, monkeypatch, exc):
+        # only EvalDomainError rejects a point; any other error propagates
+        def failing(*args):
+            raise exc("no value here")
+
+        monkeypatch.setattr(verify_mod.wz, "weierstrass_p_with_second", failing)
+        with pytest.raises(exc) as got:
+            weierstrass_claim_residual(by_name["wp-equianharmonic"], points=5)
+        if exc is EvalDomainError:
+            assert "all Weierstrass sample points rejected" in str(got.value)
 
     @pytest.mark.parametrize("text", [
         "kind: solution\nclaim: u_x*y\nexpected: conditional\ncondition: y",
