@@ -4,21 +4,22 @@ The symmetry condition with generic unknown infinitesimals is restricted
 to the solution manifold and split by monomials in derivative jets; each
 coefficient is one linear constraint.  A degree-bounded polynomial
 ansatz turns the constraints into an exact rational linear system whose
-nullspace is the symmetry algebra.
+nullspace is the symmetry algebra.  The constraints are linear in the
+unknowns and a derivative of a monomial is a monomial, so the system is
+assembled as sparse rows straight from monomial exponents.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .expr import (
-    Expr, Jet, KIND_ANSATZ, KIND_INDEP, Rat, Sym, Ufunc,
-    add, jet, mul, rat, rewrite, substitute, symbol,
+    Expr, Jet, KIND_INDEP, Rat, Ufunc, add, jet, mul, rewrite, substitute, symbol,
 )
 from .jets import PDE, VectorField, jet_bindings, restrict_on_shell, symmetry_condition
-from .normal import NF, as_expr, is_zero, mono_key, normalize, _primitive
+from .normal import NF, as_expr, is_zero, mono_key, normalize, _mono, _primitive
 from . import linalg
 
 
@@ -113,35 +114,24 @@ def extract_determining(pde: PDE) -> DeterminingSystem:
 # polynomial ansatz
 
 class PolyAnsatz:
-    """Degree-bounded polynomial forms for every unknown infinitesimal."""
+    """Degree-bounded polynomial forms for every unknown infinitesimal.
+
+    `monomials` are exponent tuples over `sys.coords`: 1, then each degree
+    in combinations_with_replacement order.  Column f * len(monomials) + m
+    holds the coefficient of monomial m in unknown f.
+    """
 
     def __init__(self, sys: DeterminingSystem, degree: int):
         if degree < 1:
             raise ValueError("ansatz degree must be >= 1")
         self.degree = degree
         self.sys = sys
-        self.monomials = _monomials_upto(sys.coords, degree)
-        self.coeffs = []
-        self.polys = {}
-        for fi, name in enumerate(sys.unknowns):
-            row = []
-            for mi, m in enumerate(self.monomials):
-                a = symbol(f"a{fi}c{mi}", KIND_ANSATZ)
-                row.append(a)
-                self.coeffs.append(a)
-            self.polys[name] = add(*(mul(a, m) for a, m in zip(row, self.monomials)))
-
-    def poly_with(self, name: str, values: dict) -> Expr:
-        return substitute(self.polys[name], values)
-
-
-@lru_cache(maxsize=None)
-def _monomials_upto(coords, degree):
-    out = [rat(1)]
-    for d in range(1, degree + 1):
-        for combo in combinations_with_replacement(coords, d):
-            out.append(mul(*combo))
-    return tuple(out)
+        n = len(sys.coords)
+        self.monomials = [(0,) * n]
+        for d in range(1, degree + 1):
+            for combo in combinations_with_replacement(range(n), d):
+                self.monomials.append(tuple(map(combo.count, range(n))))
+        self.ncols = len(sys.unknowns) * len(self.monomials)
 
 
 class SymmetryBasis:
@@ -160,49 +150,56 @@ class SymmetryBasis:
 
 def solve_poly_ansatz(sys: DeterminingSystem, ansatz: PolyAnsatz,
                       pde: PDE = None) -> SymmetryBasis:
-    """Exact nullspace of the constraint system on the ansatz coefficients."""
-    bindings = jet_bindings(sys.constraints, ansatz.polys, sys.coords)
-    coeff_index = {a: i for i, a in enumerate(ansatz.coeffs)}
-    ncols = len(ansatz.coeffs)
+    """Exact nullspace of the constraint system on the ansatz coefficients.
+
+    Every normal-form term of a constraint is c * rest * f_J for exactly one
+    unknown jet f_J.  The J-th derivative of the ansatz monomial x^e is
+    prod(perm(e_i, J_i)) * x^(e - J), so the term adds that multiple of c to
+    column (f, e) of the row keyed by (constraint, rest * x^(e - J)).
+    """
+    unknowns = {name: i for i, name in enumerate(sys.unknowns)}
+    names = [s.name for s in sys.coords]
+    nmono = len(ansatz.monomials)
     rows: dict = {}
-    for constraint in sys.constraints:
-        e = substitute(constraint, bindings)
-        n = normalize(e)
-        for mono, c in n.terms.items():
-            a_sym = None
-            label = []
-            for atom, q in mono:
-                if type(atom) is Sym and atom.kind == KIND_ANSATZ:
-                    if a_sym is not None or q != 1:
-                        raise ValueError("constraint is not linear in the ansatz")
-                    a_sym = atom
-                else:
-                    label.append((atom, q))
-            if a_sym is None:
+    for k, constraint in enumerate(sys.constraints):
+        for mono, c in normalize(constraint).terms.items():
+            rest = dict(mono)
+            fjets = [a for a in rest if type(a) is Jet and a.dep in unknowns]
+            if not fjets:
                 raise ValueError("constant term in a homogeneous constraint")
-            key = (constraint, tuple(label))
-            row = rows.setdefault(key, [Fraction(0)] * ncols)
-            row[coeff_index[a_sym]] += c
-    matrix = [rows[k] for k in sorted(rows, key=lambda k: (str(k[0]), mono_key(k[1])))]
-    vectors = linalg.nullspace(matrix, ncols)
-    fields = []
+            if len(fjets) > 1 or rest.pop(fjets[0]) != 1:
+                raise ValueError("constraint is not linear in the unknowns")
+            J = dict(fjets[0].idx)
+            order = [J.get(n, 0) for n in names]
+            base = unknowns[fjets[0].dep] * nmono
+            for m, e in enumerate(ansatz.monomials):
+                scale = math.prod(map(math.perm, e, order))
+                if not scale:
+                    continue
+                entries = dict(rest)
+                for s, ei, ji in zip(sys.coords, e, order):
+                    entries[s] = entries.get(s, 0) + ei - ji
+                row = rows.setdefault((k, _mono(entries)), {})
+                row[base + m] = row.get(base + m, 0) + c * scale
+    vectors = linalg.nullspace(list(rows.values()), ansatz.ncols)
+    dep = pde.dep if pde else "u"
     nvars = len(sys.coords) - 1
+    atoms = (*sys.coords[:nvars], jet(dep, ()))
+    monos = [mul(*(a for a, n in zip(atoms, e) for _ in range(n)))
+             for e in ansatz.monomials]
+    fields = []
     for v in vectors:
-        values = dict(zip(ansatz.coeffs, (Rat(x) for x in v)))
-        comps = [ansatz.poly_with(name, values) for name in sys.unknowns]
-        u_sym = sys.coords[-1]
-        u_jet = jet((pde.dep if pde else "u"), ())
-        comps = [substitute(c, {u_sym: u_jet}) for c in comps]
-        fields.append(VectorField(comps[:nvars], comps[nvars],
-                                  sys.coords[:nvars], pde.dep if pde else "u"))
+        comps = [add(*(mul(Rat(x), m) for x, m in zip(v[f:f + nmono], monos) if x))
+                 for f in range(0, ansatz.ncols, nmono)]
+        fields.append(VectorField(comps[:nvars], comps[nvars], sys.coords[:nvars], dep))
     return SymmetryBasis(fields, ansatz, vectors)
 
 
 # ---------------------------------------------------------------------------
 # membership
 
-def _field_vector(V: VectorField, keys=None):
-    """Coefficient vector of a polynomial field over (slot, monomial) keys."""
+def _field_vector(V: VectorField):
+    """Coefficients of a polynomial field, keyed by (slot, monomial)."""
     u_sym = symbol(V.dep, KIND_INDEP)
     entries = {}
     for slot, c in enumerate((*V.xi, V.eta)):
@@ -216,21 +213,20 @@ def _field_vector(V: VectorField, keys=None):
 
 
 def check_membership(basis: SymmetryBasis, V: VectorField):
-    """Exact rational coordinates of V in the basis, or None."""
-    vecs = [_field_vector(B) for B in basis.fields]
+    """Exact rational coordinates of V in the basis, or None.
+
+    One row {basis index: coefficient} per (slot, monomial) key; the
+    kernel's exact RREF makes any solution it returns a true one.
+    """
+    rows: dict = {}
+    for i, B in enumerate(basis.fields):
+        for key, c in _field_vector(B).items():
+            rows.setdefault(key, {})[i] = c
     target = _field_vector(V)
-    keys = sorted(set().union(*[set(v) for v in vecs + [target]]),
-                  key=lambda k: (k[0], mono_key(k[1])))
-    rows = [[v.get(k, Fraction(0)) for v in vecs] for k in keys]
-    rhs = [target.get(k, Fraction(0)) for k in keys]
-    coords = linalg.lin_solve(rows, rhs)
-    if coords is None:
-        return None
-    # lin_solve zeroes free unknowns; verify exactly
-    for k, row, b in zip(keys, rows, rhs):
-        if sum((r * c for r, c in zip(row, coords)), Fraction(0)) != b:
-            return None
-    return coords
+    for key in target:
+        rows.setdefault(key, {})
+    return linalg.lin_solve(list(rows.values()), [target.get(k, 0) for k in rows],
+                            len(basis.fields))
 
 
 def is_symmetry(V: VectorField, pde: PDE) -> bool:

@@ -41,7 +41,6 @@ class EvalDomainError(ExprError):
 KIND_INDEP = "independent-variable"
 KIND_PARAM = "parameter"
 KIND_GROUP = "group-parameter"
-KIND_ANSATZ = "ansatz-coefficient"
 
 # elementary functions (sqrt is folded into rational powers at parse time)
 ELEMENTARY = ("tanh", "sech", "sinh", "cosh", "exp")
@@ -521,10 +520,9 @@ def reset_session():
     Symbols compare by name only, so a memo that outlived the registry could
     hand back an atom of the kind a name had before the reset.
     """
-    from . import detsys, jets, normal
+    from . import jets, normal
     _registry.clear()
-    for cached in (skey, free_symbols, free_jets, ufunc_names, normal.normalize,
-                   detsys._monomials_upto):
+    for cached in (skey, free_symbols, free_jets, ufunc_names, normal.normalize):
         cached.cache_clear()
     jets._prolong_memo.clear()
 

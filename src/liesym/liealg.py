@@ -128,10 +128,9 @@ def commutator_table(basis: SymmetryBasis) -> CommutatorTable:
 
 
 def linearly_independent(fields) -> bool:
-    vecs = [_field_vector(V) for V in fields]
-    keys = sorted(set().union(*[set(v) for v in vecs]),
-                  key=lambda k: (k[0], str(k[1])))
-    rows = [[v.get(k, Fraction(0)) for k in keys] for v in vecs]
+    cols: dict = {}
+    rows = [{cols.setdefault(k, len(cols)): c for k, c in _field_vector(V).items()}
+            for V in fields]
     return linalg.rank(rows) == len(fields)
 
 

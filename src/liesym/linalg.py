@@ -1,8 +1,9 @@
 """Exact rational linear algebra: one sparse reduced-row-echelon kernel.
 
-Rows are held as dicts (column -> nonzero Fraction).  Zero rows and rows
-equal up to a nonzero factor are dropped while the input is converted,
-and each new row is reduced against the pivot rows found so far, so the
+A row is a dict (column -> number); absent columns are zero, and the
+numbers may be int or Fraction.  Zero rows and rows equal up to a
+nonzero factor are dropped while the input is converted to Fraction, and
+each new row is reduced against the pivot rows found so far, so the
 result is the unique reduced row echelon form of the row space.  Its
 pivot columns are the ones greedy column-order elimination picks.
 `nullspace`, `rank` and `lin_solve` read their answers off that form.
@@ -12,15 +13,13 @@ No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count
 
 
 def _distinct_rows(rows):
     """Nonzero rows scaled to a leading 1, each line of the row space once."""
     seen = {}
     for r in rows:
-        # inputs are ~99% zeros: compress filters them faster than enumerate
-        row = {j: Fraction(r[j]) for j in compress(count(), r)}
+        row = {j: Fraction(r[j]) for j in sorted(r) if r[j]}
         if row:
             lead = row[next(iter(row))]
             seen.setdefault(tuple((j, c / lead) for j, c in row.items()), None)
@@ -59,26 +58,22 @@ def _rref(rows) -> dict:
     return pivots
 
 
-def nullspace(rows, ncols=None):
-    """Rational basis of the right nullspace of the row list.
+def nullspace(rows, ncols):
+    """Rational basis of the right nullspace of rows over columns 0..ncols-1.
 
     One vector per free column f: v[f] = 1, v[c] = -R[c][f] on each pivot
     column c, scaled so the first nonzero coefficient is 1, and sorted.
+    The vectors are dense lists of length ncols.
     """
-    if rows:
-        ncols = ncols or len(rows[0])
     pivots = _rref(rows)
     basis = []
-    for f in range(ncols or 0):
+    for f in range(ncols):
         if f in pivots:
             continue
-        v = [Fraction(0)] * ncols
+        v = {c: -p[f] for c, p in pivots.items() if f in p}
         v[f] = Fraction(1)
-        for c, p in pivots.items():
-            if f in p:
-                v[c] = -p[f]
-        lead = next(x for x in v if x != 0)
-        basis.append([x / lead for x in v])
+        lead = v[min(v)]
+        basis.append([v.get(j, 0) / lead for j in range(ncols)])
     basis.sort(key=lambda v: (tuple(i for i, x in enumerate(v) if x != 0),
                               tuple(v)))
     return basis
@@ -88,15 +83,13 @@ def rank(rows) -> int:
     return len(_rref(rows))
 
 
-def lin_solve(rows, rhs):
-    """One exact solution of rows * x = rhs (free unknowns at 0), or None."""
-    if not rows:
-        return []
-    cols = len(rows[0])
-    pivots = _rref([list(r) + [b] for r, b in zip(rows, rhs)])
-    if cols in pivots:      # a pivot in the right-hand side: 0 = 1
+def lin_solve(rows, rhs, ncols):
+    """One exact solution of rows * x = rhs (free unknowns at 0), or None.
+
+    x has length ncols; with no rows it is the zero vector.
+    """
+    pivots = _rref([{**r, ncols: b} for r, b in zip(rows, rhs)])
+    if ncols in pivots:      # a pivot in the right-hand side: 0 = 1
         return None
-    x = [Fraction(0)] * cols
-    for c, p in pivots.items():
-        x[c] = p.get(cols, Fraction(0))
-    return x
+    return [pivots[c].get(ncols, Fraction(0)) if c in pivots else Fraction(0)
+            for c in range(ncols)]

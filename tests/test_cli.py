@@ -59,6 +59,14 @@ class TestSolve:
         dim = int(out.splitlines()[0].split()[1])
         assert dim != 10
 
+    def test_output_is_byte_stable(self, capsys):
+        # the basis every earlier version printed, the same text at degrees
+        # 1-4 (independent of PYTHONHASHSEED)
+        rc, out, _ = run(capsys, "solve", "--degree", "3")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fa5997ca0eb038aefc7cc4f13335b34721a50dda59fbd42eb52c1084c9958ae9")
+
 
 class TestTable:
     def test_golden_match(self, capsys):
@@ -69,6 +77,13 @@ class TestTable:
     def test_solved_basis_closed(self, capsys):
         rc, out, _ = run(capsys, "table", "--basis", "solve", "--degree", "1")
         assert rc == 0
+
+    def test_solved_basis_output_is_byte_stable(self, capsys):
+        # the table of the solved basis every earlier version printed
+        rc, out, _ = run(capsys, "table", "--basis", "solve")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1bddc1a592d1ce1ffdc4b5a0f59a4bcf38c2b28a219cd998d63c895e5e89eabd")
 
     def test_mismatching_golden_fails(self, capsys, tmp_path):
         golden = tmp_path / "wrong.golden"

@@ -1,15 +1,18 @@
 """Determining-system extraction and the exact polynomial-ansatz solver."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from liesym import parse, rat
+from liesym import add, jet, mul, normalize, parse, rat, substitute, symbol
 from liesym.detsys import (
-    PolyAnsatz, check_membership, extract_determining, is_symmetry, reference_system, satisfies_system, solve_poly_ansatz,
-    systems_equivalent, )
-from liesym.jets import VectorField
+    DeterminingSystem, PolyAnsatz, check_membership, extract_determining, is_symmetry, reference_system,
+    satisfies_system, solve_poly_ansatz, systems_equivalent, )
+from liesym.expr import KIND_INDEP
+from liesym.jets import VectorField, jet_bindings, load_pde
+from liesym.parse import ParseContext
 from liesym import linalg
 
 
@@ -85,8 +88,8 @@ class TestSolver:
     def test_ansatz_coefficient_count(self, system):
         a1 = PolyAnsatz(system, 1)
         a2 = PolyAnsatz(system, 2)
-        assert len(a1.coeffs) == 5 * 6       # 5 * C(6,1)
-        assert len(a2.coeffs) == 5 * 21      # 5 * C(7,2)
+        assert a1.ncols == 5 * 6       # 5 * C(6,1)
+        assert a2.ncols == 5 * 21      # 5 * C(7,2)
 
     def test_dimension_degree_3(self, pde, system, basis):
         # no cubic infinitesimals appear either: the published ten span it
@@ -94,6 +97,107 @@ class TestSolver:
         assert basis_d3.dimension == 10
         for V in basis.fields:
             assert check_membership(basis_d3, V) is not None
+
+    def test_dimension_degree_4(self, pde, system, basis):
+        basis_d4 = solve_poly_ansatz(system, PolyAnsatz(system, 4), pde)
+        assert basis_d4.dimension == 10
+        for V in basis.fields:
+            assert check_membership(basis_d4, V) is not None
+
+
+def _symbolic_nullspace(system, degree):
+    """The assembly by substitution, kept as a reference for the sparse one.
+
+    Whole ansatz polynomials with one coefficient symbol per column, jets
+    bound by differentiating them, every constraint normalized, and one
+    dense row per (constraint, monomial without its coefficient symbol).
+    """
+    monos = [rat(1)] + [mul(*combo) for d in range(1, degree + 1)
+                        for combo in combinations_with_replacement(system.coords, d)]
+    coeffs, polys = [], {}
+    for f, name in enumerate(system.unknowns):
+        row = [symbol(f"ansatz{f}_{m}") for m in range(len(monos))]
+        coeffs += row
+        polys[name] = add(*(mul(a, m) for a, m in zip(row, monos)))
+    index = {a: i for i, a in enumerate(coeffs)}
+    bindings = jet_bindings(system.constraints, polys, system.coords)
+    rows = {}
+    for constraint in system.constraints:
+        for mono, c in normalize(substitute(constraint, bindings)).terms.items():
+            ((a, q),) = [(atom, q) for atom, q in mono if atom in index]
+            assert q == 1
+            label = tuple(p for p in mono if p[0] != a)
+            row = rows.setdefault((constraint, label), [Fraction(0)] * len(coeffs))
+            row[index[a]] += c
+    return linalg.nullspace(_sparse(rows.values()), len(coeffs))
+
+
+_COORDS = tuple(symbol(n, KIND_INDEP) for n in ("x", "t", "u"))
+_UNKNOWNS = ("xi1", "xi2", "eta")
+
+
+@st.composite
+def _linear_systems(draw):
+    """Random constraints sum c * (coordinate monomial) * (unknown jet)."""
+    def term():
+        c = draw(st.integers(-3, 3).filter(bool))
+        mono = draw(st.lists(st.sampled_from(_COORDS), max_size=2))
+        idx = draw(st.lists(st.sampled_from("xtu"), max_size=3))
+        return mul(rat(c), *mono, jet(draw(st.sampled_from(_UNKNOWNS)), "".join(idx)))
+    constraints = [add(*(term() for _ in range(draw(st.integers(1, 3)))))
+                   for _ in range(draw(st.integers(1, 4)))]
+    return DeterminingSystem(constraints, _UNKNOWNS, _COORDS), draw(st.integers(1, 3))
+
+
+# xi1_x - x*xi1_xx: both terms reach column (xi1, x^2) of row (0, x) and
+# cancel there, so x^2 d/dx is in the nullspace only if they are summed
+_CANCELLING = DeterminingSystem(
+    [add(jet("xi1", "x"), mul(rat(-1), _COORDS[0], jet("xi1", "xx")))],
+    _UNKNOWNS, _COORDS)
+
+
+class TestAssemblyOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(_linear_systems())
+    @example((_CANCELLING, 2))
+    def test_random_linear_systems(self, case):
+        system, degree = case
+        basis = solve_poly_ansatz(system, PolyAnsatz(system, degree))
+        assert basis.vectors == _symbolic_nullspace(system, degree)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_paper_system(self, pde, system, degree):
+        basis = solve_poly_ansatz(system, PolyAnsatz(system, degree), pde)
+        assert basis.vectors == _symbolic_nullspace(system, degree)
+
+    @pytest.mark.parametrize("text, message", [
+        ("xi1_x*eta", "not linear"),
+        ("x + xi1", "constant term"),
+    ])
+    def test_constraint_outside_the_linear_form(self, text, message):
+        ctx = ParseContext(indep=["x", "t", "u"], deps=_UNKNOWNS)
+        system = DeterminingSystem([parse(text, ctx)], _UNKNOWNS, _COORDS)
+        with pytest.raises(ValueError, match=message):
+            solve_poly_ansatz(system, PolyAnsatz(system, 1))
+
+
+class TestTextbookAlgebras:
+    """Point-symmetry dimensions known independently of this paper (Olver,
+    GTM 107, ch. 2).  The heat equation's algebra grows with the ansatz
+    degree: its finite part plus the heat polynomials beta(x, t) d/du."""
+
+    @pytest.mark.parametrize("vars_, eq, dims", [
+        ("x t", "u_t - u_xx", {1: 6, 2: 8, 3: 10, 4: 11, 5: 12}),
+        ("x t", "u_t + u*u_x + u_xxx", {2: 4}),
+        ("x t", "u_t + u*u_x - u_xx", {2: 5}),
+        ("x y t", "u_t + u*u_x + u_xxx + u_xyy", {2: 5}),
+    ], ids=["heat", "kdv", "burgers", "zakharov-kuznetsov"])
+    def test_dimension(self, vars_, eq, dims):
+        pde = load_pde(f"vars {vars_}\ndep u\neq {eq}\n")
+        system = extract_determining(pde)
+        got = {d: solve_poly_ansatz(system, PolyAnsatz(system, d), pde).dimension
+               for d in dims}
+        assert got == dims
 
 
 class TestMembership:
@@ -143,35 +247,40 @@ class TestOtherEquation:
         assert table.closed and jacobi_check(table.structure_constants())["ok"]
 
 
+def _sparse(rows):
+    """Dense test rows as the {column: value} rows linalg takes."""
+    return [{j: c for j, c in enumerate(r) if c} for r in rows]
+
+
 class TestLinalg:
     def test_nullspace_of_rank_deficient(self):
         rows = [[Fraction(1), Fraction(2), Fraction(3)],
                 [Fraction(2), Fraction(4), Fraction(6)]]
-        ns = linalg.nullspace(rows, 3)
+        ns = linalg.nullspace(_sparse(rows), 3)
         assert len(ns) == 2
         for v in rows:
             for b in ns:
                 assert sum(a * c for a, c in zip(v, b)) == 0
 
     def test_nullspace_normalization(self):
-        ns = linalg.nullspace([[Fraction(0), Fraction(2), Fraction(1)]], 3)
+        ns = linalg.nullspace(_sparse([[Fraction(0), Fraction(2), Fraction(1)]]), 3)
         for v in ns:
             lead = next(c for c in v if c != 0)
             assert lead == 1
 
     def test_rank(self):
-        assert linalg.rank([[1, 2], [2, 4], [1, 0]]) == 2
+        assert linalg.rank(_sparse([[1, 2], [2, 4], [1, 0]])) == 2
 
     def test_solve_inconsistent(self):
-        assert linalg.lin_solve([[1, 0], [1, 0]], [1, 2]) is None
+        assert linalg.lin_solve(_sparse([[1, 0], [1, 0]]), [1, 2], 2) is None
 
     def test_bareiss_matches_fraction_pivots(self):
         import random
         rng = random.Random(5)
         rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)]
                 for _ in range(4)]
-        ns = linalg.nullspace(rows, 5)
-        assert len(ns) == 5 - linalg.rank(rows)
+        ns = linalg.nullspace(_sparse(rows), 5)
+        assert len(ns) == 5 - linalg.rank(_sparse(rows))
         for b in ns:
             for r in rows:
                 assert sum(a * c for a, c in zip(r, b)) == 0
@@ -251,30 +360,29 @@ class TestLinalgOracle:
     @given(_matrices())
     def test_matches_dense_gauss_jordan(self, case):
         rows, ncols, rhs = case
-        ns = linalg.nullspace(rows, ncols)
+        ns = linalg.nullspace(_sparse(rows), ncols)
         assert ns == _oracle_nullspace(rows, ncols)
-        assert linalg.rank(rows) == ncols - len(ns)
-        if not rows:
-            assert linalg.lin_solve(rows, rhs) == []
-            return
+        assert linalg.rank(_sparse(rows)) == ncols - len(ns)
         # consistent by construction, then an arbitrary right-hand side
+        # (with no rows, both ask for the zero vector)
         x0 = [Fraction(j + 1, 2) for j in range(ncols)]
         image = [sum(a * b for a, b in zip(r, x0)) for r in rows]
         for b in (image, rhs):
-            x = linalg.lin_solve(rows, b)
+            x = linalg.lin_solve(_sparse(rows), b, ncols)
             assert x == _oracle_solve(rows, b, ncols)
             if x is not None:
                 assert [sum(a * c for a, c in zip(r, x)) for r in rows] == b
-        assert linalg.lin_solve(rows, image) is not None
+        assert linalg.lin_solve(_sparse(rows), image, ncols) is not None
 
     def test_pivot_in_rhs_column(self):
         # proportional rows with disagreeing right-hand sides: 0 = 1
         rows = [[Fraction(1), Fraction(2)], [Fraction(-2), Fraction(-4)]]
-        assert linalg.lin_solve(rows, [1, -2]) == [Fraction(1), Fraction(0)]
-        assert linalg.lin_solve(rows, [1, 3]) is None
+        assert linalg.lin_solve(_sparse(rows), [1, -2], 2) == [Fraction(1), Fraction(0)]
+        assert linalg.lin_solve(_sparse(rows), [1, 3], 2) is None
         assert _oracle_solve(rows, [1, 3], 2) is None
 
     def test_empty_rows(self):
         assert linalg.nullspace([], 3) == _oracle_nullspace([], 3)
         assert linalg.nullspace([], 3)[0] == [1, 0, 0]
         assert linalg.rank([]) == 0
+        assert linalg.lin_solve([], [], 3) == [0, 0, 0]

@@ -138,13 +138,13 @@ class TestSubstitute:
 
 def test_reset_session_forgets_normal_forms():
     # symbols compare by name, so a stale normal form would keep the old kind
-    from liesym.expr import KIND_ANSATZ, KIND_PARAM, reset_session
+    from liesym.expr import KIND_GROUP, KIND_PARAM, reset_session
     reset_session()
     normalize(symbol("a0c0", KIND_PARAM))
     reset_session()
-    (mono,) = normalize(symbol("a0c0", KIND_ANSATZ)).terms
+    (mono,) = normalize(symbol("a0c0", KIND_GROUP)).terms
     ((atom, _),) = mono
-    assert atom.kind == KIND_ANSATZ
+    assert atom.kind == KIND_GROUP
 
 
 def test_walks_leave_no_cyclic_garbage():
