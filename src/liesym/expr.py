@@ -515,16 +515,16 @@ def symbol(name: str, kind: str = KIND_PARAM) -> Sym:
 
 
 def reset_session():
-    """Forget every symbol and every memo keyed on expressions.
+    """Forget every symbol and every process-wide memo keyed on expressions.
 
     Symbols compare by name only, so a memo that outlived the registry could
-    hand back an atom of the kind a name had before the reset.
+    hand back an atom of the kind a name had before the reset.  A PDE's own
+    memos (prolongation, on-shell jets) live and die with the PDE.
     """
-    from . import jets, normal
+    from . import normal
     _registry.clear()
     for cached in (skey, free_symbols, free_jets, ufunc_names, normal.normalize):
         cached.cache_clear()
-    jets._prolong_memo.clear()
 
 
 # ---------------------------------------------------------------------------

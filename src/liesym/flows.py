@@ -15,8 +15,8 @@ from fractions import Fraction
 from importlib import resources
 
 from .expr import (
-    Expr, Fun, KIND_GROUP, Rat, Sym, add, differentiate, free_symbols, fun,
-    jet, mul, pow_, rat, substitute, symbol,
+    Expr, Fun, KIND_GROUP, Rat, Sym, _rat_exact_pow, add, differentiate,
+    free_symbols, fun, jet, mul, pow_, rat, substitute, symbol,
 )
 from .jets import PDE, VectorField
 from .normal import NF, canonical, is_zero, normalize, nf_div_exact
@@ -229,7 +229,7 @@ def _coordinate_rescale(computed: Expr, published: Expr, w, eps) -> "set | None"
         if mono:
             return set()
         # val must equal c^k
-        c = _rational_root(val, k)
+        c = _rat_exact_pow(val, Fraction(1, k))
         if c is None:
             return set()
         cands = {c} if cands is None else (cands & {c})
@@ -272,22 +272,6 @@ def _eps_poly(nf: NF, eps):
         cur = out.setdefault(k, NF({}))
         cur.terms[tuple(rest)] = cur.terms.get(tuple(rest), Fraction(0)) + c
     return {k: NF(dict(v.terms)) for k, v in out.items() if v.terms}
-
-
-def _rational_root(val: Fraction, k: int):
-    if k == 1:
-        return val
-    from .expr import _int_nth_root
-    neg = val < 0
-    if neg and k % 2 == 0:
-        return None
-    a = abs(val)
-    rn = _int_nth_root(a.numerator, k)
-    rd = _int_nth_root(a.denominator, k)
-    if rn is None or rd is None:
-        return None
-    c = Fraction(rn, rd)
-    return -c if neg else c
 
 
 def compare_flow(g: GroupElement, published_maps, name="g") -> FlowComparison:

@@ -29,6 +29,7 @@ class PDE:
         self.order = max((j.order for j in free_jets(delta) if j.dep == dep),
                          default=0)
         self._onshell_memo: dict = {}
+        self._prolong_memo: dict = {}
         self._lead_rhs = None
 
     def multi_index(self, j: Jet):
@@ -157,14 +158,11 @@ class VectorField:
         return f"<VectorField ({coeffs})>"
 
 
-_prolong_memo: dict = {}
-
-
 def prolongation_coefficient(V: VectorField, index, pde: PDE) -> Expr:
     """eta^J for a multi-index given as counts in pde variable order."""
     index = tuple(int(k) for k in index)
     key = (V, index)
-    got = _prolong_memo.get(key)
+    got = pde._prolong_memo.get(key)
     if got is not None:
         return got
     if not any(index):
@@ -181,7 +179,7 @@ def prolongation_coefficient(V: VectorField, index, pde: PDE) -> Expr:
             uk = _jet_from_counts(pde, prev, extra=vk.name)
             parts.append(mul(rat(-1), uk, total_derivative(V.xi[k], vi)))
         out = add(*parts)
-    _prolong_memo[key] = out
+    pde._prolong_memo[key] = out
     return out
 
 

@@ -257,13 +257,6 @@ def _den_lcm(d1: Monomial, d2: Monomial) -> Monomial:
     return _mono(acc)
 
 
-def _den_sub(d1: Monomial, d2: Monomial) -> Monomial:
-    acc = dict(d1)
-    for a, e in d2:
-        acc[a] = acc.get(a, 0) - e
-    return _mono(acc)
-
-
 def _terms_mul(t1: dict, t2: dict) -> NF:
     """Convolution product of two plain term maps (fraction aware)."""
     acc: dict = {}
@@ -307,8 +300,8 @@ def nf_add(a: NF, b: NF) -> NF:
     if b.is_zero():
         return a
     den = _den_lcm(a.den, b.den)
-    ta = a.terms if a.den == den else _scale_terms(a.terms, _den_sub(den, a.den))
-    tb = b.terms if b.den == den else _scale_terms(b.terms, _den_sub(den, b.den))
+    ta = a.terms if a.den == den else _scale_terms(a.terms, _mono_div(den, a.den))
+    tb = b.terms if b.den == den else _scale_terms(b.terms, _mono_div(den, b.den))
     acc = dict(ta)
     for m, c in tb.items():
         v = acc.get(m, Fraction(0)) + c

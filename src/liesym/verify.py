@@ -31,10 +31,6 @@ class ResidualReport:
         self.precision = precision
         self.detail = detail or {}
 
-    @property
-    def ok(self) -> bool:
-        return self.symbolic == "zero"
-
     def __repr__(self):
         return (f"<residual {self.symbolic}; max_rel={self.max_rel:.3e} "
                 f"over {self.samples} pts ({self.precision})>")
@@ -108,11 +104,6 @@ def residual(f: Expr, pde: PDE, params=None, points: int = 100,
     return rep
 
 
-def residual_condition(f: Expr, pde: PDE, condition: Expr):
-    """Exact multiplier m with residual == m * condition, or None."""
-    return ode_condition(f, pde.delta, pde.vars, pde.dep, condition)
-
-
 # ---------------------------------------------------------------------------
 # reduced equations (ODE / PDE claims with an explicit unknown)
 
@@ -136,6 +127,7 @@ def ode_residual(solution: Expr, equation: Expr, variables, dep: str,
 
 def ode_condition(solution: Expr, equation: Expr, variables, dep: str,
                   condition: Expr):
+    """Exact multiplier m with residual == m * condition, or None."""
     _check_claim(solution, dep)
     terms = substituted_terms(equation, solution, variables, dep)
     return nf_div_exact(normalize(add(*terms)), normalize(condition))
@@ -150,13 +142,6 @@ class ReductionReport:
         self.multiplier = multiplier      # canonical Expr or None
         self.leftover = leftover
         self.numeric = numeric            # proportionality confirmed by sampling
-
-    def __repr__(self):
-        if self.matches and self.numeric:
-            return "<reduction ok, multiplier confirmed numerically>"
-        if self.matches:
-            return f"<reduction ok, multiplier {self.multiplier}>"
-        return "<reduction mismatch>"
 
 
 class ReductionAnsatz:
@@ -334,9 +319,6 @@ class CatalogResult:
     def ok(self) -> bool:
         return self.status == self.expected_status
 
-    def row(self):
-        return (self.name, self.kind, self.status, self.detail)
-
 
 def _expected_status(rec: Record) -> str:
     if rec.expected == "conditional" or rec.expected == "mismatch":
@@ -346,93 +328,85 @@ def _expected_status(rec: Record) -> str:
     return "verified"
 
 
+def _claim_verdict(rec, pde, points, tol, seed, precision):
+    """A closed-form claim substituted into the PDE (solution records) or
+    into the record's own reduced equation (ode records)."""
+    if rec.kind == "ode":
+        ctx = record_context(rec)
+        eqn = parse(rec.get("equation"), ctx)
+        f = parse(rec.get("solution"), ctx)
+        target = (eqn, tuple(ctx.symbol(v) for v in ctx.indep), ctx.deps[0])
+        suffix = ""
+    else:
+        ctx = solution_context()
+        f = parse(rec.get("claim"), ctx)
+        target = (pde.delta, pde.vars, pde.dep)
+        bad = undeclared_divisors(f, rec.nonzero(), ("x", "y", "z", "t", "i"))
+        suffix = f" undeclared-divisors={','.join(bad)}" if bad else ""
+    if rec.expected == "conditional":
+        m = ode_condition(f, *target, parse(rec.get("condition"), ctx))
+        if m is None or m.is_zero():
+            return False, "residual not proportional to condition"
+        return True, (f"residual = ({canonical(as_expr(m))}) * "
+                      f"({rec.get('condition')})" + suffix)
+    if rec.kind == "ode":
+        rep = ode_residual(f, *target, rec.params(), min(points, 60), tol, seed,
+                           precision)
+    else:
+        rep = residual(f, pde, rec.params(), points, tol, seed, precision,
+                       complex_mode=rec.kind == "solution-complex")
+    if rep.symbolic == "zero" and rep.max_rel < tol:
+        return True, f"max_rel={rep.max_rel:.2e}" + suffix
+    if rec.kind == "solution-complex" and rep.max_rel < tol:
+        # complex claims are accepted on numeric evidence alone
+        return True, f"numeric-only max_rel={rep.max_rel:.2e}"
+    return False, f"symbolic={rep.symbolic} max_rel={rep.max_rel:.2e}"
+
+
+def _reduction_verdict(rec, pde, points, tol, seed, precision):
+    rep = check_reduction(ReductionAnsatz(rec, pde))
+    if rec.expected == "mismatch":
+        if rep.matches:
+            return False, f"unexpected match, multiplier {rep.multiplier}"
+        return True, "does not reproduce the claimed equation"
+    if rep.matches:
+        return True, f"multiplier = {rep.multiplier}"
+    return False, f"leftover: {rep.leftover}"
+
+
+def _weierstrass_verdict(rec, pde, points, tol, seed, precision):
+    worst, good = weierstrass_claim_residual(rec, min(points, 40), seed)
+    holds = worst <= 1e-8
+    if rec.expected == "mismatch":
+        if holds:
+            return False, "unexpectedly satisfies the equation"
+        return True, f"max_rel={worst:.2e} (claim fails as printed)"
+    if holds:
+        return True, f"max_rel={worst:.2e} over {good} pts"
+    return False, f"max_rel={worst:.2e}"
+
+
+_VERDICTS = {"solution": _claim_verdict, "solution-complex": _claim_verdict,
+             "ode": _claim_verdict, "reduction": _reduction_verdict,
+             "weierstrass": _weierstrass_verdict}
+
+
+def _unknown_kind(rec, *args):
+    return False, f"unknown record kind {rec.kind!r}"
+
+
 def verify_record(rec: Record, pde: PDE, points=100, tol=1e-9, seed=0,
                   precision="double") -> CatalogResult:
-    kind = rec.kind
+    """The record's expected status when its kind's verdict holds, else
+    falsified; any exception becomes an error row keeping its type."""
     expected = _expected_status(rec)
     try:
-        if kind in ("solution", "solution-complex"):
-            ctx = solution_context()
-            f = parse(rec.get("claim"), ctx)
-            bad = undeclared_divisors(f, rec.nonzero(), ("x", "y", "z", "t", "i"))
-            detail_extra = f" undeclared-divisors={','.join(bad)}" if bad else ""
-            cmplx = kind == "solution-complex"
-            if rec.expected == "conditional":
-                cond = parse(rec.get("condition"), ctx)
-                m = residual_condition(f, pde, cond)
-                if m is not None and not m.is_zero():
-                    return CatalogResult(
-                        rec.name, kind, "flagged", expected,
-                        f"residual = ({canonical(as_expr(m))}) * ({rec.get('condition')})"
-                        + detail_extra)
-                return CatalogResult(rec.name, kind, "falsified", expected,
-                                     "residual not proportional to condition")
-            rep = residual(f, pde, rec.params(), points, tol, seed, precision,
-                           complex_mode=cmplx)
-            if rep.symbolic == "zero" and rep.max_rel < tol:
-                return CatalogResult(rec.name, kind, expected, expected,
-                                     f"max_rel={rep.max_rel:.2e}" + detail_extra)
-            if cmplx and rep.max_rel < tol:
-                # complex claims are accepted on numeric evidence alone
-                return CatalogResult(rec.name, kind, expected, expected,
-                                     f"numeric-only max_rel={rep.max_rel:.2e}")
-            return CatalogResult(rec.name, kind, "falsified", expected,
-                                 f"symbolic={rep.symbolic} max_rel={rep.max_rel:.2e}")
-        if kind == "ode":
-            ctx = record_context(rec)
-            variables = tuple(ctx.symbol(v) for v in ctx.indep)
-            eqn = parse(rec.get("equation"), ctx)
-            sol = parse(rec.get("solution"), ctx)
-            if rec.expected == "conditional":
-                cond = parse(rec.get("condition"), ctx)
-                m = ode_condition(sol, eqn, variables, ctx.deps[0], cond)
-                if m is not None and not m.is_zero():
-                    return CatalogResult(
-                        rec.name, kind, "flagged", expected,
-                        f"residual = ({canonical(as_expr(m))}) * ({rec.get('condition')})")
-                return CatalogResult(rec.name, kind, "falsified", expected,
-                                     "residual not proportional to condition")
-            rep = ode_residual(sol, eqn, variables, ctx.deps[0], rec.params(),
-                               tol=tol, seed=seed, precision=precision)
-            if rep.symbolic == "zero" and rep.max_rel < tol:
-                return CatalogResult(rec.name, kind, expected, expected,
-                                     f"max_rel={rep.max_rel:.2e}")
-            return CatalogResult(rec.name, kind, "falsified", expected,
-                                 f"symbolic={rep.symbolic} max_rel={rep.max_rel:.2e}")
-        if kind == "reduction":
-            ans = ReductionAnsatz(rec, pde)
-            rep = check_reduction(ans)
-            if rec.expected == "mismatch":
-                if not rep.matches:
-                    return CatalogResult(rec.name, kind, "flagged", expected,
-                                         "does not reproduce the claimed equation")
-                return CatalogResult(rec.name, kind, "falsified", expected,
-                                     f"unexpected match, multiplier {rep.multiplier}")
-            if rep.matches:
-                return CatalogResult(rec.name, kind, expected, expected,
-                                     f"multiplier = {rep.multiplier}")
-            return CatalogResult(rec.name, kind, "falsified", expected,
-                                 f"leftover: {rep.leftover}")
-        if kind == "weierstrass":
-            worst, good = weierstrass_claim_residual(rec, points=min(points, 40),
-                                                     seed=seed)
-            w_tol = 1e-8
-            if rec.expected == "mismatch":
-                if worst > w_tol:
-                    return CatalogResult(rec.name, kind, "flagged", expected,
-                                         f"max_rel={worst:.2e} (claim fails as printed)")
-                return CatalogResult(rec.name, kind, "falsified", expected,
-                                     "unexpectedly satisfies the equation")
-            if worst <= w_tol:
-                return CatalogResult(rec.name, kind, expected, expected,
-                                     f"max_rel={worst:.2e} over {good} pts")
-            return CatalogResult(rec.name, kind, "falsified", expected,
-                                 f"max_rel={worst:.2e}")
-        return CatalogResult(rec.name, kind, "falsified", expected,
-                             f"unknown record kind {kind!r}")
+        verdict = _VERDICTS.get(rec.kind, _unknown_kind)
+        holds, detail = verdict(rec, pde, points, tol, seed, precision)
+        status = expected if holds else "falsified"
     except Exception as exc:  # report, never crash the table
-        return CatalogResult(rec.name, kind, "error", expected,
-                             f"{type(exc).__name__}: {exc}")
+        status, detail = "error", f"{type(exc).__name__}: {exc}"
+    return CatalogResult(rec.name, rec.kind, status, expected, detail)
 
 
 def verify_catalog(records, pde: PDE, points=100, tol=1e-9, seed=0,

@@ -20,6 +20,7 @@ from fractions import Fraction
 import mpmath
 
 from .expr import EvalDomainError
+from .numeric import DD_PREC
 
 N_COEFFS = 30
 MAX_DOUBLINGS = 8
@@ -70,7 +71,7 @@ class _Ctx:
 
     def run(self, fn):
         if self.precision == "dd":
-            with mpmath.workprec(106):
+            with mpmath.workprec(DD_PREC):
                 return fn()
         return fn()
 
@@ -176,7 +177,7 @@ def wp_ode_residual(zv, g3, h=1e-5):
     The stencil points are formed at dd precision so the difference
     quotient is not polluted by double rounding of z +- h.
     """
-    with mpmath.workprec(106):
+    with mpmath.workprec(DD_PREC):
         z = mpmath.mpc(zv)
         hh = mpmath.mpf(h)
         p = weierstrass_p(z, g3, "dd")
@@ -186,7 +187,7 @@ def wp_ode_residual(zv, g3, h=1e-5):
 
 def zeta_defining_residual(zv, g3, h=1e-5):
     """Relative residual of zeta' = -wp via extrapolated differences."""
-    with mpmath.workprec(106):
+    with mpmath.workprec(DD_PREC):
         z = mpmath.mpc(zv)
         hh = mpmath.mpf(h)
         zp = first_difference(lambda w: weierstrass_zeta(w, g3, "dd"), z, hh)

@@ -4,7 +4,7 @@ import pytest
 
 from liesym import add, is_zero, mul, parse, rat, to_text
 from liesym.catalog import (
-    load_catalog, parse_catalog, solution_context,
+    Record, load_catalog, parse_catalog, solution_context,
     undeclared_divisors,
 )
 from liesym.expr import EvalDomainError
@@ -12,7 +12,7 @@ from liesym.parse import ParseContext
 from liesym import verify as verify_mod
 from liesym.verify import (
     ReductionAnsatz, _numeric_residual, check_reduction, ode_condition,
-    ode_residual, residual, residual_condition, verify_catalog, verify_record,
+    ode_residual, residual, verify_catalog, verify_record,
     weierstrass_claim_residual,
 )
 from liesym.normal import canonical
@@ -51,7 +51,7 @@ class TestResidual:
         ctx = solution_context()
         f = parse("2*k^2/(alpha1*k + 2*(a*x + b*y))", ctx)
         cond = parse("k^2 - a", ctx)
-        m = residual_condition(f, pde, cond)
+        m = ode_condition(f, pde.delta, pde.vars, pde.dep, cond)
         assert m is not None and not m.is_zero()
 
 
@@ -232,6 +232,40 @@ class TestCatalog:
         res = verify_record(parse_catalog(f"[bad]\n{text}\n")[0], pde, points=5)
         assert res.status == "error"
         assert res.detail.startswith("ValueError: claim contains jets of ")
+
+    @pytest.mark.parametrize("base, text, status, detail", [
+        (None, "kind: foo", "falsified", "unknown record kind 'foo'"),
+        ("red-travelling-wave", "expected: mismatch", "falsified",
+         "unexpected match, multiplier a*b"),
+        ("wp-equianharmonic", "expected: mismatch", "falsified",
+         "unexpectedly satisfies the equation"),
+        (None, "kind: solution\nclaim: x*y/(6*t) + x/1000\nexpected: conditional\n"
+         "condition: k^2 - a", "falsified", "residual not proportional to condition"),
+        (None, "kind: ode\nvars: w\nunknown: R\nequation: R_ww\nsolution: w^3\n"
+         "expected: conditional\ncondition: w", "flagged", "residual = (6) * (w)"),
+    ], ids=["unknown-kind", "reduction-unexpected-match",
+            "weierstrass-unexpected-match", "solution-not-proportional",
+            "ode-conditional"])
+    def test_verdict_rows(self, pde, by_name, base, text, status, detail):
+        # one verdict rule: the expected status when the kind's check holds,
+        # falsified when it does not; text overrides fields of a shipped record
+        fields = dict(by_name[base].fields) if base else {}
+        fields.update(parse_catalog(f"[r]\n{text}\n")[0].fields)
+        res = verify_record(Record("r", fields), pde, points=5)
+        assert (res.status, res.detail) == (status, detail)
+
+    def test_points_reach_ode_records(self, pde, by_name, monkeypatch):
+        # ODE records are sampled at min(points, 60), not always at 60
+        asked, original = [], verify_mod.sampled
+
+        def spy(fn, nfree, points, *args, **kwargs):
+            asked.append(points)
+            return original(fn, nfree, points, *args, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "sampled", spy)
+        res = verify_record(by_name["ode-w2-parabola"], pde, points=5)
+        assert res.status == "verified"
+        assert asked and max(asked) <= 5
 
     def test_weierstrass_records(self, pde, by_name):
         ok = verify_record(by_name["wp-equianharmonic"], pde, points=15)
