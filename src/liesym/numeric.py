@@ -4,14 +4,22 @@
 residual claim, into one generated Python function that returns all of
 their values as a tuple.  The function is straight-line code with one
 local per distinct subtree, so a `tanh(xi)` or a product shared between
-terms is computed once per point.  `eval_numeric` compiles its one term
-per call; callers that evaluate many points compile once themselves and
-draw the points from `sampled`, the one seeded sampler.
+terms is computed once per point.  `compile_residual` appends the
+per-point residual reduction to the same code.  `eval_numeric` compiles
+its one term per call; callers that evaluate many points compile once
+themselves and draw the points from `sampled`, the one seeded sampler.
 
-Backends: double (float/complex) and dd (mpmath real/complex at a fixed
-106-bit precision, the double-double significand budget).  A dd function
-converts its inputs to mpmath numbers exactly in its prologue and runs
-under that precision, so no term is left computing in double.
+Backends: double (float/complex) and dd (106 bits, the double-double
+significand budget).  Real dd code is written as the `mpmath.libmp`
+calls that mpmath's own mpf operators and functions make, on raw
+`_mpf_` tuples at 106 bits rounding to nearest: the same bits as mpf
+arithmetic (mpmath 1.3.0, whose libmp rounding the dd pins in the tests
+hold), without an object or a precision context per operation.
+Its inputs enter exactly in the prologue, so no term is left computing
+in double, and `compile_terms` wraps each result as an mpf once.
+Complex dd stays on mpmath objects under `workprec(106)`: inputs there
+mix real and complex values (the symbol `i` is bound to `1j`), which
+would need a run-time choice between mpf and mpc calls.
 Evaluation order follows the stored tree (Add/Mul fold left), so results
 are deterministic for a fixed backend and do not depend on how terms
 share subtrees.
@@ -22,8 +30,13 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from functools import reduce
 
 import mpmath
+from mpmath import libmp
+from mpmath.libmp import (
+    from_float, from_int, fzero, mpf_div, mpf_mul_int, mpf_neg, mpf_pow,
+)
 
 from .expr import (
     Add, EvalDomainError, Expr, ExprError, Fun, Mul, Pow, Rat, free_jets,
@@ -31,6 +44,7 @@ from .expr import (
 )
 
 DD_PREC = 106
+_PR = f"{DD_PREC},'n'"  # precision and rounding of every real dd libmp call
 
 
 class SamplingError(ExprError):
@@ -59,17 +73,20 @@ def _rp_complex(b, p, q):
     return b ** (p / q)
 
 
-def _mp_rp_real(b, p, q):
-    if b == 0:
+def _dd_rp(b, p, q):
+    """Real-branch b**(p/q) on libmp tuples, as the mpf operators compute
+    `s * mpmath.power(-b, mpf(p)/q)`."""
+    if b == fzero:
         if p > 0:
-            return mpmath.mpf(0)
+            return fzero
         raise EvalDomainError("zero to a non-positive power")
-    if b < 0:
+    y = mpf_div(from_int(p), from_int(q), DD_PREC, "n")
+    if b[0]:  # sign bit: b < 0
         if q % 2 == 0:
             raise EvalDomainError("even root of a negative value")
-        s = -1 if p % 2 else 1
-        return s * mpmath.power(-b, mpmath.mpf(p) / q)
-    return mpmath.power(b, mpmath.mpf(p) / q)
+        v = mpf_pow(mpf_neg(b, DD_PREC, "n"), y, DD_PREC, "n")
+        return mpf_mul_int(v, -1 if p % 2 else 1, DD_PREC, "n")
+    return mpf_pow(b, y, DD_PREC, "n")
 
 
 def _mp_rp_complex(b, p, q):
@@ -94,14 +111,24 @@ def _csech(v):
         return 0.0
 
 
-def _mp_sech(v):
-    return 1 / mpmath.cosh(v)
+def _dd_const(c):
+    """A rational as `mpf(numerator) / denominator` gives it at 106 bits."""
+    return mpf_div(from_int(c.numerator, DD_PREC, "n"), from_int(c.denominator),
+                   DD_PREC, "n")
 
 
-# the dd backends differ only in the branch of rational powers
-_DD = dict(tanh=mpmath.tanh, sech=_mp_sech, sinh=mpmath.sinh, cosh=mpmath.cosh,
-           exp=mpmath.exp, const=lambda c: mpmath.mpf(c.numerator) / c.denominator)
+def _dd_in(v):
+    """An input as a libmp tuple, converted exactly as mpmathify converts it."""
+    if type(v) is float:
+        return from_float(v)
+    with mpmath.workprec(DD_PREC):
+        x = mpmath.mpmathify(v)
+    if not hasattr(x, "_mpf_"):
+        raise TypeError(f"real dd input {v!r} is not real; use complex mode")
+    return x._mpf_
 
+
+# the names generated code runs with
 _BACKENDS = {
     ("double", False): dict(
         tanh=math.tanh, sech=_sech, sinh=math.sinh, cosh=math.cosh,
@@ -111,15 +138,37 @@ _BACKENDS = {
         tanh=cmath.tanh, sech=_csech, sinh=cmath.sinh, cosh=cmath.cosh,
         exp=cmath.exp, rp=_rp_complex, const=complex,
     ),
-    ("dd", False): dict(_DD, rp=_mp_rp_real),
-    ("dd", True): dict(_DD, rp=_mp_rp_complex),
+    ("dd", False): dict(  # libmp's own names: mpf_add, fzero, to_float, ...
+        vars(libmp), rp=_dd_rp, const=_dd_const, dd_in=_dd_in,
+        mpf=mpmath.mp.make_mpf, BIG=from_float(1e12),
+    ),
+    ("dd", True): dict(
+        tanh=mpmath.tanh, sinh=mpmath.sinh, cosh=mpmath.cosh, exp=mpmath.exp,
+        rp=_mp_rp_complex, const=lambda c: mpmath.mp.make_mpf(_dd_const(c)),
+        mpmathify=mpmath.mpmathify, workprec=mpmath.workprec,
+    ),
+}
+
+# how each node is written: {x} {y} operands of a left fold, {a} a function
+# argument, {b} {n} an integer power; a function without its own entry is `fun`
+_OBJECTS = dict(add="{x}+{y}", mul="{x}*{y}", fun="{fn}({a})", ipow="{b}**({n})")
+_SPELLING = {
+    ("double", False): _OBJECTS,
+    ("double", True): _OBJECTS,
+    ("dd", False): dict(
+        add=f"mpf_add({{x}},{{y}},{_PR})", mul=f"mpf_mul({{x}},{{y}},{_PR})",
+        fun=f"mpf_{{fn}}({{a}},{_PR})",
+        sech=f"mpf_rdiv_int(1,mpf_cosh({{a}},{_PR}),{_PR})",
+        ipow=f"mpf_pow_int({{b}},{{n}},{_PR})",
+    ),
+    ("dd", True): dict(_OBJECTS, sech="1/cosh({a})"),
 }
 
 # what a compiled function raises at a point outside its domain
 DOMAIN_ERRORS = (EvalDomainError, ZeroDivisionError, OverflowError, ValueError)
 
 
-def _emit(terms, names: dict, backend: dict):
+def _emit(terms, names: dict, backend: dict, spell: dict):
     """Straight-line code for terms, one assignment per distinct subtree.
 
     Returns (lines, consts, results): the `tN = ...` lines in evaluation
@@ -132,6 +181,9 @@ def _emit(terms, names: dict, backend: dict):
     lines: list = []
     consts: list = []
 
+    def fold(op, parts):
+        return reduce(lambda x, y: spell[op].format(x=x, y=y), map(local, parts))
+
     def local(e: Expr) -> str:
         got = memo.get(e)
         if got is not None:
@@ -141,17 +193,17 @@ def _emit(terms, names: dict, backend: dict):
             consts.append(backend["const"](e.value))
             rhs = f"C[{len(consts) - 1}]"
         elif t is Fun:
-            rhs = f"{e.fn}({local(e.arg)})"
+            rhs = spell.get(e.fn, spell["fun"]).format(fn=e.fn, a=local(e.arg))
         elif t is Pow:
             b, q = local(e.base), e.exp
             if q.denominator == 1:
-                rhs = f"{b}**({q.numerator})"
+                rhs = spell["ipow"].format(b=b, n=q.numerator)
             else:
                 rhs = f"rp({b},{q.numerator},{q.denominator})"
         elif t is Mul:
-            rhs = "*".join(local(f) for f in e.factors)
+            rhs = fold("mul", e.factors)
         elif t is Add:
-            rhs = "+".join(local(x) for x in e.terms)
+            rhs = fold("add", e.terms)
         else:
             raise ExprError(f"cannot compile {e!r}")
         got = memo[e] = f"t{len(lines)}"
@@ -161,33 +213,75 @@ def _emit(terms, names: dict, backend: dict):
     return lines, consts, [local(e) for e in terms]
 
 
+def _compile(terms, precision, complex_mode, tail):
+    """One function of the terms' symbols: their straight-line code, then
+    the lines tail(result locals, real dd?) returns."""
+    for e in terms:
+        if free_jets(e):
+            raise EvalDomainError("expression contains jet variables")
+        if ufunc_names(e):
+            raise EvalDomainError("expression contains unbound unknown functions")
+    key = (precision, complex_mode)
+    backend = _BACKENDS[key]
+    syms = sorted(set().union(*map(free_symbols, terms)), key=lambda s: s.name)
+    names = {s: f"v{i}" for i, s in enumerate(syms)}
+    lines, consts, results = _emit(terms, names, backend, _SPELLING[key])
+    raw = key == ("dd", False)
+    body = lines + tail(results, raw)
+    # inputs enter exactly, so no term is left computing in double
+    if raw:
+        body = [f"{v} = dd_in({v})" for v in names.values()] + body
+    elif precision == "dd":
+        body = [f"{v} = mpmathify({v})" for v in names.values()] + body
+        body = [f"with workprec({DD_PREC}):"] + ["    " + ln for ln in body]
+    src = (f"def _f({', '.join(names.values())}):\n"
+           + "".join(f"    {ln}\n" for ln in body))
+    ns = dict(backend, C=consts, EvalDomainError=EvalDomainError)
+    exec(src, ns)
+    return ns["_f"], tuple(syms)
+
+
+def _values(results, raw):
+    wrap = "mpf({})" if raw else "{}"
+    return [f"return ({''.join(wrap.format(r) + ', ' for r in results)})"]
+
+
+def _reduction(results, raw):
+    """|sum t| / (1 + sum |t|) as a float, each sum from 0 folded left;
+    a point whose scale exceeds 1e12 is rejected."""
+    if raw:
+        def total(rs):
+            return reduce(lambda x, y: f"mpf_add({x},{y},{_PR})", rs, "fzero")
+        scale = total(f"mpf_abs({r},{_PR})" for r in results)
+        big = "mpf_gt(scale,BIG)"
+        rel = (f"to_float(mpf_div(mpf_abs({total(results)},{_PR}),"
+               f"mpf_add(scale,fone,{_PR}),{_PR}),rnd='n')")
+    else:
+        scale = f"sum(({''.join(f'abs({r}),' for r in results)}))"
+        big = "scale > 1e12"
+        rel = f"float(abs(sum(({''.join(r + ',' for r in results)})))/(1+scale))"
+    return [f"scale = {scale}",
+            f"if {big}: raise EvalDomainError('residual terms too large at sample')",
+            f"return {rel}"]
+
+
 def compile_terms(terms, precision: str = "double", complex_mode: bool = False):
     """Compile terms into one function; return (fn, symbol order).
 
     fn takes one positional value per symbol and returns the tuple of term
     values.  A subtree shared between or within terms is computed once.
     """
-    for e in terms:
-        if free_jets(e):
-            raise EvalDomainError("expression contains jet variables")
-        if ufunc_names(e):
-            raise EvalDomainError("expression contains unbound unknown functions")
-    backend = _BACKENDS[(precision, complex_mode)]
-    syms = sorted(set().union(*map(free_symbols, terms)), key=lambda s: s.name)
-    names = {s: f"v{i}" for i, s in enumerate(syms)}
-    with mpmath.workprec(DD_PREC):  # dd constants; double ones ignore it
-        lines, consts, results = _emit(terms, names, backend)
-    body = lines + [f"return ({''.join(r + ', ' for r in results)})"]
-    if precision == "dd":
-        # inputs enter exactly, so no term is left computing in double
-        body = [f"{v} = mpmathify({v})" for v in names.values()] + body
-        body = ["with workprec(DD_PREC):"] + ["    " + ln for ln in body]
-    src = (f"def _f({', '.join(names.values())}):\n"
-           + "".join(f"    {ln}\n" for ln in body))
-    ns = dict(backend, C=consts, mpmathify=mpmath.mpmathify,
-              workprec=mpmath.workprec, DD_PREC=DD_PREC)
-    exec(src, ns)
-    return ns["_f"], tuple(syms)
+    return _compile(terms, precision, complex_mode, _values)
+
+
+def compile_residual(terms, precision: str = "double", complex_mode: bool = False):
+    """Compile the relative residual of terms; return (fn, symbol order).
+
+    fn takes one positional value per symbol and returns the float
+    |sum t| / (1 + sum |t|), reduced at the backend's precision; it
+    raises EvalDomainError when sum |t| exceeds 1e12.
+    """
+    return _compile(terms, precision, complex_mode, _reduction)
 
 
 def eval_numeric(e: Expr, env: dict, precision: str = "double",

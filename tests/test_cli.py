@@ -230,6 +230,24 @@ class TestSample:
         for a, b in zip(dd.splitlines()[1:], double.splitlines()[1:]):
             assert abs(float(a.split(",")[-1]) - float(b.split(",")[-1])) < 1e-12
 
+    @pytest.mark.parametrize("argv, digest", [
+        (("--name", "u3-kink", "--grid", "x=-1.5:1.5:4,y=-0.04:0.04:3",
+          "--fix", "z=0.3,t=0"),
+         "15cc3862b6ac6f8be37979cc215c83c0226a8791bff27977af587ae6c31501cd"),
+        (("--name", "u12-mixed", "--grid", "x=-1:1:3,y=-2:2:2",
+          "--fix", "z=0.7,gamma=1.3"),
+         "9fa285edc1ed685a299e80ba59e9c33b381998a31fa955fad9e1188aaa1637d9"),
+        (("--name", "u16-sech", "--grid", "x=-1:1:3,y=0.5:2:4",
+          "--fix", "z=0.9,t=0"),
+         "a58762e674022ccdd15ed9191124adfb492d08af5847e0094b7104326227f2fb"),
+    ], ids=["tanh", "rational-powers", "sech"])
+    def test_dd_output_is_byte_stable(self, capsys, argv, digest):
+        # all 17 printed digits of every 106-bit value; u12-mixed is nan
+        # where z/y < 0 puts its square root off the real branch
+        rc, out, _ = run(capsys, "sample", *argv, "--precision", "dd")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_dd_inputs_enter_exactly(self, capsys):
         rc, out, _ = run(capsys, "sample", "--expr", "1/x",
                          "--grid", "x=3:6:2", "--precision", "dd")

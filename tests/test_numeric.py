@@ -1,23 +1,51 @@
 """Compiled claim callables against a recursive evaluator of the stored tree,
-and the one seeded sampler."""
+the compiled residual reduction, and the one seeded sampler."""
 
 import operator
 from functools import reduce
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from liesym import add, fun, mul, parse, pow_, rat, symbol
 from liesym.expr import EvalDomainError, ExprError, Fun, Mul, Pow, Rat, Sym
 from liesym.numeric import (
-    DD_PREC, DOMAIN_ERRORS, _BACKENDS, compile_terms, eval_numeric, sampled,
+    DD_PREC, DOMAIN_ERRORS, _BACKENDS, compile_residual, compile_terms,
+    eval_numeric, sampled,
 )
 
 _syms = [symbol(n, "independent-variable") for n in ("x", "y", "t")]
 _FUNS = ("tanh", "sech", "sinh", "cosh", "exp")
 _RATS = [rat(v) for v in (-2, -1, 0, 1, 2, 3)] + [rat(1, 2), rat(5, 3), rat(-3, 4)]
 _EXPONENTS = (-2, -1, 2, 3, rat(1, 2), rat(1, 3), rat(-3, 2))
+_ALL = [("double", False), ("double", True), ("dd", False), ("dd", True)]
+
+
+def _mp_rp(real):
+    """mpmath objects' rational power, on the real branch when real."""
+    def rp(b, p, q):
+        if b == 0:
+            if p > 0:
+                return mpmath.mpf(0) if real else mpmath.mpc(0)
+            raise EvalDomainError("zero to a non-positive power")
+        if real and b < 0:
+            if q % 2 == 0:
+                raise EvalDomainError("even root of a negative value")
+            return (-1 if p % 2 else 1) * mpmath.power(-b, mpmath.mpf(p) / q)
+        return mpmath.power(b, mpmath.mpf(p) / q)
+    return rp
+
+
+# the dd reference computes on mpmath objects, independent of the kernel's
+# libmp spelling
+_MP = dict(tanh=mpmath.tanh, sech=lambda v: 1 / mpmath.cosh(v), sinh=mpmath.sinh,
+           cosh=mpmath.cosh, exp=mpmath.exp,
+           const=lambda c: mpmath.mpf(c.numerator) / c.denominator)
+_REFERENCE = {("double", False): _BACKENDS[("double", False)],
+              ("double", True): _BACKENDS[("double", True)],
+              ("dd", False): dict(_MP, rp=_mp_rp(True)),
+              ("dd", True): dict(_MP, rp=_mp_rp(False))}
 
 
 def _reference(e, env, backend):
@@ -40,7 +68,7 @@ def _reference(e, env, backend):
 
 
 def _reference_terms(terms, env, precision, complex_mode):
-    backend = _BACKENDS[(precision, complex_mode)]
+    backend = _REFERENCE[(precision, complex_mode)]
     if precision == "double":
         return [_reference(e, env, backend) for e in terms]
     with mpmath.workprec(DD_PREC):
@@ -88,16 +116,18 @@ def _point(complex_mode):
     return part
 
 
-@pytest.mark.parametrize("precision, complex_mode",
-                         [("double", False), ("double", True), ("dd", False)])
+def _terms(data, leaves):
+    # terms drawn from a small pool, so subtrees repeat within and across terms
+    pool = data.draw(st.lists(_combine(leaves) | leaves, min_size=2, max_size=4,
+                              unique=True))
+    return data.draw(st.lists(_combine(st.sampled_from(pool)), min_size=1, max_size=4))
+
+
+@pytest.mark.parametrize("precision, complex_mode", _ALL)
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_claim_callable_matches_tree_evaluation(precision, complex_mode, data):
-    # terms drawn from a small pool, so subtrees repeat within and across terms
-    pool = data.draw(st.lists(_combine(_leaves) | _leaves, min_size=2, max_size=4,
-                              unique=True))
-    terms = data.draw(st.lists(_combine(st.sampled_from(pool)),
-                               min_size=1, max_size=4))
+    terms = _terms(data, _leaves)
     fn, syms = compile_terms(terms, precision, complex_mode)
     env = {s: data.draw(_point(complex_mode)) for s in syms}
     try:
@@ -110,8 +140,64 @@ def test_claim_callable_matches_tree_evaluation(precision, complex_mode, data):
     assert [_bits(v) for v in got] == [_bits(v) for v in want]
 
 
-@pytest.mark.parametrize("precision, complex_mode",
-                         [("double", False), ("double", True), ("dd", False)])
+@pytest.mark.parametrize("precision, complex_mode", _ALL)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_residual_matches_reduction_of_values(precision, complex_mode, data):
+    # |sum t| / (1 + sum |t|) of the compiled values, reduced on mpmath
+    # objects at 106 bits (floats ignore the precision)
+    terms = _terms(data, _leaves)
+    # a factor that puts sum |t| on either side of the 1e12 cut; it stays
+    # outside every function, where mpmath would build a huge exponent
+    terms[0] = mul(rat(data.draw(st.sampled_from([1, 7 * 10**11, -3 * 10**12]))),
+                   terms[0])
+    fn, syms = compile_residual(terms, precision, complex_mode)
+    values, value_syms = compile_terms(terms, precision, complex_mode)
+    assert syms == value_syms
+    point = [data.draw(_point(complex_mode)) for _ in syms]
+    try:
+        vals = values(*point)
+    except DOMAIN_ERRORS:
+        event("off the domain")
+        with pytest.raises(DOMAIN_ERRORS):
+            fn(*point)
+        return
+    with mpmath.workprec(DD_PREC):
+        scale = sum(abs(v) for v in vals)
+        event(f"scale above 1e12: {scale > 1e12}")
+        if scale > 1e12:
+            with pytest.raises(EvalDomainError, match="residual terms too large"):
+                fn(*point)
+            return
+        want = float(abs(sum(vals)) / (1 + scale))
+    got = fn(*point)
+    assert type(got) is float and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("precision, complex_mode", _ALL)
+def test_residual_rejects_large_scale(precision, complex_mode):
+    x = _syms[0]
+    fn, syms = compile_residual([mul(rat(2**40), x), rat(-1)], precision, complex_mode)
+    with pytest.raises(EvalDomainError):
+        fn(1.5)  # sum |t| is about 1.6e12
+    assert fn(2.0**-40) == 0.0
+
+
+def test_real_dd_residual_enters_no_precision_context(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("precision context entered")
+
+    x = _syms[0]
+    terms = [fun("tanh", x), fun("sech", x), pow_(x, rat(1, 3)), rat(1, 3)]
+    fn, _ = compile_residual(terms, "dd")
+    complex_fn, _ = compile_residual(terms, "dd", complex_mode=True)
+    monkeypatch.setattr(mpmath.ctx_mp.PrecisionManager, "__enter__", refuse)
+    assert fn(0.7) > 0
+    with pytest.raises(AssertionError):
+        complex_fn(0.7)
+
+
+@pytest.mark.parametrize("precision, complex_mode", _ALL)
 def test_singular_point_raises_in_both(precision, complex_mode):
     x = _syms[0]
     terms = [pow_(x, -1), mul(rat(2), x)]

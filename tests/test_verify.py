@@ -243,9 +243,13 @@ class TestCatalog:
          "condition: k^2 - a", "falsified", "residual not proportional to condition"),
         (None, "kind: ode\nvars: w\nunknown: R\nequation: R_ww\nsolution: w^3\n"
          "expected: conditional\ncondition: w", "flagged", "residual = (6) * (w)"),
+        (None, "kind: solution\nclaim: x*y/(6*t)\nexpected: mismatch", "falsified",
+         "unexpectedly satisfies the equation, max_rel=0.00e+00"),
+        (None, "kind: solution\nclaim: x*y/(6*t) + x/1000\nexpected: mismatch",
+         "flagged", "symbolic=nonzero max_rel=1.09e-03 (claim fails as printed)"),
     ], ids=["unknown-kind", "reduction-unexpected-match",
             "weierstrass-unexpected-match", "solution-not-proportional",
-            "ode-conditional"])
+            "ode-conditional", "solution-unexpected-match", "solution-mismatch"])
     def test_verdict_rows(self, pde, by_name, base, text, status, detail):
         # one verdict rule: the expected status when the kind's check holds,
         # falsified when it does not; text overrides fields of a shipped record
