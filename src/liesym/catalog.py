@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from importlib import resources
 
-from .expr import Expr, KIND_PARAM, Pow, children, free_symbols
+from .expr import Expr, Pow, children, free_symbols, pow_, rat
 from .parse import ParseContext, parse
 
 
@@ -103,10 +103,10 @@ def load_catalog(path=None) -> list:
 # ---------------------------------------------------------------------------
 # context helpers
 
-def solution_context(extra_kinds=None) -> ParseContext:
-    kinds = {"i": KIND_PARAM}
-    kinds.update(extra_kinds or {})
-    return ParseContext(indep=("x", "y", "z", "t"), deps=("u",), kinds=kinds)
+def solution_context() -> ParseContext:
+    """Context for solution claims: `i` is the imaginary unit (-1)^(1/2)."""
+    return ParseContext(indep=("x", "y", "z", "t"), deps=("u",),
+                        constants={"i": pow_(rat(-1), Fraction(1, 2))})
 
 
 def record_context(rec: Record) -> ParseContext:

@@ -16,7 +16,7 @@ from importlib import resources
 from mpmath import nstr
 
 from .catalog import CatalogError, load_catalog, solution_context
-from .expr import ExprError, ResourceLimitError, to_text
+from .expr import ExprError, Pow, Rat, ResourceLimitError, children, to_text
 from .jets import PDE, load_pde
 from .numeric import DOMAIN_ERRORS, compile_terms
 from .normal import canonical
@@ -175,6 +175,13 @@ def _parse_fixed(specs):
     return fixed
 
 
+def _is_real(e) -> bool:
+    """No even root of a negative constant, such as i = (-1)^(1/2), in e."""
+    if type(e) is Pow and type(e.base) is Rat and e.base.value < 0:
+        return e.exp.denominator % 2 == 1
+    return all(map(_is_real, children(e)))
+
+
 def cmd_sample(args) -> int:
     from .expr import free_symbols
     if args.expr:
@@ -187,6 +194,8 @@ def cmd_sample(args) -> int:
         rec = records[args.name]
         f = parse(rec.get("claim"), solution_context())
         params = rec.params()
+    if not _is_real(f):
+        raise ValueError("the claim holds the imaginary unit i; sample is real only")
     axes = _parse_grid(args.grid or [])
     fixed = dict(params)
     fixed.update(_parse_fixed(args.fix or []))
@@ -389,8 +398,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, RecursionError, MemoryError) as exc:
+        print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     except (ParseError, CatalogError, ExprError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -729,6 +729,8 @@ def _frac_text(c: Fraction) -> str:
 
 
 def _pow_text(b: Expr, q: Fraction) -> str:
+    if b == MINUS_ONE and q == Fraction(1, 2):
+        return "i"  # the imaginary unit, as solution claims spell it
     bt = to_text(b)
     if type(b) in (Add, Mul, Pow) or (type(b) is Rat and (b.value < 0 or b.value.denominator != 1)):
         bt = f"({bt})"

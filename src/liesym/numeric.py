@@ -9,17 +9,18 @@ per-point residual reduction to the same code.  `eval_numeric` compiles
 its one term per call; callers that evaluate many points compile once
 themselves and draw the points from `sampled`, the one seeded sampler.
 
-Backends: double (float/complex) and dd (106 bits, the double-double
-significand budget).  Real dd code is written as the `mpmath.libmp`
-calls that mpmath's own mpf operators and functions make, on raw
-`_mpf_` tuples at 106 bits rounding to nearest: the same bits as mpf
-arithmetic (mpmath 1.3.0, whose libmp rounding the dd pins in the tests
-hold), without an object or a precision context per operation.
-Its inputs enter exactly in the prologue, so no term is left computing
-in double, and `compile_terms` wraps each result as an mpf once.
-Complex dd stays on mpmath objects under `workprec(106)`: inputs there
-mix real and complex values (the symbol `i` is bound to `1j`), which
-would need a run-time choice between mpf and mpc calls.
+Backends: double (float, or complex for claims that hold `i`) and real
+dd (106 bits, the double-double significand budget).  A complex claim
+runs in double at either precision: its verdict is the exact normal
+form.  Real dd code is written as the `mpmath.libmp` calls that
+mpmath's own mpf operators and functions make, on raw `_mpf_` tuples at
+106 bits rounding to nearest: the same bits as mpf arithmetic (mpmath
+1.3.0, whose libmp rounding the dd pins in the tests hold), without an
+object or a precision context per operation.  Its inputs enter exactly
+in the prologue, so no term is left computing in double, and
+`compile_terms` wraps each result as an mpf once.  Its `exp`, `sinh`
+and `cosh` raise OverflowError where `math`'s do, so dd rejects the
+points double rejects instead of building a value of unbounded size.
 Evaluation order follows the stored tree (Add/Mul fold left), so results
 are deterministic for a fixed backend and do not depend on how terms
 share subtrees.
@@ -35,7 +36,7 @@ from functools import reduce
 import mpmath
 from mpmath import libmp
 from mpmath.libmp import (
-    from_float, from_int, fzero, mpf_div, mpf_mul_int, mpf_neg, mpf_pow,
+    from_float, from_int, fzero, mpf_div, mpf_mul_int, mpf_neg, mpf_pow, to_float,
 )
 
 from .expr import (
@@ -89,14 +90,6 @@ def _dd_rp(b, p, q):
     return mpf_pow(b, y, DD_PREC, "n")
 
 
-def _mp_rp_complex(b, p, q):
-    if b == 0:
-        if p > 0:
-            return mpmath.mpc(0)
-        raise EvalDomainError("zero to a non-positive power")
-    return mpmath.power(b, mpmath.mpf(p) / q)
-
-
 def _sech(v):
     try:
         return 1.0 / math.cosh(v)
@@ -109,6 +102,15 @@ def _csech(v):
         return 1.0 / cmath.cosh(v)
     except OverflowError:
         return 0.0
+
+
+def _dd_bounded(f, double):
+    """The libmp function f, raising OverflowError where the math function
+    double does, so dd rejects the points double rejects."""
+    def bounded(x, prec, rnd):
+        double(to_float(x, True, "n"))  # strict: beyond the double range too
+        return f(x, prec, rnd)
+    return bounded
 
 
 def _dd_const(c):
@@ -124,7 +126,7 @@ def _dd_in(v):
     with mpmath.workprec(DD_PREC):
         x = mpmath.mpmathify(v)
     if not hasattr(x, "_mpf_"):
-        raise TypeError(f"real dd input {v!r} is not real; use complex mode")
+        raise TypeError(f"dd input {v!r} is not real")
     return x._mpf_
 
 
@@ -139,13 +141,11 @@ _BACKENDS = {
         exp=cmath.exp, rp=_rp_complex, const=complex,
     ),
     ("dd", False): dict(  # libmp's own names: mpf_add, fzero, to_float, ...
-        vars(libmp), rp=_dd_rp, const=_dd_const, dd_in=_dd_in,
+        vars(libmp), tanh=libmp.mpf_tanh, rp=_dd_rp, const=_dd_const, dd_in=_dd_in,
+        exp=_dd_bounded(libmp.mpf_exp, math.exp),
+        sinh=_dd_bounded(libmp.mpf_sinh, math.sinh),
+        cosh=_dd_bounded(libmp.mpf_cosh, math.cosh),
         mpf=mpmath.mp.make_mpf, BIG=from_float(1e12),
-    ),
-    ("dd", True): dict(
-        tanh=mpmath.tanh, sinh=mpmath.sinh, cosh=mpmath.cosh, exp=mpmath.exp,
-        rp=_mp_rp_complex, const=lambda c: mpmath.mp.make_mpf(_dd_const(c)),
-        mpmathify=mpmath.mpmathify, workprec=mpmath.workprec,
     ),
 }
 
@@ -153,15 +153,13 @@ _BACKENDS = {
 # argument, {b} {n} an integer power; a function without its own entry is `fun`
 _OBJECTS = dict(add="{x}+{y}", mul="{x}*{y}", fun="{fn}({a})", ipow="{b}**({n})")
 _SPELLING = {
-    ("double", False): _OBJECTS,
-    ("double", True): _OBJECTS,
-    ("dd", False): dict(
+    "double": _OBJECTS,
+    "dd": dict(
         add=f"mpf_add({{x}},{{y}},{_PR})", mul=f"mpf_mul({{x}},{{y}},{_PR})",
-        fun=f"mpf_{{fn}}({{a}},{_PR})",
+        fun=f"{{fn}}({{a}},{_PR})",
         sech=f"mpf_rdiv_int(1,mpf_cosh({{a}},{_PR}),{_PR})",
         ipow=f"mpf_pow_int({{b}},{{n}},{_PR})",
     ),
-    ("dd", True): dict(_OBJECTS, sech="1/cosh({a})"),
 }
 
 # what a compiled function raises at a point outside its domain
@@ -221,19 +219,14 @@ def _compile(terms, precision, complex_mode, tail):
             raise EvalDomainError("expression contains jet variables")
         if ufunc_names(e):
             raise EvalDomainError("expression contains unbound unknown functions")
-    key = (precision, complex_mode)
-    backend = _BACKENDS[key]
+    backend = _BACKENDS[precision, complex_mode]
     syms = sorted(set().union(*map(free_symbols, terms)), key=lambda s: s.name)
     names = {s: f"v{i}" for i, s in enumerate(syms)}
-    lines, consts, results = _emit(terms, names, backend, _SPELLING[key])
-    raw = key == ("dd", False)
-    body = lines + tail(results, raw)
+    lines, consts, results = _emit(terms, names, backend, _SPELLING[precision])
+    raw = precision == "dd"
     # inputs enter exactly, so no term is left computing in double
-    if raw:
-        body = [f"{v} = dd_in({v})" for v in names.values()] + body
-    elif precision == "dd":
-        body = [f"{v} = mpmathify({v})" for v in names.values()] + body
-        body = [f"with workprec({DD_PREC}):"] + ["    " + ln for ln in body]
+    body = ([f"{v} = dd_in({v})" for v in names.values() if raw]
+            + lines + tail(results, raw))
     src = (f"def _f({', '.join(names.values())}):\n"
            + "".join(f"    {ln}\n" for ln in body))
     ns = dict(backend, C=consts, EvalDomainError=EvalDomainError)

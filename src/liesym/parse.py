@@ -38,12 +38,14 @@ class ParseError(Exception):
 
 
 class ParseContext:
-    """Declares which identifiers are jet dependents / independents."""
+    """Declares jet dependents / independents, symbol kinds and constants."""
 
-    def __init__(self, indep=("x", "y", "z", "t"), deps=("u",), kinds=None):
+    def __init__(self, indep=("x", "y", "z", "t"), deps=("u",), kinds=None,
+                 constants=None):
         self.indep = tuple(indep)
         self.deps = tuple(deps)
         self.kinds = dict(kinds or {})
+        self.constants = dict(constants or {})
 
     def symbol(self, name: str):
         if name in self.kinds:
@@ -251,7 +253,7 @@ class _Parser:
                 return ufunc(name, args)
             if name in self.ctx.deps:
                 return jet(name, ())
-            return self.ctx.symbol(name)
+            return self.ctx.constants.get(name) or self.ctx.symbol(name)
         raise ParseError(f"unexpected token {t.value!r}", t.line, t.col,
                          ["number", "identifier", "("])
 

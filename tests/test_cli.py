@@ -119,13 +119,15 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv, digest", [
         (("--seed", "0"),
-         "557ff443730ca78698e8da95082d84d66914cdd143121f10766563fe5d84e157"),
+         "4aa91734e085661a3b3731976841177a3581bad798cc2cd245a0442e7a52e761"),
         (("--seed", "7", "--precision", "dd"),
-         "4adb71d6f8f40f87c8b1a8fe20ba3fa453e8e010e1d308fbbf34505dd93652e2"),
-    ])
+         "01dc81f344d3b810bb4cc9e0ae89f9570a800cfb6df9fc7786319f379725adde"),
+    ], ids=["seed0", "seed7-dd"])
     def test_output_is_byte_stable(self, capsys, argv, digest):
         # the sampled max_rel digits and "over N pts" counts every earlier
-        # version printed (independent of PYTHONHASHSEED)
+        # version printed (independent of PYTHONHASHSEED); since `i` is the
+        # imaginary unit, u8u9-rational's multiplier reads -96*a*b*k^2/...
+        # where it read 96*a*b*i^2*k^2/...
         rc, out, _ = run(capsys, "verify", *argv)
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -272,6 +274,16 @@ class TestSample:
         rc, _, err = run(capsys, "sample", "--expr", "q*x", "--grid", "x=0:1:2")
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--name", "u8u9-rational-corrected", "--fix", "y=1,k=1,b=1,alpha1=1"),
+        ("--expr", "1 + i*x"),
+    ], ids=["record", "expr"])
+    def test_claim_holding_i_is_input_error(self, capsys, argv):
+        # `i` is the imaginary unit; a real grid of it would be all nan
+        rc, out, err = run(capsys, "sample", *argv, "--grid", "x=0:1:2")
+        assert rc == 2 and out == ""
+        assert "imaginary unit i" in err
+
     def test_swept_and_fixed_disjoint(self, capsys):
         rc, _, err = run(capsys, "sample", "--expr", "x*y", "--grid", "x=0:1:2",
                          "--fix", "x=1,y=2")
@@ -324,6 +336,21 @@ class TestPipeline:
         assert main(["derive"]) == 0
         assert [(a.seed, a.degree, a.points) for a in seen] == \
             [(0, 3, 100), (5, 3, 100), (0, 2, 100)]
+
+    @pytest.mark.parametrize("exc, message", [
+        (RecursionError("maximum recursion depth exceeded"),
+         "resource limit: maximum recursion depth exceeded"),
+        (MemoryError(), "resource limit: MemoryError"),
+    ], ids=["recursion", "memory"])
+    def test_escaped_resource_error_exits_3(self, capsys, monkeypatch, exc, message):
+        import liesym.cli as cli
+
+        def exhausted(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_derive", exhausted)
+        rc, out, err = run(capsys, "derive")
+        assert (rc, out, err) == (3, "", message + "\n")
 
     def test_missing_pde_is_input_error(self, capsys):
         rc, _, err = run(capsys, "pipeline", "--pde", "/nonexistent.pde")

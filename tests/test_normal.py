@@ -3,14 +3,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from liesym import (
     ResourceLimitError, add, fun, is_zero, mul, normalize, parse, pow_, rat,
     symbol, set_expansion_limit,
 )
 from liesym import normal
-from liesym.normal import as_expr, nf_div_exact
+from liesym.catalog import solution_context
+from liesym.expr import free_symbols, to_text
+from liesym.normal import as_expr, canonical, nf_div_exact
+from liesym.numeric import compile_terms, sampled
 
 x = symbol("x", "independent-variable")
 y = symbol("y", "independent-variable")
@@ -223,3 +226,74 @@ def test_inexact_catalog_division_stops_early(monkeypatch):
     monkeypatch.setattr(normal, "_canon_term", counting)
     assert normal._try_div(a.terms, p.terms) is None
     assert len(calls) <= 8
+
+
+# ---------------------------------------------------------------------------
+# the imaginary unit: `i` in a solution claim is (-1)^(1/2)
+
+def _claim(text):
+    return parse(text, solution_context())
+
+
+@pytest.mark.parametrize("text", [
+    "i", "-i", "i*a", "1/i", "i^3", "3*i*x - i/2", "1/(a + i*b)",
+    "2*i*k^2/(alpha1*k + 2*i*(k^2*x + b*y))",
+])
+def test_imaginary_unit_round_trips(text):
+    e = _claim(text)
+    assert _claim(to_text(e)) == e
+    assert "i" not in {s.name for s in free_symbols(e)}
+
+
+@pytest.mark.parametrize("text", [
+    "i^2 + 1", "1/(a + i*b) - (a - i*b)/(a^2 + b^2)", "i^4 - 1", "1/i + i",
+    "(a + i*b)*(a - i*b) - a^2 - b^2",
+])
+def test_gaussian_identities_normalize_to_zero(text):
+    assert normalize(_claim(text)).is_zero()
+
+
+def test_imaginary_unit_prints_as_i():
+    assert to_text(_claim("(-1)^(1/2)*a")) == "i*a"
+    assert to_text(canonical(_claim("i^3"))) == "-i"
+    assert not normalize(_claim("i - 1")).is_zero()
+
+
+# P and Q are real polynomials in a and b; each pair is an identity of
+# Gaussian-rational functions until the variant breaks it
+_GAUSS_PAIRS = [
+    ("(P + i*Q)*(P - i*Q)", "P^2 + Q^2"),
+    ("1/(P + i*Q)", "(P - i*Q)/(P^2 + Q^2)"),
+    ("(P + i*Q)^2", "P^2 - Q^2 + 2*i*P*Q"),
+    ("(P + i*Q)^3", "P^3 - 3*P*Q^2 + i*(3*P^2*Q - Q^3)"),
+    ("i^3*P + Q/i", "-i*(P + Q)"),
+]
+_real_poly = st.recursive(
+    st.sampled_from(["a", "b", "1", "2", "(-3)"]),
+    lambda sub: st.tuples(sub, st.sampled_from("+*"), sub).map("({0[0]} {0[1]} {0[2]})".format),
+    max_leaves=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.sampled_from(_GAUSS_PAIRS), p=_real_poly, q=_real_poly,
+       variant=st.sampled_from(["exact", "conjugate", "shifted"]))
+def test_gaussian_zero_iff_numerically_zero(pair, p, q, variant):
+    # the exact verdict agrees with double-complex evaluation at seeded
+    # real points: zero exactly when every point is ~0
+    lhs, rhs = pair
+    if variant == "conjugate":
+        rhs = rhs.replace("i", "(-i)")
+    elif variant == "shifted":
+        rhs += " + i/7"
+    sides = [_claim(s.replace("P", f"({p})").replace("Q", f"({q})"))
+             for s in (lhs, rhs)]
+    exact = normalize(add(sides[0], mul(rat(-1), sides[1]))).is_zero()
+    fn, syms = compile_terms(sides, "double", complex_mode=True)
+
+    def close(*draw):
+        l, r = fn(*draw)
+        return abs(l - r) <= 1e-9 * (1 + abs(l) + abs(r))
+
+    seen = list(sampled(close, len(syms), 8, 32, 0, (0.5, 2.0)))
+    event(f"exact zero: {exact}")
+    assert seen and exact == all(seen)

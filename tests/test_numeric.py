@@ -1,13 +1,18 @@
 """Compiled claim callables against a recursive evaluator of the stored tree,
 the compiled residual reduction, and the one seeded sampler."""
 
+import math
 import operator
+import os
+import subprocess
+import sys
 from functools import reduce
 
 import mpmath
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import liesym
 from liesym import add, fun, mul, parse, pow_, rat, symbol
 from liesym.expr import EvalDomainError, ExprError, Fun, Mul, Pow, Rat, Sym
 from liesym.numeric import (
@@ -19,22 +24,20 @@ _syms = [symbol(n, "independent-variable") for n in ("x", "y", "t")]
 _FUNS = ("tanh", "sech", "sinh", "cosh", "exp")
 _RATS = [rat(v) for v in (-2, -1, 0, 1, 2, 3)] + [rat(1, 2), rat(5, 3), rat(-3, 4)]
 _EXPONENTS = (-2, -1, 2, 3, rat(1, 2), rat(1, 3), rat(-3, 2))
-_ALL = [("double", False), ("double", True), ("dd", False), ("dd", True)]
+_ALL = [("double", False), ("double", True), ("dd", False)]
 
 
-def _mp_rp(real):
-    """mpmath objects' rational power, on the real branch when real."""
-    def rp(b, p, q):
-        if b == 0:
-            if p > 0:
-                return mpmath.mpf(0) if real else mpmath.mpc(0)
-            raise EvalDomainError("zero to a non-positive power")
-        if real and b < 0:
-            if q % 2 == 0:
-                raise EvalDomainError("even root of a negative value")
-            return (-1 if p % 2 else 1) * mpmath.power(-b, mpmath.mpf(p) / q)
-        return mpmath.power(b, mpmath.mpf(p) / q)
-    return rp
+def _mp_rp(b, p, q):
+    """mpmath objects' rational power on the real branch."""
+    if b == 0:
+        if p > 0:
+            return mpmath.mpf(0)
+        raise EvalDomainError("zero to a non-positive power")
+    if b < 0:
+        if q % 2 == 0:
+            raise EvalDomainError("even root of a negative value")
+        return (-1 if p % 2 else 1) * mpmath.power(-b, mpmath.mpf(p) / q)
+    return mpmath.power(b, mpmath.mpf(p) / q)
 
 
 # the dd reference computes on mpmath objects, independent of the kernel's
@@ -44,8 +47,7 @@ _MP = dict(tanh=mpmath.tanh, sech=lambda v: 1 / mpmath.cosh(v), sinh=mpmath.sinh
            const=lambda c: mpmath.mpf(c.numerator) / c.denominator)
 _REFERENCE = {("double", False): _BACKENDS[("double", False)],
               ("double", True): _BACKENDS[("double", True)],
-              ("dd", False): dict(_MP, rp=_mp_rp(True)),
-              ("dd", True): dict(_MP, rp=_mp_rp(False))}
+              ("dd", False): dict(_MP, rp=_mp_rp)}
 
 
 def _reference(e, env, backend):
@@ -78,10 +80,7 @@ def _reference_terms(terms, env, precision, complex_mode):
 
 def _bits(v):
     """Exact identity of a value; mpmath reprs round to the context."""
-    for attr in ("_mpf_", "_mpc_"):
-        if hasattr(v, attr):
-            return getattr(v, attr)
-    return repr(v)
+    return getattr(v, "_mpf_", repr(v))
 
 
 def _built(make):
@@ -190,11 +189,14 @@ def test_real_dd_residual_enters_no_precision_context(monkeypatch):
     x = _syms[0]
     terms = [fun("tanh", x), fun("sech", x), pow_(x, rat(1, 3)), rat(1, 3)]
     fn, _ = compile_residual(terms, "dd")
-    complex_fn, _ = compile_residual(terms, "dd", complex_mode=True)
     monkeypatch.setattr(mpmath.ctx_mp.PrecisionManager, "__enter__", refuse)
     assert fn(0.7) > 0
-    with pytest.raises(AssertionError):
-        complex_fn(0.7)
+
+
+def test_dd_has_no_complex_mode():
+    # complex claims are sampled in double; dd is never silently remapped
+    with pytest.raises(KeyError):
+        compile_terms([_syms[0]], "dd", complex_mode=True)
 
 
 @pytest.mark.parametrize("precision, complex_mode", _ALL)
@@ -207,6 +209,51 @@ def test_singular_point_raises_in_both(precision, complex_mode):
         _reference_terms(terms, {x: 0.0}, precision, complex_mode)
     with pytest.raises(DOMAIN_ERRORS):
         fn(0.0)
+
+
+@pytest.mark.parametrize("fn", ["exp", "sinh", "cosh"])
+def test_dd_overflows_where_double_does(fn):
+    # the first double past each math overflow threshold, on both sides
+    x = _syms[0]
+    dd, _ = compile_terms([fun(fn, x)], "dd")
+    double, _ = compile_terms([fun(fn, x)], "double")
+    for top in (709.782712893384, 710.4758600739439):
+        for v in (top, math.nextafter(top, math.inf), -top,
+                  math.nextafter(-top, -math.inf), 1e300, -1e300):
+            try:
+                double(v)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    dd(v)
+            else:
+                dd(v)
+
+
+def test_huge_dd_arguments_are_rejected_quickly():
+    # sinh(7e11) would be a value ~1e11 bits wide, and exp or tanh of it
+    # would exhaust memory; under a 1 GiB address space both points must
+    # be rejected like double rejects them
+    pytest.importorskip("resource")
+    code = (
+        "import resource, sys, time\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({1 << 30}, {1 << 30}))\n"
+        "from liesym import parse\n"
+        "from liesym.numeric import compile_residual, sampled\n"
+        "for text in sys.argv[1:]:\n"
+        "    fn, _ = compile_residual([parse(text), parse('1')], 'dd')\n"
+        "    start = time.perf_counter()\n"
+        "    assert list(sampled(fn, 1, 5, 5, 0, (0.5, 1.5))) == []\n"
+        "    print(time.perf_counter() - start)\n"
+    )
+    src = os.path.dirname(os.path.dirname(liesym.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code, "exp(sinh(700000000000*x))",
+         "tanh(sinh(700000000000*x))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    times = [float(t) for t in out.stdout.split()]
+    assert len(times) == 2 and max(times) < 0.5
 
 
 def test_dd_inputs_enter_exactly():

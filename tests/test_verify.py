@@ -247,9 +247,14 @@ class TestCatalog:
          "unexpectedly satisfies the equation, max_rel=0.00e+00"),
         (None, "kind: solution\nclaim: x*y/(6*t) + x/1000\nexpected: mismatch",
          "flagged", "symbolic=nonzero max_rel=1.09e-03 (claim fails as printed)"),
+        # a complex claim is exact like any other: sampling below tol alone
+        # does not verify a residual that does not normalize to zero
+        (None, "kind: solution-complex\nclaim: x*y/(6*t) + i*x/10^12\nexpected: zero",
+         "falsified", "symbolic=undecided max_rel=1.09e-12"),
     ], ids=["unknown-kind", "reduction-unexpected-match",
             "weierstrass-unexpected-match", "solution-not-proportional",
-            "ode-conditional", "solution-unexpected-match", "solution-mismatch"])
+            "ode-conditional", "solution-unexpected-match", "solution-mismatch",
+            "complex-below-tol-not-exact"])
     def test_verdict_rows(self, pde, by_name, base, text, status, detail):
         # one verdict rule: the expected status when the kind's check holds,
         # falsified when it does not; text overrides fields of a shipped record
