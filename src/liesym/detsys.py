@@ -12,7 +12,6 @@ assembled as sparse rows straight from monomial exponents.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .expr import (
@@ -96,7 +95,7 @@ def extract_determining(pde: PDE) -> DeterminingSystem:
                 rest.append((atom, e))
         key = tuple(label)
         groups.setdefault(key, {})[tuple(rest)] = (
-            groups.get(key, {}).get(tuple(rest), Fraction(0)) + c
+            groups.get(key, {}).get(tuple(rest), 0) + c
         )
     seen = {}
     for key in sorted(groups, key=mono_key):

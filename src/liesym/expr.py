@@ -1,5 +1,9 @@
 """Immutable symbolic expression trees with exact rational coefficients.
 
+A rational is an `int` when integral, else a `Fraction` (`_q`), in
+`Rat.value`, `Pow.exp` and all computed from them: integers cost no gcd
+per operation, and compare and hash equal to Fractions of equal value.
+
 Node kinds: rational constants, symbols, jet variables (derivative
 coordinates of a dependent variable), unknown-function applications with
 formal slot derivatives, a fixed set of elementary functions, rational
@@ -53,11 +57,15 @@ def _idx_sort_key(pair):
     return (_VAR_RANK.get(pair[0], 4), pair[0])
 
 
-def as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
+def _q(v):
+    """An exact rational as an int when integral, else the Fraction itself."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def as_rational(v):
+    """An exact rational (int when integral) from an int, Fraction or Rat."""
+    if isinstance(v, (int, Fraction)):
+        return _q(v)
     if isinstance(v, Rat):
         return v.value
     raise ExprError(f"not an exact rational: {v!r}")
@@ -76,10 +84,10 @@ class Expr:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, mul(Rat(Fraction(-1)), _coerce(other)))
+        return add(self, mul(MINUS_ONE, _coerce(other)))
 
     def __rsub__(self, other):
-        return add(_coerce(other), mul(Rat(Fraction(-1)), self))
+        return add(_coerce(other), mul(MINUS_ONE, self))
 
     def __mul__(self, other):
         return mul(self, _coerce(other))
@@ -87,16 +95,16 @@ class Expr:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return mul(self, pow_(_coerce(other), Fraction(-1)))
+        return mul(self, pow_(_coerce(other), -1))
 
     def __rtruediv__(self, other):
-        return mul(_coerce(other), pow_(self, Fraction(-1)))
+        return mul(_coerce(other), pow_(self, -1))
 
     def __neg__(self):
-        return mul(Rat(Fraction(-1)), self)
+        return mul(MINUS_ONE, self)
 
     def __pow__(self, exponent):
-        return pow_(self, as_fraction(exponent))
+        return pow_(self, as_rational(exponent))
 
     def __str__(self):
         return to_text(self)
@@ -109,7 +117,7 @@ def _coerce(v) -> Expr:
     if isinstance(v, Expr):
         return v
     if isinstance(v, (int, Fraction)):
-        return Rat(Fraction(v))
+        return Rat(v)
     raise ExprError(f"cannot coerce {v!r} to Expr")
 
 
@@ -117,7 +125,7 @@ class Rat(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        v = Fraction(value)
+        v = _q(value if type(value) in (int, Fraction) else Fraction(value))
         object.__setattr__(self, "value", v)
         object.__setattr__(self, "_h", hash(("R", v)))
 
@@ -235,7 +243,7 @@ class Pow(Expr):
 
     __slots__ = ("base", "exp")
 
-    def __init__(self, base: Expr, exp: Fraction):
+    def __init__(self, base: Expr, exp):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exp", exp)
         object.__setattr__(self, "_h", hash(("P", base, exp)))
@@ -320,7 +328,7 @@ def skey(e: Expr):
 def _base_exp(e: Expr):
     if type(e) is Pow:
         return e.base, e.exp
-    return e, Fraction(1)
+    return e, 1
 
 
 def _coeff_rest(e: Expr):
@@ -331,19 +339,19 @@ def _coeff_rest(e: Expr):
     if t is Mul and type(e.factors[0]) is Rat:
         rest = e.factors[1:]
         return e.factors[0].value, rest[0] if len(rest) == 1 else Mul(rest)
-    return Fraction(1), e
+    return 1, e
 
 
 # ---------------------------------------------------------------------------
 # smart constructors
 
 def rat(p, q=None) -> Rat:
-    return Rat(Fraction(p) if q is None else Fraction(p, q))
+    return Rat(p if q is None else Fraction(p, q))
 
 
 def add(*terms) -> Expr:
     acc: dict = {}
-    const = Fraction(0)
+    const = 0
     stack = list(terms)
     while stack:
         e = stack.pop()
@@ -354,7 +362,7 @@ def add(*terms) -> Expr:
         if rest is None:
             const += c
         else:
-            acc[rest] = acc.get(rest, Fraction(0)) + c
+            acc[rest] = acc.get(rest, 0) + c
     out = []
     for restx in sorted(acc, key=skey):
         c = acc[restx]
@@ -369,7 +377,7 @@ def add(*terms) -> Expr:
 
 
 def mul(*factors) -> Expr:
-    coeff = Fraction(1)
+    coeff = 1
     powers: dict = {}
     order: list = []
     stack = list(reversed(factors))
@@ -431,14 +439,15 @@ def _int_nth_root(n: int, k: int):
     return lo if lo ** k == n else None
 
 
-def _rat_exact_pow(v: Fraction, q: Fraction):
-    """v**q as an exact Fraction if one exists (real branch), else None."""
+def _rat_exact_pow(v, q):
+    """v**q as an exact rational if one exists (real branch), else None."""
     if v == 0:
         if q > 0:
-            return Fraction(0)
+            return 0
         raise EvalDomainError("0 raised to a non-positive power")
     if q.denominator == 1:
-        return v ** q.numerator
+        n = q.numerator
+        return v ** n if n >= 0 else _q(Fraction(v) ** n)  # int ** -n is a float
     sign = 1
     if v < 0:
         if q.denominator % 2 == 0:
@@ -449,11 +458,11 @@ def _rat_exact_pow(v: Fraction, q: Fraction):
     rd = _int_nth_root(v.denominator, q.denominator)
     if rn is None or rd is None:
         return None
-    return sign * Fraction(rn, rd) ** q.numerator
+    return _q(sign * Fraction(rn, rd) ** q.numerator)
 
 
 def pow_(base: Expr, exp) -> Expr:
-    exp = as_fraction(exp)
+    exp = as_rational(exp)
     if exp == 0:
         return ONE
     if exp == 1:
@@ -619,7 +628,7 @@ def rewrite(e: Expr, leaf) -> Expr:
 # differentiation
 
 _FUN_DERIV = {
-    "tanh": lambda a: pow_(fun("sech", a), Fraction(2)),
+    "tanh": lambda a: pow_(fun("sech", a), 2),
     "sech": lambda a: mul(MINUS_ONE, fun("sech", a), fun("tanh", a)),
     "sinh": lambda a: fun("cosh", a),
     "cosh": lambda a: fun("sinh", a),

@@ -15,7 +15,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .expr import (
-    Expr, Fun, KIND_GROUP, Rat, Sym, _rat_exact_pow, add, differentiate,
+    Expr, Fun, KIND_GROUP, Rat, Sym, _q, _rat_exact_pow, add, differentiate,
     free_symbols, fun, jet, mul, pow_, rat, substitute, symbol,
 )
 from .jets import PDE, VectorField
@@ -74,7 +74,7 @@ def exponentiate(V: VectorField, max_nilpotent: int = 6) -> GroupElement:
                 break
             series.append(cur)
         if terminated:
-            terms = [mul(rat(Fraction(1, math.factorial(k))), pow_(eps, Fraction(k)), s)
+            terms = [mul(rat(1, math.factorial(k)), pow_(eps, k), s)
                      for k, s in enumerate(series)]
             maps.append(add(*terms))
             continue
@@ -214,7 +214,7 @@ def _coordinate_rescale(computed: Expr, published: Expr, w, eps) -> "set | None"
     if scale_cmp is not None or scale_pub is not None:
         if scale_cmp is None or scale_pub is None or scale_cmp == 0:
             return set()
-        return {scale_pub / scale_cmp}
+        return {_q(Fraction(scale_pub, scale_cmp))}
     # polynomial form: match eps-power coefficients
     pc = _eps_poly(delta_pub, eps)
     cc = _eps_poly(delta_cmp, eps)
@@ -248,7 +248,7 @@ def _scaling_exponent(m: Expr, w, eps):
         return None
     atom, expo = mono[0]
     if type(atom) is Fun and atom.fn == "exp" and atom.arg == eps:
-        return Fraction(expo)
+        return expo
     return None
 
 
@@ -270,7 +270,7 @@ def _eps_poly(nf: NF, eps):
                     return None
                 rest.append((atom, e))
         cur = out.setdefault(k, NF({}))
-        cur.terms[tuple(rest)] = cur.terms.get(tuple(rest), Fraction(0)) + c
+        cur.terms[tuple(rest)] = cur.terms.get(tuple(rest), 0) + c
     return {k: NF(dict(v.terms)) for k, v in out.items() if v.terms}
 
 
@@ -289,7 +289,7 @@ def compare_flow(g: GroupElement, published_maps, name="g") -> FlowComparison:
             return FlowComparison(name, None, {"per_coordinate": per_coord})
     if combined is None:
         # all identity coordinates: published equals the flow for any eps
-        return FlowComparison(name, Fraction(1), {"per_coordinate": per_coord})
+        return FlowComparison(name, 1, {"per_coordinate": per_coord})
     if len(combined) == 1:
         c = next(iter(combined))
         # confirm globally

@@ -8,7 +8,6 @@ code.
 
 from __future__ import annotations
 
-from fractions import Fraction
 
 from .expr import (
     ONE, ZERO, Expr, Jet, Rat, Sym, add, derivation, differentiate,
@@ -216,7 +215,7 @@ def _lead_rhs(pde: PDE) -> Expr:
     if lead in free_jets(coef):
         raise ValueError("leading derivative does not appear linearly")
     rest = substitute(pde.delta, {lead: rat(0)})
-    rhs = canonical(mul(rat(-1), rest, pow_(coef, Fraction(-1))))
+    rhs = canonical(mul(rat(-1), rest, pow_(coef, -1)))
     pde._lead_rhs = rhs
     return rhs
 

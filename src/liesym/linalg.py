@@ -1,11 +1,13 @@
 """Exact rational linear algebra: one sparse reduced-row-echelon kernel.
 
 A row is a dict (column -> number); absent columns are zero, and the
-numbers may be int or Fraction.  Zero rows and rows equal up to a
-nonzero factor are dropped while the input is converted to Fraction, and
-each new row is reduced against the pivot rows found so far, so the
-result is the unique reduced row echelon form of the row space.  Its
-pivot columns are the ones greedy column-order elimination picks.
+numbers may be int or Fraction.  Inside, a number is an int when
+integral (`expr._q`), and every quotient is an exact `_q(Fraction(a, b))`.
+Zero rows and rows equal up
+to a nonzero factor are dropped first, and each new row is reduced
+against the pivot rows found so far, so the result is the unique
+reduced row echelon form of the row space.  Its pivot columns are the
+ones greedy column-order elimination picks.
 `nullspace`, `rank` and `lin_solve` read their answers off that form.
 No floating point anywhere.
 """
@@ -14,15 +16,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .expr import _q
+
 
 def _distinct_rows(rows):
     """Nonzero rows scaled to a leading 1, each line of the row space once."""
     seen = {}
     for r in rows:
-        row = {j: Fraction(r[j]) for j in sorted(r) if r[j]}
+        row = {j: r[j] for j in sorted(r) if r[j]}
         if row:
             lead = row[next(iter(row))]
-            seen.setdefault(tuple((j, c / lead) for j, c in row.items()), None)
+            seen.setdefault(tuple((j, _q(Fraction(c, lead))) for j, c in row.items()))
     return [dict(key) for key in seen]
 
 
@@ -31,7 +35,7 @@ def _subtract(row, f, pivot_row):
     for j, c in pivot_row.items():
         x = row.get(j, 0) - f * c
         if x:
-            row[j] = x
+            row[j] = _q(x)
         else:
             del row[j]
 
@@ -50,7 +54,7 @@ def _rref(rows) -> dict:
             continue
         lead = min(row)
         inv = row[lead]
-        row = {j: c / inv for j, c in row.items()}
+        row = {j: _q(Fraction(c, inv)) for j, c in row.items()}
         for p in pivots.values():
             if lead in p:
                 _subtract(p, p[lead], row)
@@ -71,9 +75,9 @@ def nullspace(rows, ncols):
         if f in pivots:
             continue
         v = {c: -p[f] for c, p in pivots.items() if f in p}
-        v[f] = Fraction(1)
+        v[f] = 1
         lead = v[min(v)]
-        basis.append([v.get(j, 0) / lead for j in range(ncols)])
+        basis.append([_q(Fraction(v.get(j, 0), lead)) for j in range(ncols)])
     basis.sort(key=lambda v: (tuple(i for i, x in enumerate(v) if x != 0),
                               tuple(v)))
     return basis
@@ -91,5 +95,4 @@ def lin_solve(rows, rhs, ncols):
     pivots = _rref([{**r, ncols: b} for r, b in zip(rows, rhs)])
     if ncols in pivots:      # a pivot in the right-hand side: 0 = 1
         return None
-    return [pivots[c].get(ncols, Fraction(0)) if c in pivots else Fraction(0)
-            for c in range(ncols)]
+    return [pivots[c].get(ncols, 0) if c in pivots else 0 for c in range(ncols)]

@@ -1,10 +1,12 @@
 """Canonical normal forms: expand, collect, decide zero exactly.
 
 A NormalForm is a map from monomials to rational coefficients together
-with a denominator monomial.  Monomial atoms are symbols, jet variables,
-unknown-function derivatives, elementary-function applications with
-canonical arguments, surd remnants (integer bases at fractional
-exponents), and normalized sums at fractional exponents.  Negative
+with a denominator monomial.  Coefficients and exponents are `int` when
+integral and `Fraction` otherwise, as in expr, so a quotient is taken
+as `_q(Fraction(a, b))`, never with `/`.  Monomial atoms are symbols,
+jet variables, unknown-function derivatives, elementary-function
+applications with canonical arguments, surd remnants (integer bases at
+fractional exponents), and normalized sums at fractional exponents.  Negative
 integer powers of sums are cleared into the denominator, so rational
 identities decide exactly.  The only rewrite rules applied are
 sech(h)^2 -> 1 - tanh(h)^2 and cosh(h)^2 -> 1 + sinh(h)^2, plus additive
@@ -22,7 +24,7 @@ from functools import lru_cache
 
 from .expr import (
     Add, Expr, Fun, Jet, Mul, Pow, Rat, ResourceLimitError, Sym, Ufunc,
-    add, fun, mul, pow_, rat, skey, _coeff_rest, _rat_exact_pow,
+    add, fun, mul, pow_, rat, skey, _coeff_rest, _q, _rat_exact_pow,
 )
 
 _EXPANSION_LIMIT = 200_000
@@ -47,7 +49,7 @@ _EMPTY: Monomial = ()
 
 
 def _mono(entries: dict) -> Monomial:
-    return tuple(sorted(((a, e) for a, e in entries.items() if e != 0),
+    return tuple(sorted(((a, _q(e)) for a, e in entries.items() if e != 0),
                         key=lambda p: skey(p[0])))
 
 
@@ -80,11 +82,11 @@ class NF:
 
 
 NF_ZERO = NF({})
-NF_ONE = NF({_EMPTY: Fraction(1)})
+NF_ONE = NF({_EMPTY: 1})
 
 
 def nf_const(c) -> NF:
-    c = Fraction(c)
+    c = _q(c)
     return NF({_EMPTY: c}) if c else NF({})
 
 
@@ -111,39 +113,37 @@ def _extract_root_part(n: int, b: int):
     return s, rem * n
 
 
-def _rat_pow_fold(c: Fraction, q: Fraction):
+def _rat_pow_fold(c, q):
     """c**q -> (exact rational factor, dict of surd atoms to exponents)."""
     exact = _rat_exact_pow(c, q)
     if exact is not None:
         return exact, {}
     entries: dict = {}
-    factor = Fraction(1)
     n = math.floor(q)
     f = q - n
     if c < 0:
         if f.denominator % 2 == 1:
             # real odd root: sign comes out as (-1)^(n + f.numerator)
+            factor = _rat_exact_pow(-c, n)
             if (n + f.numerator) % 2:
                 factor = -factor
-            factor *= (-c) ** n
-            c = -c
         else:
             # even root of a negative rational: keep a signed surd atom
-            factor *= c ** n
+            factor = _rat_exact_pow(c, n)
             entries[Rat(-1)] = f
-            c = -c
+        c = -c
     else:
-        factor *= c ** n
+        factor = _rat_exact_pow(c, n)
     if f:
         for m, sgn in ((c.numerator, 1), (c.denominator, -1)):
             if m == 1:
                 continue
             s, rem = _extract_root_part(m, f.denominator)
-            factor *= Fraction(s) ** (sgn * f.numerator)
+            factor *= _rat_exact_pow(s, sgn * f.numerator)
             if rem != 1:
                 a = Rat(rem)
-                entries[a] = entries.get(a, Fraction(0)) + sgn * f
-    return factor, entries
+                entries[a] = entries.get(a, 0) + sgn * f
+    return _q(factor), entries
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +153,12 @@ def _hyp_square_poly(atom: Fun) -> "NF":
     """sech^2 -> 1 - tanh^2, cosh^2 -> 1 + sinh^2 (same argument)."""
     if atom.fn == "sech":
         t = Fun("tanh", atom.arg)
-        return NF({_EMPTY: Fraction(1), ((t, Fraction(2)),): Fraction(-1)})
+        return NF({_EMPTY: 1, ((t, 2),): -1})
     h = Fun("sinh", atom.arg)
-    return NF({_EMPTY: Fraction(1), ((h, Fraction(2)),): Fraction(1)})
+    return NF({_EMPTY: 1, ((h, 2),): 1})
 
 
-def _canon_term(raw: dict, coeff: Fraction) -> NF:
+def _canon_term(raw: dict, coeff) -> NF:
     """Canonicalize one raw monomial (atom -> exponent) into a small NF."""
     if coeff == 0:
         return NF_ZERO
@@ -178,7 +178,7 @@ def _canon_term(raw: dict, coeff: Fraction) -> NF:
                 fc, fe = _rat_pow_fold(c, q)
                 coeff *= fc
                 for b, e in fe.items():
-                    flat[b] = flat.get(b, Fraction(0)) + e
+                    flat[b] = flat.get(b, 0) + e
             if restx is not None:
                 if type(restx) is Mul:
                     for fct in restx.factors:
@@ -189,9 +189,9 @@ def _canon_term(raw: dict, coeff: Fraction) -> NF:
             fc, fe = _rat_pow_fold(a.value, q)
             coeff *= fc
             for b, e in fe.items():
-                flat[b] = flat.get(b, Fraction(0)) + e
+                flat[b] = flat.get(b, 0) + e
         else:
-            flat[a] = flat.get(a, Fraction(0)) + q
+            flat[a] = flat.get(a, 0) + q
     if coeff == 0:
         return NF_ZERO
     # phase 2: per-atom classes on the accumulated exponents
@@ -207,31 +207,31 @@ def _canon_term(raw: dict, coeff: Fraction) -> NF:
             coeff *= fc
             for b, e in fe.items():
                 if e:
-                    plain[b] = plain.get(b, Fraction(0)) + e
+                    plain[b] = plain.get(b, 0) + e
         elif ta is Add:
             n = math.floor(q)
             f = q - n
             if f:
-                plain[a] = plain.get(a, Fraction(0)) + f
+                plain[a] = plain.get(a, 0) + f
             if n > 0:
                 pending.append((a, n))
             elif n < 0:
                 den[a] = den.get(a, 0) + (-n)
         elif ta is Fun and a.fn in ("sech", "cosh"):
-            k = math.floor(q / 2)
+            k = q // 2
             r = q - 2 * k
             if r:
-                plain[a] = plain.get(a, Fraction(0)) + r
+                plain[a] = plain.get(a, 0) + r
             if k:
                 pending.append((a, k))  # (hyp^2)^k rewrite
         else:
-            plain[a] = plain.get(a, Fraction(0)) + q
-    out = NF({_mono(plain): coeff}, _mono(den))
+            plain[a] = plain.get(a, 0) + q
+    out = NF({_mono(plain): _q(coeff)}, _mono(den))
     for a, k in pending:
         if type(a) is Fun:
-            out = nf_mul(out, nf_pow(_hyp_square_poly(a), Fraction(k)))
+            out = nf_mul(out, nf_pow(_hyp_square_poly(a), k))
         else:
-            out = nf_mul(out, nf_pow(normalize(a), Fraction(k)))
+            out = nf_mul(out, nf_pow(normalize(a), k))
     return out
 
 
@@ -266,15 +266,15 @@ def _terms_mul(t1: dict, t2: dict) -> NF:
         for m2, c2 in t2.items():
             d = dict(d1)
             for a, e in m2:
-                d[a] = d.get(a, Fraction(0)) + e
+                d[a] = d.get(a, 0) + e
             piece = _canon_term(d, c1 * c2)
             if piece.is_zero():
                 continue
             if piece.den == _EMPTY:
                 for m, c in piece.terms.items():
-                    v = acc.get(m, Fraction(0)) + c
+                    v = acc.get(m, 0) + c
                     if v:
-                        acc[m] = v
+                        acc[m] = _q(v)
                     else:
                         acc.pop(m, None)
             else:
@@ -304,9 +304,9 @@ def nf_add(a: NF, b: NF) -> NF:
     tb = b.terms if b.den == den else _scale_terms(b.terms, _mono_div(den, b.den))
     acc = dict(ta)
     for m, c in tb.items():
-        v = acc.get(m, Fraction(0)) + c
+        v = acc.get(m, 0) + c
         if v:
-            acc[m] = v
+            acc[m] = _q(v)
         else:
             acc.pop(m, None)
     _guard(len(acc))
@@ -319,7 +319,7 @@ def _scale_terms(terms: dict, mono: Monomial) -> dict:
         return terms
     factor = NF_ONE
     for a, e in mono:
-        factor = nf_mul(factor, nf_pow(normalize(a), Fraction(e)))
+        factor = nf_mul(factor, nf_pow(normalize(a), e))
     out = _terms_mul(terms, factor.terms)
     if out.den != _EMPTY:
         raise ResourceLimitError("denominator escaped during clearing")
@@ -327,10 +327,10 @@ def _scale_terms(terms: dict, mono: Monomial) -> dict:
 
 
 def nf_scale(a: NF, c) -> NF:
-    c = Fraction(c)
+    c = _q(c)
     if c == 0 or a.is_zero():
         return NF_ZERO
-    return NF({m: v * c for m, v in a.terms.items()}, a.den)
+    return NF({m: _q(v * c) for m, v in a.terms.items()}, a.den)
 
 
 def nf_neg(a: NF) -> NF:
@@ -344,19 +344,19 @@ def _primitive(terms: dict):
     for c in terms.values():
         num_gcd = math.gcd(num_gcd, abs(c.numerator))
         den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
+    content = _q(Fraction(num_gcd, den_lcm))
     lead = max(terms, key=mono_key)
     if terms[lead] < 0:
         content = -content
-    return content, {m: c / content for m, c in terms.items()}
+    return content, {m: _q(Fraction(c, content)) for m, c in terms.items()}
 
 
 def _sum_atom_expr(terms: dict) -> Expr:
     return as_expr(NF(terms))
 
 
-def nf_pow(a: NF, q: Fraction) -> NF:
-    q = Fraction(q)
+def nf_pow(a: NF, q) -> NF:
+    q = _q(q)
     if q == 0:
         return NF_ONE
     if q == 1:
@@ -381,19 +381,19 @@ def nf_pow(a: NF, q: Fraction) -> NF:
         (m, c), = a.terms.items()
         entries = {atom: e * q for atom, e in m}
         for atom, e in a.den:
-            entries[atom] = entries.get(atom, Fraction(0)) - e * q
+            entries[atom] = entries.get(atom, 0) - e * q
         fc, fe = _rat_pow_fold(c, q)
         for atom, e in fe.items():
-            entries[atom] = entries.get(atom, Fraction(0)) + e
+            entries[atom] = entries.get(atom, 0) + e
         return _reduce(_canon_term(entries, fc))
     content, prim = _primitive(a.terms)
     atom = _sum_atom_expr(prim)
     entries = {atom: q}
     for d_atom, e in a.den:
-        entries[d_atom] = entries.get(d_atom, Fraction(0)) - e * q
+        entries[d_atom] = entries.get(d_atom, 0) - e * q
     fc, fe = _rat_pow_fold(content, q)
     for b, e in fe.items():
-        entries[b] = entries.get(b, Fraction(0)) + e
+        entries[b] = entries.get(b, 0) + e
     return _reduce(_canon_term(entries, fc))
 
 
@@ -403,7 +403,7 @@ def nf_pow(a: NF, q: Fraction) -> NF:
 def _mono_div(m1: Monomial, m2: Monomial) -> Monomial:
     acc = dict(m1)
     for a, e in m2:
-        acc[a] = acc.get(a, Fraction(0)) - e
+        acc[a] = acc.get(a, 0) - e
     return _mono(acc)
 
 
@@ -414,7 +414,7 @@ def _lex_vec(term_maps):
     pos = {a: i for i, a in enumerate(atoms)}
 
     def vec(m):
-        v = [Fraction(0)] * len(atoms)
+        v = [0] * len(atoms)
         for a, e in m:
             v[pos[a]] = e
         return tuple(v)
@@ -462,19 +462,19 @@ def _try_div(terms: dict, patoms: dict):
         qm = _mono_div(lead, plead)
         if bound is not None and vec(qm) < bound[group(lead)]:
             return None
-        qc = rem[lead] / plc
+        qc = _q(Fraction(rem[lead], plc))
         piece = _canon_term(dict(qm), qc)
         if piece.den != _EMPTY or len(piece.terms) != 1:
             return None
         (qm2, qc2), = piece.terms.items()
-        quot[qm2] = quot.get(qm2, Fraction(0)) + qc2
+        quot[qm2] = _q(quot.get(qm2, 0) + qc2)
         sub = _terms_mul({qm2: qc2}, patoms)
         if sub.den != _EMPTY:
             return None
         for m, c in sub.terms.items():
-            v = rem.get(m, Fraction(0)) - c
+            v = rem.get(m, 0) - c
             if v:
-                rem[m] = v
+                rem[m] = _q(v)
             else:
                 rem.pop(m, None)
     return None
@@ -516,11 +516,11 @@ def normalize(e: Expr) -> NF:
     if t is Rat:
         return nf_const(e.value)
     if t in (Sym, Jet):
-        return NF({((e, Fraction(1)),): Fraction(1)})
+        return NF({((e, 1),): 1})
     if t is Ufunc:
         cargs = tuple(as_expr(normalize(a)) for a in e.args)
         atom = Ufunc(e.name, cargs, e.dorders)
-        return NF({((atom, Fraction(1)),): Fraction(1)})
+        return NF({((atom, 1),): 1})
     if t is Fun:
         arg = normalize(e.arg)
         if arg.is_zero():
@@ -529,11 +529,11 @@ def normalize(e: Expr) -> NF:
             # additive splitting: exp(sum c_i m_i / D) -> prod exp(m_i/D)^c_i
             entries: dict = {}
             for m, c in arg.terms.items():
-                atom = Fun("exp", as_expr(NF({m: Fraction(1)}, arg.den)))
-                entries[atom] = entries.get(atom, Fraction(0)) + c
-            return _canon_term(entries, Fraction(1))
+                atom = Fun("exp", as_expr(NF({m: 1}, arg.den)))
+                entries[atom] = entries.get(atom, 0) + c
+            return _canon_term(entries, 1)
         carg = as_expr(arg)
-        return NF({((Fun(e.fn, carg), Fraction(1)),): Fraction(1)})
+        return NF({((Fun(e.fn, carg), 1),): 1})
     if t is Pow:
         return nf_pow(normalize(e.base), e.exp)
     if t is Mul:
@@ -558,7 +558,7 @@ def as_expr(a: NF) -> Expr:
     num = add(*parts) if parts else rat(0)
     if not a.den:
         return num
-    return mul(num, *(pow_(atom, Fraction(-e)) for atom, e in a.den))
+    return mul(num, *(pow_(atom, -e) for atom, e in a.den))
 
 
 # ---------------------------------------------------------------------------
@@ -584,14 +584,14 @@ def nf_div_exact(a: NF, b: NF):
         return NF_ZERO
     vec = _lex_vec([a.terms, b.terms])
     lead_a, lead_b = max(a.terms, key=vec), max(b.terms, key=vec)
-    entries = {atom: Fraction(e) for atom, e in lead_a}
+    entries = dict(lead_a)
     for atom, e in lead_b:
-        entries[atom] = entries.get(atom, Fraction(0)) - e
+        entries[atom] = entries.get(atom, 0) - e
     for atom, e in b.den:
-        entries[atom] = entries.get(atom, Fraction(0)) + e
+        entries[atom] = entries.get(atom, 0) + e
     for atom, e in a.den:
-        entries[atom] = entries.get(atom, Fraction(0)) - e
-    qc = a.terms[lead_a] / b.terms[lead_b]
+        entries[atom] = entries.get(atom, 0) - e
+    qc = _q(Fraction(a.terms[lead_a], b.terms[lead_b]))
     cand = _reduce(_canon_term(entries, qc))
     if nf_add(a, nf_neg(nf_mul(cand, b))).is_zero():
         return cand

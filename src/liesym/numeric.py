@@ -19,7 +19,8 @@ mpmath's own mpf operators and functions make, on raw `_mpf_` tuples at
 object or a precision context per operation.  Its inputs enter exactly
 in the prologue, so no term is left computing in double, and
 `compile_terms` wraps each result as an mpf once.  Its `exp`, `sinh`
-and `cosh` raise OverflowError where `math`'s do, so dd rejects the
+and `cosh` raise OverflowError where `math`'s do, and its integer and
+rational powers where a double power overflows, so dd rejects the
 points double rejects instead of building a value of unbounded size.
 Evaluation order follows the stored tree (Add/Mul fold left), so results
 are deterministic for a fixed backend and do not depend on how terms
@@ -74,6 +75,14 @@ def _rp_complex(b, p, q):
     return b ** (p / q)
 
 
+def _dd_fits(v):
+    """v, or OverflowError where a double power overflows: the libmp tuple
+    (sign, man, exp, bc) is at least 2**(exp + bc - 1) in magnitude."""
+    if v[2] + v[3] > 1024:
+        raise OverflowError("power beyond the double range")
+    return v
+
+
 def _dd_rp(b, p, q):
     """Real-branch b**(p/q) on libmp tuples, as the mpf operators compute
     `s * mpmath.power(-b, mpf(p)/q)`."""
@@ -86,8 +95,8 @@ def _dd_rp(b, p, q):
         if q % 2 == 0:
             raise EvalDomainError("even root of a negative value")
         v = mpf_pow(mpf_neg(b, DD_PREC, "n"), y, DD_PREC, "n")
-        return mpf_mul_int(v, -1 if p % 2 else 1, DD_PREC, "n")
-    return mpf_pow(b, y, DD_PREC, "n")
+        return _dd_fits(mpf_mul_int(v, -1 if p % 2 else 1, DD_PREC, "n"))
+    return _dd_fits(mpf_pow(b, y, DD_PREC, "n"))
 
 
 def _sech(v):
@@ -141,7 +150,8 @@ _BACKENDS = {
         exp=cmath.exp, rp=_rp_complex, const=complex,
     ),
     ("dd", False): dict(  # libmp's own names: mpf_add, fzero, to_float, ...
-        vars(libmp), tanh=libmp.mpf_tanh, rp=_dd_rp, const=_dd_const, dd_in=_dd_in,
+        vars(libmp), tanh=libmp.mpf_tanh, rp=_dd_rp, fits=_dd_fits, const=_dd_const,
+        dd_in=_dd_in,
         exp=_dd_bounded(libmp.mpf_exp, math.exp),
         sinh=_dd_bounded(libmp.mpf_sinh, math.sinh),
         cosh=_dd_bounded(libmp.mpf_cosh, math.cosh),
@@ -158,7 +168,7 @@ _SPELLING = {
         add=f"mpf_add({{x}},{{y}},{_PR})", mul=f"mpf_mul({{x}},{{y}},{_PR})",
         fun=f"{{fn}}({{a}},{_PR})",
         sech=f"mpf_rdiv_int(1,mpf_cosh({{a}},{_PR}),{_PR})",
-        ipow=f"mpf_pow_int({{b}},{{n}},{_PR})",
+        ipow=f"fits(mpf_pow_int({{b}},{{n}},{_PR}))",
     ),
 }
 

@@ -265,7 +265,8 @@ def weierstrass_claim_residual(rec: Record, points: int = 40, seed: int = 0):
                  6 H'^2 + a H''' = 0, written via wp as
                  6 P^2 mu^2 wp^2 - a P mu^3 wp'' = 0.
     wp and wp'' come from one jet evaluation per sample point, wp''
-    carried exactly through the duplication maps.  The record's constants,
+    carried exactly through the duplication maps; the series constants
+    that depend on g3 alone are computed once.  The record's constants,
     mu = cbrt(-1/a), the argument and the residual are all taken at 106 bits.
     """
     form = rec.get("form", "p")
@@ -276,9 +277,10 @@ def weierstrass_claim_residual(rec: Record, points: int = 40, seed: int = 0):
         P = {"a*mu": a * mu, "a/mu": a / mu}.get(rec.get("prefactor"))
         if form != "p" and P is None:
             raise ValueError("zeta record needs prefactor a*mu or a/mu")
+        consts = wz.series_constants(g3, "dd")
 
         def rel(q):
-            p, p2 = wz.weierstrass_p_with_second(mu * (q + c1), g3, "dd")
+            p, p2 = wz.weierstrass_p_with_second(mu * (q + c1), g3, "dd", consts)
             if abs(p) > 50:
                 raise EvalDomainError("wp too large at sample")
             if form == "p":  # f = wp/mu, f'' = mu wp''

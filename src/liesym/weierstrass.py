@@ -76,17 +76,22 @@ class _Ctx:
         return fn()
 
 
-def _series_eval(z, g3, ctx):
+def series_constants(g3, precision="double"):
+    """(2k - 2, c_k g3^(m_k)) for each series term at the precision: its
+    exponent of z and the part of its value that depends on g3 alone."""
+    ctx = _Ctx(precision)
+    return ctx.run(lambda: [(2 * k - 2, ctx.to(c.numerator) / c.denominator
+                             * ctx.to(g3) ** p) for k, c, p in _COEFFS])
+
+
+def _series_eval(z, consts):
     """(P, P', P'', zeta) from the Laurent series; z inside the disk."""
     z2 = z * z
     P = 1 / z2
     P1 = -2 / (z2 * z)
     P2 = 6 / (z2 * z2)
     Z = 1 / z
-    g3v = ctx.to(g3)
-    for k, c, p in _COEFFS:
-        cv = ctx.to(c.numerator) / c.denominator * g3v ** p
-        e = 2 * k - 2
+    for e, cv in consts:
         zp = z ** (e - 2)
         P = P + cv * zp * z2
         P1 = P1 + cv * e * zp * z
@@ -113,7 +118,7 @@ def _dup(P, P1, P2, Z, g3, ctx):
     return Pn, P1n, P2n, Zn
 
 
-def _eval_jet(zv, g3, ctx):
+def _eval_jet(zv, g3, ctx, consts=None):
     z = ctx.to(zv)
     if ctx.absv(z) < _POLE_TOL:
         raise EvalDomainError("argument too close to the lattice pole at 0")
@@ -125,7 +130,9 @@ def _eval_jet(zv, g3, ctx):
         k += 1
     if ctx.absv(z) > radius:
         raise EvalDomainError("argument outside the duplication budget")
-    jet = _series_eval(z, g3, ctx)
+    if consts is None:
+        consts = series_constants(g3, ctx.precision)
+    jet = _series_eval(z, consts)
     for _ in range(k):
         jet = _dup(*jet, g3, ctx)
     return jet
@@ -142,10 +149,11 @@ def weierstrass_p_prime(zv, g3, precision="double"):
     return ctx.run(lambda: _eval_jet(zv, g3, ctx)[1])
 
 
-def weierstrass_p_with_second(zv, g3, precision="double"):
-    """(wp, wp'') at zv from one jet evaluation."""
+def weierstrass_p_with_second(zv, g3, precision="double", consts=None):
+    """(wp, wp'') at zv from one jet evaluation; consts, when given, is
+    series_constants(g3, precision), computed once for many points."""
     ctx = _Ctx(precision)
-    P, _, P2, _ = ctx.run(lambda: _eval_jet(zv, g3, ctx))
+    P, _, P2, _ = ctx.run(lambda: _eval_jet(zv, g3, ctx, consts))
     return P, P2
 
 

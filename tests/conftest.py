@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import strategies as st
 
@@ -48,3 +50,9 @@ def expr_trees(depth, walker=False):
                                st.integers(0, 2))
                      .map(lambda p: Ufunc(p[0], p[1:3], p[3:])))
     return st.one_of(*nodes)
+
+
+def exact_number(v) -> bool:
+    """How exact data holds a rational: an int, or a Fraction that is not
+    integral (never a float, and never Fraction(n, 1))."""
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)

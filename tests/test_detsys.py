@@ -15,6 +15,8 @@ from liesym.jets import VectorField, jet_bindings, load_pde
 from liesym.parse import ParseContext
 from liesym import linalg
 
+from conftest import exact_number
+
 
 @pytest.fixture(scope="module")
 def system(pde):
@@ -363,6 +365,11 @@ class TestLinalgOracle:
         ns = linalg.nullspace(_sparse(rows), ncols)
         assert ns == _oracle_nullspace(rows, ncols)
         assert linalg.rank(_sparse(rows)) == ncols - len(ns)
+        # the same rows with every integral entry an int, as detsys builds
+        # them: the same basis, and no float or integral Fraction in it
+        ints = [[c.numerator if c.denominator == 1 else c for c in r] for r in rows]
+        ns_int = linalg.nullspace(_sparse(ints), ncols)
+        assert ns_int == ns and all(exact_number(c) for v in ns_int for c in v)
         # consistent by construction, then an arbitrary right-hand side
         # (with no rows, both ask for the zero vector)
         x0 = [Fraction(j + 1, 2) for j in range(ncols)]
@@ -370,7 +377,9 @@ class TestLinalgOracle:
         for b in (image, rhs):
             x = linalg.lin_solve(_sparse(rows), b, ncols)
             assert x == _oracle_solve(rows, b, ncols)
+            assert x == linalg.lin_solve(_sparse(ints), b, ncols)
             if x is not None:
+                assert all(map(exact_number, x))
                 assert [sum(a * c for a, c in zip(r, x)) for r in rows] == b
         assert linalg.lin_solve(_sparse(rows), image, ncols) is not None
 

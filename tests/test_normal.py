@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from liesym import (
     ResourceLimitError, add, fun, is_zero, mul, normalize, parse, pow_, rat,
@@ -11,9 +11,13 @@ from liesym import (
 )
 from liesym import normal
 from liesym.catalog import solution_context
-from liesym.expr import free_symbols, to_text
+from liesym.expr import (
+    Add, EvalDomainError, Fun, Mul, Pow, Rat, children, free_symbols, to_text,
+)
 from liesym.normal import as_expr, canonical, nf_div_exact
 from liesym.numeric import compile_terms, sampled
+
+from conftest import exact_number, expr_trees
 
 x = symbol("x", "independent-variable")
 y = symbol("y", "independent-variable")
@@ -154,7 +158,7 @@ def _try_div_oracle(terms, patoms):
         vec = normal._lex_vec([rem, patoms])
         lead, plead = max(rem, key=vec), max(patoms, key=vec)
         qm = normal._mono_div(lead, plead)
-        piece = normal._canon_term(dict(qm), rem[lead] / patoms[plead])
+        piece = normal._canon_term(dict(qm), Fraction(rem[lead], patoms[plead]))
         if piece.den != () or len(piece.terms) != 1:
             return None
         (qm2, qc2), = piece.terms.items()
@@ -297,3 +301,85 @@ def test_gaussian_zero_iff_numerically_zero(pair, p, q, variant):
     seen = list(sampled(close, len(syms), 8, 32, 0, (0.5, 2.0)))
     event(f"exact zero: {exact}")
     assert seen and exact == all(seen)
+
+
+# ---------------------------------------------------------------------------
+# int and Fraction: interchangeable inputs, and exact data holds each
+# rational one way (int when integral)
+
+_RAW = {Add: lambda e, kids: Add(kids), Mul: lambda e, kids: Mul(kids),
+        Pow: lambda e, kids: Pow(kids[0], Fraction(e.exp)),
+        Fun: lambda e, kids: Fun(e.fn, kids[0])}
+
+
+def _with_fraction_exponents(e):
+    """The same tree node for node, built with the raw constructors and
+    every exponent a Fraction (Fraction(2), not 2)."""
+    if type(e) not in _RAW:
+        return e
+    return _RAW[type(e)](e, tuple(map(_with_fraction_exponents, children(e))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(expr_trees(2))
+def test_int_and_fraction_exponents_are_interchangeable(e):
+    twin = _with_fraction_exponents(e)
+    assert twin == e and hash(twin) == hash(e)
+    got = normalize(e)
+    normalize.cache_clear()  # twin == e, so the cache would hand back got
+    again = normalize(twin)
+    assert again == got and hash(again) == hash(got)
+    assert to_text(as_expr(again)) == to_text(as_expr(got))
+    assert to_text(twin) == to_text(e)
+
+
+def _tree_numbers(e):
+    """Every Rat value and Pow exponent in e."""
+    out, stack = [], [e]
+    while stack:
+        x = stack.pop()
+        if type(x) is Rat:
+            out.append(x.value)
+        elif type(x) is Pow:
+            out.append(x.exp)
+        stack.extend(children(x))
+    return out
+
+
+def _nf_numbers(n):
+    """Every coefficient and exponent of n, with the numbers inside its atoms."""
+    out = list(n.terms.values())
+    for m in (*n.terms, n.den):
+        for atom, q in m:
+            out += [q, *_tree_numbers(atom)]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(expr_trees(2), expr_trees(2), st.sampled_from([2, -3, Fraction(2, 3)]),
+       st.sampled_from([-2, -1, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]))
+def test_exact_data_holds_no_float_and_no_integral_fraction(a, b, c, q):
+    # every division site divides: content extraction (a rational power of
+    # a sum times c), rational powers of rationals, exact Laurent division
+    # (an expanded product over a sum) and nf_div_exact; int / int would
+    # be a float.  The last three add exponents and collect coefficients in
+    # products and sums, where Fractions can sum to an integer.
+    sa, sb = add(a, y), add(b, x)  # sums, unless a term cancels
+    half = rat(1, 2)
+    try:
+        exprs = [pow_(mul(rat(c), sa), q) / sb, canonical(mul(sa, sb)) / sb,
+                 mul(add(pow_(x, q), a), add(pow_(x, q), b)),
+                 mul(add(pow_(x, q), mul(half, a)), add(pow_(x, q), mul(half, a), y)),
+                 add(mul(half, sa), mul(half, a))]
+        nfs = [normalize(e) for e in exprs]
+    except (EvalDomainError, ZeroDivisionError):
+        assume(False)
+    quotient = nf_div_exact(normalize(a), normalize(b))
+    if quotient is not None:
+        nfs.append(quotient)
+    numbers = [v for e in exprs for v in _tree_numbers(e)]
+    for n in nfs:
+        numbers += _nf_numbers(n) + _tree_numbers(as_expr(n))
+        if n.terms:  # as_expr would turn a float content quotient back exact
+            numbers += normal._primitive(n.terms)[1].values()
+    assert all(map(exact_number, numbers)), [v for v in numbers if not exact_number(v)]

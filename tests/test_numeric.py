@@ -6,6 +6,7 @@ import operator
 import os
 import subprocess
 import sys
+import time
 from functools import reduce
 
 import mpmath
@@ -40,14 +41,38 @@ def _mp_rp(b, p, q):
     return mpmath.power(b, mpmath.mpf(p) / q)
 
 
+def _in_double_range(power):
+    """power, raising OverflowError where a double power overflows."""
+    def bounded(*args):
+        v = power(*args)
+        if abs(v) >= 2 ** 1024:
+            raise OverflowError("power beyond the double range")
+        return v
+    return bounded
+
+
+def _like_double(f, double):
+    """f, raising OverflowError where the math function double does."""
+    def bounded(v):
+        x = float(v)
+        if math.isinf(x):
+            raise OverflowError("argument beyond the double range")
+        double(x)
+        return f(v)
+    return bounded
+
+
 # the dd reference computes on mpmath objects, independent of the kernel's
-# libmp spelling
-_MP = dict(tanh=mpmath.tanh, sech=lambda v: 1 / mpmath.cosh(v), sinh=mpmath.sinh,
-           cosh=mpmath.cosh, exp=mpmath.exp,
+# libmp spelling; it rejects the points double rejects, as the kernel does
+_MP = dict(tanh=mpmath.tanh, sech=lambda v: 1 / mpmath.cosh(v),
+           sinh=_like_double(mpmath.sinh, math.sinh),
+           cosh=_like_double(mpmath.cosh, math.cosh),
+           exp=_like_double(mpmath.exp, math.exp),
            const=lambda c: mpmath.mpf(c.numerator) / c.denominator)
 _REFERENCE = {("double", False): _BACKENDS[("double", False)],
               ("double", True): _BACKENDS[("double", True)],
-              ("dd", False): dict(_MP, rp=_mp_rp)}
+              ("dd", False): dict(_MP, rp=_in_double_range(_mp_rp),
+                                  ipow=_in_double_range(operator.pow))}
 
 
 def _reference(e, env, backend):
@@ -62,7 +87,7 @@ def _reference(e, env, backend):
     if t is Pow:
         b, q = _reference(e.base, env, backend), e.exp
         if q.denominator == 1:
-            return b ** q.numerator
+            return backend.get("ipow", operator.pow)(b, q.numerator)
         return backend["rp"](b, q.numerator, q.denominator)
     parts = [_reference(a, env, backend)
              for a in (e.factors if t is Mul else e.terms)]
@@ -227,6 +252,30 @@ def test_dd_overflows_where_double_does(fn):
                     dd(v)
             else:
                 dd(v)
+
+
+@pytest.mark.parametrize("precision", ["double", "dd"])
+@pytest.mark.parametrize("text, fits", [
+    ("x^1023", True), ("x^1024", False), ("x^(2047/2)", True), ("x^(2049/2)", False),
+    ("(-x)^(3071/3)", True), ("(-x)^(3073/3)", False),
+])
+def test_powers_overflow_where_double_does(precision, text, fits):
+    # at x = 2 the largest power a double holds is 2^1023.99...
+    fn, _ = compile_terms([parse(text)], precision)
+    if fits:
+        assert math.isfinite(float(fn(2.0)[0]))
+    else:
+        with pytest.raises(OverflowError):
+            fn(2.0)
+
+
+def test_huge_dd_power_is_rejected_quickly():
+    # x^100000 fits no double, so dd never takes the cosh of a value near
+    # 2^100000 (~0.3 s a point when it did)
+    fn, _ = compile_residual([parse("sech(x^100000)"), parse("1")], "dd")
+    start = time.perf_counter()
+    assert list(sampled(fn, 1, 5, 5, 0, (1.5, 2.5))) == []
+    assert time.perf_counter() - start < 0.5
 
 
 def test_huge_dd_arguments_are_rejected_quickly():
