@@ -10,10 +10,9 @@ corrected variants live in separate records whose names end in
 from __future__ import annotations
 
 from fractions import Fraction
-from importlib import resources
 
 from .expr import Expr, Pow, children, free_symbols, pow_, rat
-from .parse import ParseContext, parse
+from .parse import ParseContext, data_text
 
 
 class CatalogError(Exception):
@@ -91,13 +90,7 @@ def parse_catalog(text: str) -> list:
 
 
 def load_catalog(path=None) -> list:
-    import os
-    if path is None or (path == "paper_catalog.txt" and not os.path.exists(path)):
-        text = resources.files("liesym.data").joinpath("paper_catalog.txt").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    return parse_catalog(text)
+    return parse_catalog(data_text("paper_catalog.txt", path))
 
 
 # ---------------------------------------------------------------------------

@@ -8,32 +8,24 @@ limit.  With a fixed seed two runs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
-from importlib import resources
 
 from mpmath import nstr
 
 from .catalog import CatalogError, load_catalog, solution_context
 from .expr import ExprError, Pow, Rat, ResourceLimitError, children, to_text
-from .jets import PDE, load_pde
+from .jets import load_pde
 from .numeric import DOMAIN_ERRORS, compile_terms
 from .normal import canonical
-from .parse import ParseError, parse
+from .parse import ParseError, data_lines, data_text, parse
 from . import detsys, flows, liealg, verify as verify_mod
 
 
-def _shipped(name: str) -> str:
-    return resources.files("liesym.data").joinpath(name).read_text()
-
-
 def _load_pde_arg(path):
-    import os
-    if path is None or (path == "kdv31.pde" and not os.path.exists(path)):
-        return load_pde(_shipped("kdv31.pde"))
-    with open(path) as fh:
-        return load_pde(fh.read())
+    return load_pde(data_text("kdv31.pde", path))
 
 
 def _emit(text: str, out_path):
@@ -84,12 +76,7 @@ def cmd_table(args) -> int:
         out.append(f"closure failures: {len(table.failures)}")
         rc = 1
     if args.compare:
-        import os
-        if args.compare == "table1.golden" and not os.path.exists(args.compare):
-            golden = liealg.load_golden_table()
-        else:
-            with open(args.compare) as fh:
-                golden = liealg.load_golden_table(fh.read())
+        golden = liealg.load_golden_table(data_text("table1.golden", args.compare))
         mism = liealg.compare_with_golden(table, golden)
         if mism:
             rc = 1
@@ -209,31 +196,22 @@ def cmd_sample(args) -> int:
     missing = [n for n in need if n not in swept and n not in fixed]
     if missing:
         raise ParseError(f"unbound symbols in solution: {', '.join(missing)}")
-    grids = []
-    for _, lo, hi, count in axes:
-        grids.append([lo + i * (hi - lo) / (count - 1) for i in range(count)])
+    grids = [[lo + i * (hi - lo) / (count - 1) for i in range(count)]
+             for _, lo, hi, count in axes]
     fn, syms = compile_terms((f,), args.precision)
     rows = [",".join(swept + ["u"])]
     warnings = 0
-
-    def rec_loop(i, env):
-        nonlocal warnings
-        if i == len(axes):
-            point = {**fixed, **env}
-            try:
-                val = fn(*[point[s.name] for s in syms])[0]
-            except DOMAIN_ERRORS:
-                warnings += 1
-                txt = "nan"
-            else:
-                txt = nstr(val, 17) if args.precision == "dd" else f"{val:.17g}"
-            rows.append(",".join([f"{env[n]:.17g}" for n in swept] + [txt]))
-            return
-        for v in grids[i]:
-            env[swept[i]] = v
-            rec_loop(i + 1, env)
-
-    rec_loop(0, {})
+    for values in itertools.product(*grids):  # last axis fastest
+        env = dict(zip(swept, values))
+        point = {**fixed, **env}
+        try:
+            val = fn(*[point[s.name] for s in syms])[0]
+        except DOMAIN_ERRORS:
+            warnings += 1
+            txt = "nan"
+        else:
+            txt = nstr(val, 17) if args.precision == "dd" else f"{val:.17g}"
+        rows.append(",".join([f"{env[n]:.17g}" for n in swept] + [txt]))
     _emit("\n".join(rows) + "\n", args.out)
     if warnings:
         print(f"# {warnings} grid points hit singularities (nan)", file=sys.stderr)
@@ -309,15 +287,9 @@ def _finish_pipeline(args, summary, text):
 # argument plumbing
 
 def _read_config(path):
-    out = {}
     with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            k, _, v = line.partition("=")
-            out[k.strip()] = v.strip()
-    return out
+        pairs = [line.partition("=") for line in data_lines(fh.read())]
+    return {k.strip(): v.strip() for k, _, v in pairs}
 
 
 _DEFAULTS = {

@@ -244,19 +244,13 @@ def satisfies_system(sys: DeterminingSystem, V: VectorField) -> bool:
 
 def reference_system(pde: PDE) -> DeterminingSystem:
     """The published determining system, from the shipped transcription."""
-    from importlib import resources
-    from .parse import ParseContext, parse as parse_dsl
+    from .parse import ParseContext, data_lines, data_text, parse as parse_dsl
 
-    text = resources.files("liesym.data").joinpath(
-        "determining_reference.txt").read_text()
     names = unknown_names(pde)
     coords = [v.name for v in pde.vars] + [pde.dep]
     ctx = ParseContext(indep=coords, deps=names)
-    constraints = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            constraints.append(parse_dsl(line, ctx))
+    constraints = [parse_dsl(line, ctx)
+                   for line in data_lines(data_text("determining_reference.txt"))]
     return DeterminingSystem(constraints, names, coordinate_symbols(pde))
 
 

@@ -125,7 +125,9 @@ class Rat(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        v = _q(value if type(value) in (int, Fraction) else Fraction(value))
+        if type(value) not in (int, Fraction):
+            raise ExprError(f"not an exact rational: {value!r}")
+        v = _q(value)
         object.__setattr__(self, "value", v)
         object.__setattr__(self, "_h", hash(("R", v)))
 

@@ -4,23 +4,24 @@ exponentiate detects two closed-form patterns per coordinate: a
 terminating Lie series (nilpotent action) and a pure scaling
 V(w) = c*w.  Anything else is reported as non-closed-form rather than
 approximated.  The comparator against the published groups accepts a
-match up to a single rational reparametrization eps -> c*eps per group,
-since a one-parameter group is parametrization independent.
+match up to a single rational reparametrization eps -> c*eps per group.
+A one-parameter group is fixed by its infinitesimal generator, and
+eps -> c*eps multiplies that generator by c (Olver, Applications of Lie
+Groups to Differential Equations, GTM 107, sec. 1.3), so c is read off as
+the exact ratio of the two generators and then confirmed on the maps.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from importlib import resources
 
 from .expr import (
-    Expr, Fun, KIND_GROUP, Rat, Sym, _q, _rat_exact_pow, add, differentiate,
-    free_symbols, fun, jet, mul, pow_, rat, substitute, symbol,
+    Expr, KIND_GROUP, Rat, Sym, add, differentiate, fun, jet, mul, pow_, rat,
+    substitute, symbol,
 )
 from .jets import PDE, VectorField
-from .normal import NF, canonical, is_zero, normalize, nf_div_exact
-from .parse import ParseContext, parse
+from .normal import canonical, is_zero, normalize, nf_div_exact
+from .parse import ParseContext, data_lines, data_text, parse
 
 
 class NonClosedFormError(Exception):
@@ -183,119 +184,43 @@ class FlowComparison:
 
 
 def load_reference_groups(pde: PDE):
-    text = resources.files("liesym.data").joinpath("groups_reference.txt").read_text()
     ctx = ParseContext(indep=[v.name for v in pde.vars], deps=(pde.dep,),
                        kinds={EPS_NAME: KIND_GROUP})
     out = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in data_lines(data_text("groups_reference.txt")):
         name, rhs = (s.strip() for s in line.split("=", 1))
         out[name] = tuple(parse(p.strip(), ctx) for p in rhs.split("|"))
     return out
 
 
-def _coordinate_rescale(computed: Expr, published: Expr, w, eps) -> "set | None":
-    """Set of rational c with computed(eps -> c*eps) == published.
-
-    None means 'any c works' (identity coordinate); an empty set means no
-    rational reparametrization can match.
-    """
-    delta_pub = normalize(add(published, mul(rat(-1), w)))
-    delta_cmp = normalize(add(computed, mul(rat(-1), w)))
-    if delta_pub.is_zero() and delta_cmp.is_zero():
-        return None
-    if delta_pub.is_zero() or delta_cmp.is_zero():
-        return set()
-    # scaling form: w * exp(a*eps); exp canonicalization stores exp(eps)^a
-    scale_cmp = _scaling_exponent(computed, w, eps)
-    scale_pub = _scaling_exponent(published, w, eps)
-    if scale_cmp is not None or scale_pub is not None:
-        if scale_cmp is None or scale_pub is None or scale_cmp == 0:
-            return set()
-        return {_q(Fraction(scale_pub, scale_cmp))}
-    # polynomial form: match eps-power coefficients
-    pc = _eps_poly(delta_pub, eps)
-    cc = _eps_poly(delta_cmp, eps)
-    if pc is None or cc is None or set(pc) != set(cc):
-        return set()
-    cands = None
-    for k in sorted(pc):
-        r = nf_div_exact(pc[k], cc[k])
-        if r is None or r.den or len(r.terms) != 1:
-            return set()
-        (mono, val), = r.terms.items()
-        if mono:
-            return set()
-        # val must equal c^k
-        c = _rat_exact_pow(val, Fraction(1, k))
-        if c is None:
-            return set()
-        cands = {c} if cands is None else (cands & {c})
-        if not cands:
-            return set()
-    return cands if cands is not None else set()
-
-
-def _scaling_exponent(m: Expr, w, eps):
-    """a when m == w*exp(a*eps), else None."""
-    q = nf_div_exact(normalize(m), normalize(w))
-    if q is None or q.den or len(q.terms) != 1:
-        return None
-    (mono, c), = q.terms.items()
-    if c != 1 or len(mono) != 1:
-        return None
-    atom, expo = mono[0]
-    if type(atom) is Fun and atom.fn == "exp" and atom.arg == eps:
-        return expo
-    return None
-
-
-def _eps_poly(nf: NF, eps):
-    """Coefficients by eps power, as normal forms; None if eps is not polynomial."""
-    if nf.den:
-        return None
-    out: dict = {}
-    for mono, c in nf.terms.items():
-        k = 0
-        rest = []
-        for atom, e in mono:
-            if atom == eps:
-                if e.denominator != 1 or e < 0:
-                    return None
-                k = int(e)
-            else:
-                if type(atom) is Fun and eps in free_symbols(atom.arg):
-                    return None
-                rest.append((atom, e))
-        cur = out.setdefault(k, NF({}))
-        cur.terms[tuple(rest)] = cur.terms.get(tuple(rest), 0) + c
-    return {k: NF(dict(v.terms)) for k, v in out.items() if v.terms}
-
-
 def compare_flow(g: GroupElement, published_maps, name="g") -> FlowComparison:
+    """The rational c with flow(c*eps) == published, or an inconsistent result.
+
+    Each coordinate proposes c as the exact quotient of its generator
+    components, the eps-derivatives of the two maps at eps = 0: none when
+    both vanish, nothing when the quotient is not a nonzero rational.  The
+    one common c is then confirmed on the whole maps.
+    """
     eps = g.eps
+    at_zero = {eps: rat(0)}
     per_coord = {}
     combined = None
     for w, cm, pm in zip(g.coords(), g.maps, published_maps):
-        cset = _coordinate_rescale(cm, pm, w, eps)
+        gen_c, gen_p = (normalize(substitute(differentiate(m, eps), at_zero))
+                        for m in (cm, pm))
         label = w.name if isinstance(w, Sym) else g.field.dep
-        per_coord[label] = (None if cset is None else sorted(cset))
-        if cset is None:
+        if gen_c.is_zero() and gen_p.is_zero():
+            per_coord[label] = None
             continue
+        q = nf_div_exact(gen_p, gen_c)
+        const = q is not None and not q.den and list(q.terms) == [()]
+        cset = {q.terms[()]} if const else set()
+        per_coord[label] = sorted(cset)
         combined = cset if combined is None else (combined & cset)
         if not combined:
             return FlowComparison(name, None, {"per_coordinate": per_coord})
-    if combined is None:
-        # all identity coordinates: published equals the flow for any eps
-        return FlowComparison(name, 1, {"per_coordinate": per_coord})
-    if len(combined) == 1:
-        c = next(iter(combined))
-        # confirm globally
-        repl = {eps: mul(Rat(c), eps)}
-        for cm, pm in zip(g.maps, published_maps):
-            if not is_zero(add(substitute(cm, repl), mul(rat(-1), pm))):
-                return FlowComparison(name, None, {"per_coordinate": per_coord})
-        return FlowComparison(name, c, {"per_coordinate": per_coord})
-    return FlowComparison(name, None, {"per_coordinate": per_coord})
+    c = 1 if combined is None else next(iter(combined))
+    repl = {eps: mul(Rat(c), eps)}
+    same = all(is_zero(add(substitute(cm, repl), mul(rat(-1), pm)))
+               for cm, pm in zip(g.maps, published_maps))
+    return FlowComparison(name, c if same else None, {"per_coordinate": per_coord})

@@ -14,7 +14,7 @@ from .expr import (
     free_jets, jet, mul, pow_, rat, substitute,
 )
 from .normal import canonical, is_zero
-from .parse import ParseContext, ParseError, parse
+from .parse import ParseContext, ParseError, data_lines, parse
 
 
 class PDE:
@@ -43,10 +43,7 @@ class PDE:
 def load_pde(text: str) -> PDE:
     """Parse a PDE definition: `vars ...`, `dep ...`, `eq <expr>` lines."""
     variables = dep = eq_text = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in data_lines(text):
         head, _, rest = line.partition(" ")
         if head == "vars":
             variables = rest.split()

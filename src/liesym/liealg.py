@@ -8,12 +8,11 @@ must be reportable as data.
 from __future__ import annotations
 
 from fractions import Fraction
-from importlib import resources
 
-from .expr import add, jet, mul, rat
+from .expr import add, mul, rat
 from .jets import PDE, VectorField
-from .normal import canonical, is_zero
-from .parse import ParseContext, parse
+from .normal import canonical
+from .parse import ParseContext, data_lines, data_text, parse
 from . import linalg
 from .detsys import SymmetryBasis, check_membership, _field_vector
 
@@ -137,18 +136,11 @@ def linearly_independent(fields) -> bool:
 # ---------------------------------------------------------------------------
 # shipped data
 
-def _data_text(name: str) -> str:
-    return resources.files("liesym.data").joinpath(name).read_text()
-
-
 def reference_basis(pde: PDE) -> SymmetryBasis:
     """The published ten generators, in publication order."""
     ctx = ParseContext(indep=[v.name for v in pde.vars], deps=(pde.dep,))
     fields = []
-    for line in _data_text("basis_reference.txt").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in data_lines(data_text("basis_reference.txt")):
         _, rhs = line.split("=", 1)
         parts = [parse(p.strip(), ctx) for p in rhs.split("|")]
         fields.append(VectorField(parts[:-1], parts[-1], pde.vars, pde.dep))
@@ -157,13 +149,8 @@ def reference_basis(pde: PDE) -> SymmetryBasis:
 
 def load_golden_table(text: str = None):
     """Parse nonzero table cells: {(i, j): (coefficient, k)} (0-based)."""
-    if text is None:
-        text = _data_text("table1.golden")
     cells = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in data_lines(text if text is not None else data_text("table1.golden")):
         lhs, rhs = line.split("=", 1)
         pair = lhs.strip().strip("[]").split(",")
         i = int(pair[0].strip()[1:]) - 1

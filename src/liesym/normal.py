@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .expr import (
     Add, Expr, Fun, Jet, Mul, Pow, Rat, ResourceLimitError, Sym, Ufunc,
-    add, fun, mul, pow_, rat, skey, _coeff_rest, _q, _rat_exact_pow,
+    add, as_rational, fun, mul, pow_, rat, skey, _coeff_rest, _q, _rat_exact_pow,
 )
 
 _EXPANSION_LIMIT = 200_000
@@ -86,7 +86,7 @@ NF_ONE = NF({_EMPTY: 1})
 
 
 def nf_const(c) -> NF:
-    c = _q(c)
+    c = as_rational(c)
     return NF({_EMPTY: c}) if c else NF({})
 
 

@@ -12,11 +12,17 @@ Grammar (whitespace-insensitive):
 
 Decimals parse as exact ratios of powers of ten.  Rational exponents may
 be parenthesized and signed: x^2, x^(-1), x^(1/2), x^(-1/4).
+
+The data files (`.pde`, reference transcriptions, golden table, config)
+are read through `data_text`, and their `#`-comment lines through
+`data_lines`.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+from importlib import resources
 
 from .expr import (
     ELEMENTARY, Expr, KIND_INDEP, KIND_PARAM, Rat,
@@ -256,6 +262,23 @@ class _Parser:
             return self.ctx.constants.get(name) or self.ctx.symbol(name)
         raise ParseError(f"unexpected token {t.value!r}", t.line, t.col,
                          ["number", "identifier", "("])
+
+
+def data_text(name: str, path=None) -> str:
+    """Text of the file at path, or of the shipped data file name when path
+    is None, or is name and no such file exists."""
+    if path is None or (path == name and not os.path.exists(path)):
+        return resources.files("liesym.data").joinpath(name).read_text()
+    with open(path) as fh:
+        return fh.read()
+
+
+def data_lines(text: str):
+    """The non-blank lines of text, each without its `#` comment."""
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line
 
 
 def parse(text: str, ctx: ParseContext = None) -> Expr:

@@ -1,8 +1,10 @@
 """Residual verification of cataloged solutions, reductions and ODE claims.
 
-Symbolic verdicts come from the exact normal form; every claim is also
-sampled numerically at seeded points.  Failures are data (reports), not
-exceptions.
+Symbolic verdicts come from the exact normal form.  A solution or ODE
+claim needs an exact zero and is also sampled at seeded points; a
+reduction is decided by one exact identity and is not sampled.  Only a
+Weierstrass claim, which the normal form cannot reduce, is decided by
+sampling.  Failures are data (reports), not exceptions.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ import mpmath
 
 from .catalog import Record, record_context, solution_context, undeclared_divisors
 from .expr import (
-    Add, EvalDomainError, Expr, Ufunc, add, children, free_jets, jet, mul,
-    rat, rewrite, substitute, symbol, ufunc_names,
+    Add, EvalDomainError, Expr, Ufunc, add, children, differentiate, free_jets,
+    jet, mul, pow_, rat, rewrite, substitute, ufunc_names,
 )
 from .jets import PDE, jet_bindings
 from .normal import as_expr, canonical, is_zero, nf_div_exact, normalize
-from .numeric import DD_PREC, compile_residual, compile_terms, sampled
+from .numeric import DD_PREC, compile_residual, sampled
 from .parse import ParseContext, parse
 from . import weierstrass as wz
 
@@ -125,11 +127,10 @@ def ode_condition(solution: Expr, equation: Expr, variables, dep: str,
 # similarity-reduction checking
 
 class ReductionReport:
-    def __init__(self, matches, multiplier=None, leftover=None, numeric=False):
+    def __init__(self, matches, multiplier=None, leftover=None):
         self.matches = matches
         self.multiplier = multiplier      # canonical Expr or None
         self.leftover = leftover
-        self.numeric = numeric            # proportionality confirmed by sampling
 
 
 class ReductionAnsatz:
@@ -169,71 +170,27 @@ class ReductionAnsatz:
         return add(mul(self.prefactor, f), self.shift)
 
 
-def check_reduction(ans: ReductionAnsatz, tol: float = 1e-9) -> ReductionReport:
+def check_reduction(ans: ReductionAnsatz) -> ReductionReport:
     """Substitute the ansatz, re-express in similarity variables, compare.
 
-    The multiplier comes out of exact normal-form division; when the
-    quotient is not a single monomial the proportionality is confirmed by
-    seeded sampling instead (the ratio must not depend on the jet values).
+    The substituted equation res matches the claim when no jet J of the
+    unknown changes res/claim, that is when claim*d(res)/dJ - res*d(claim)/dJ
+    normalizes to zero for every such J; the multiplier is res/claim.
     """
     res = add(*substituted_terms(ans.equation, ans.ansatz_expr(), ans.old_vars,
                                  ans.old_dep))
     res = substitute(res, ans.back)
     res = _ufunc_slots_to_jets(res, ans.unknown, ans.new_syms)
-    n_res = normalize(res)
-    n_claim = normalize(ans.claim)
-    if n_res.is_zero():
+    if is_zero(res):
         return ReductionReport(False, leftover="substitution vanished identically")
-    m = nf_div_exact(n_res, n_claim)
-    if m is not None and not m.is_zero():
-        multiplier = as_expr(m)
-        if not any(j.dep == ans.unknown for j in free_jets(multiplier)):
-            return ReductionReport(True, multiplier=multiplier)
-    if _proportional_by_sampling(res, ans.claim, tol):
-        return ReductionReport(True, numeric=True)
+    claim = ans.claim
+    if is_zero(claim):
+        return ReductionReport(False, leftover="claimed equation is identically zero")
+    jets = [j for j in free_jets(res) | free_jets(claim) if j.dep == ans.unknown]
+    if all(is_zero(add(mul(claim, differentiate(res, j)),
+                       mul(rat(-1), res, differentiate(claim, j)))) for j in jets):
+        return ReductionReport(True, multiplier=canonical(mul(res, pow_(claim, -1))))
     return ReductionReport(False, leftover=canonical(res))
-
-
-def _proportional_by_sampling(res: Expr, claim: Expr, tol: float,
-                              seed: int = 0) -> bool:
-    """res == (jet-independent factor) * claim at seeded sample points.
-
-    For several base points the jets are resampled; the ratio res/claim
-    must stay fixed while jets vary, and must be nonzero somewhere.  A
-    draw holds the base symbols, then 4 resamplings of the jets in sorted
-    order, so the stream does not depend on hash order.
-    """
-    jets = sorted(free_jets(res) | free_jets(claim), key=lambda j: (j.dep, j.idx))
-    sub = {j: symbol(f"jv{j.dep}{k}") for k, j in enumerate(jets)}
-    try:
-        fn, syms = compile_terms((substitute(claim, sub), substitute(res, sub)))
-    except EvalDomainError:  # unbound unknown functions: no point evaluates
-        return False
-    jet_slots = [syms.index(s) for s in sub.values()]
-    base_slots = [k for k in range(len(syms)) if k not in jet_slots]
-    nb, nj = len(base_slots), len(jet_slots)
-    args = [None] * len(syms)
-
-    def ratios(*draw):
-        """res/claim at one base point under 4 resamplings of the jets."""
-        for k, v in zip(base_slots, draw):
-            args[k] = v
-        out = []
-        for r in range(4):
-            for k, v in zip(jet_slots, draw[nb + r * nj:]):
-                args[k] = v
-            cv, rv = fn(*args)
-            if abs(cv) < 1e-6:
-                raise EvalDomainError("claim too small at sample")
-            out.append(rv / cv)
-        return out
-
-    confirmed = 0
-    for rs in sampled(ratios, nb + 4 * nj, 8, 80, seed, (0.4, 1.7)):
-        if abs(rs[0]) < 1e-9 or max(rs) - min(rs) > tol * (1 + abs(rs[0])) * 100:
-            return False
-        confirmed += 1
-    return confirmed >= 4
 
 
 def _ufunc_slots_to_jets(e: Expr, name: str, new_syms) -> Expr:

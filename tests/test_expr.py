@@ -10,10 +10,10 @@ from liesym import (
     mul, normalize, parse, pow_, rat, substitute, symbol, to_text, ufunc,
 )
 from liesym.expr import (
-    Add, Fun, Jet, Mul, Pow, Rat, Sym, Ufunc, diff_n, free_jets, free_symbols,
-    rewrite, ufunc_names,
+    Add, ExprError, Fun, Jet, Mul, Pow, Rat, Sym, Ufunc, diff_n, free_jets,
+    free_symbols, rewrite, ufunc_names,
 )
-from liesym.normal import as_expr
+from liesym.normal import as_expr, nf_const
 from liesym.numeric import EvalDomainError, eval_numeric, random_equiv
 from liesym.parse import ParseError
 
@@ -134,6 +134,16 @@ class TestSubstitute:
         a = symbol("a")
         with pytest.raises(CyclicBindingError):
             substitute(F, {"F": ((a,), ufunc("F", (a,)))})
+
+
+@pytest.mark.parametrize("make", [lambda: Rat(0.1), lambda: rat(0.5),
+                                  lambda: nf_const(0.5), lambda: Rat("1/2")],
+                         ids=["Rat", "rat", "nf_const", "string"])
+def test_exact_constants_refuse_floats(make):
+    # a float would be stored as its binary expansion, 0.1 as
+    # 3602879701896397/36028797018963968: refuse it instead
+    with pytest.raises(ExprError, match="not an exact rational"):
+        make()
 
 
 def test_reset_session_forgets_normal_forms():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from liesym import add, equivalent, fun, mul, parse, rat
+from liesym import add, equivalent, fun, mul, parse, rat, substitute
 from liesym.flows import (
     NonClosedFormError, compare_flow, exponentiate, load_reference_groups,
     satisfies_flow_ode, satisfies_group_law, transform_solution,
@@ -98,6 +98,20 @@ class TestPublishedComparison:
         assert not res.consistent
         per = res.detail["per_coordinate"]
         assert per["x"] == [Fraction(4)] and per["y"] == [Fraction(2)]
+
+    @pytest.mark.parametrize("c", [Fraction(-3), Fraction(-1, 2), Fraction(2, 3),
+                                   Fraction(5)], ids=str)
+    def test_every_rescale_recovered(self, flows10, c):
+        # eps -> c*eps multiplies the generator by c; a negative c on a map
+        # with an eps^2 term (the v4 flow) must be found like any other
+        for i, g in enumerate(flows10, 1):
+            published = [substitute(m, {g.eps: mul(rat(c), g.eps)}) for m in g.maps]
+            assert compare_flow(g, published, f"v{i}").rescale == c
+
+    def test_zero_rescale_inconsistent(self, flows10):
+        for g in flows10:
+            published = [substitute(m, {g.eps: rat(0)}) for m in g.maps]
+            assert not compare_flow(g, published).consistent
 
 
 class TestTransform:

@@ -140,19 +140,38 @@ class TestCheckReduction:
         fields["reduced"] = "(6*H_q^2 + a*H_qqq)/(1 + q^2)"
         from liesym.catalog import Record
         rep = check_reduction(ReductionAnsatz(Record("scaled", fields), pde))
-        assert rep.matches and not rep.numeric
+        assert rep.matches
         ctx = ParseContext(indep=("q",), deps=("H",))
         assert is_zero(rep.multiplier - parse("a*b*(1 + q^2)", ctx))
 
-    def test_rational_multiplier_confirmed_numerically(self, pde, by_name):
+    @pytest.mark.parametrize("claim", [
+        "(6*H_q^2 + a*H_qqq)*(1 + q)",
+        "6*H_q^2 + a*H_qqq + 6*q*H_q^2 + a*q*H_qqq",
+    ], ids=["factored", "expanded"])
+    def test_rational_multiplier_exact(self, pde, by_name, claim):
         # multiplying the claim by (1 + q) forces multiplier a*b/(1 + q),
-        # beyond exact division; sampling confirms the proportionality
-        rec = by_name["red-travelling-wave"]
-        fields = dict(rec.fields)
-        fields["reduced"] = "(6*H_q^2 + a*H_qqq)*(1 + q)"
-        from liesym.catalog import Record
+        # which is no single monomial; the ratio holds no jet of H, exactly
+        fields = dict(by_name["red-travelling-wave"].fields)
+        fields["reduced"] = claim
         rep = check_reduction(ReductionAnsatz(Record("scaled2", fields), pde))
-        assert rep.matches and rep.numeric
+        assert rep.matches
+        ctx = ParseContext(indep=("q",), deps=("H",))
+        assert is_zero(rep.multiplier - parse("a*b/(1 + q)", ctx))
+
+    def test_jet_dependent_ratio_does_not_match(self, pde, by_name):
+        # res/claim = a*b/(1 + H_q) changes with the jet H_q
+        fields = dict(by_name["red-travelling-wave"].fields)
+        fields["reduced"] = "(6*H_q^2 + a*H_qqq)*(1 + H_q)"
+        rep = check_reduction(ReductionAnsatz(Record("jet", fields), pde))
+        assert not rep.matches and rep.multiplier is None
+
+    def test_zero_claim_is_falsified(self, pde, by_name):
+        # a claim that normalizes to zero never matches, and is no error row
+        fields = dict(by_name["red-travelling-wave"].fields)
+        fields["reduced"] = "H_q - H_q"
+        res = verify_record(Record("zero", fields), pde)
+        assert res.status == "falsified"
+        assert not check_reduction(ReductionAnsatz(Record("zero", fields), pde)).matches
 
 
 class TestCatalog:
