@@ -19,6 +19,6 @@ from .detsys import (
 from .liealg import commutator_table, jacobi_check, lie_bracket, reference_basis
 from .flows import exponentiate, transform_solution, verify_group_action
 from .verify import check_reduction, ode_residual, residual, verify_catalog
-from .weierstrass import weierstrass_p, weierstrass_zeta
+from .weierstrass import weierstrass_jet, weierstrass_p, weierstrass_zeta
 
 __all__ = [name for name in dir() if not name.startswith("_")]

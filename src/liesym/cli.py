@@ -299,8 +299,10 @@ _DEFAULTS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+def _common_options() -> argparse.ArgumentParser:
+    """The options every command takes; main also checks config values
+    with them, so a bad value raises ArgumentError instead of exiting."""
+    common = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     # every default is None here and filled from _DEFAULTS in main, after
     # the config file, so an explicit flag always beats the config
     common.add_argument("--pde",
@@ -316,7 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", help="machine-readable summary path")
     common.add_argument("--catalog",
                         help="catalog file (default: shipped paper_catalog.txt)")
+    return common
 
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _common_options()
     p = argparse.ArgumentParser(prog="liesym",
                                 description="Lie point-symmetry toolkit for a "
                                             "fifth-order KdV-type equation")
@@ -344,22 +350,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_CONFIG_TYPES = {"seed": int, "tol": float, "points": int, "degree": int}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
         try:
             cfg = _read_config(args.config)
+            # explicit flags win; config fills values not given on the
+            # command line, each checked by its option's type and choices
+            common = _common_options()
+            for key, value in cfg.items():
+                if key in _DEFAULTS and getattr(args, key) is None:
+                    setattr(args, key,
+                            getattr(common.parse_args([f"--{key}={value}"]), key))
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        for key, value in cfg.items():
-            # explicit flags win; config fills values not given on the command line
-            if key in _DEFAULTS and getattr(args, key) is None:
-                setattr(args, key, _CONFIG_TYPES.get(key, str)(value))
+        except argparse.ArgumentError as exc:
+            print(f"error: {args.config}: {exc}", file=sys.stderr)
+            return 2
     for key, value in _DEFAULTS.items():
         if getattr(args, key) is None:
             setattr(args, key, value)

@@ -305,14 +305,13 @@ def eval_numeric(e: Expr, env: dict, precision: str = "double",
         raise EvalDomainError(str(exc)) from None
 
 
-def sampled(fn, nfree: int, points: int, budget: int, seed: int, box,
-            reject=DOMAIN_ERRORS):
+def sampled(fn, nfree: int, points: int, budget: int, seed: int, box):
     """Yield fn(*draw) for seeded draws of nfree values each.
 
     Every value is uniform in the magnitude range box with a random sign.
-    A draw is rejected exactly when fn raises one of reject, and a rejected
-    draw still uses up budget; any other exception propagates.  Stops after
-    points accepted draws or budget draws, whichever comes first.
+    A draw is rejected exactly when fn raises one of DOMAIN_ERRORS, and a
+    rejected draw still uses up budget; any other exception propagates.
+    Stops after points accepted draws or budget draws, whichever comes first.
     """
     rng = random.Random(seed)
     for _ in range(budget):
@@ -321,7 +320,7 @@ def sampled(fn, nfree: int, points: int, budget: int, seed: int, box,
         draw = [rng.uniform(*box) * rng.choice((1.0, -1.0)) for _ in range(nfree)]
         try:
             out = fn(*draw)
-        except reject:
+        except DOMAIN_ERRORS:
             continue
         points -= 1
         yield out

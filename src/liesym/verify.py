@@ -1,28 +1,25 @@
-"""Residual verification of cataloged solutions, reductions and ODE claims.
+"""Verification of cataloged solutions, reductions, ODE and Weierstrass claims.
 
-Symbolic verdicts come from the exact normal form.  A solution or ODE
+Every verdict comes from the exact normal form.  A solution or ODE
 claim needs an exact zero and is also sampled at seeded points; a
-reduction is decided by one exact identity and is not sampled.  Only a
-Weierstrass claim, which the normal form cannot reduce, is decided by
-sampling.  Failures are data (reports), not exceptions.
+reduction and a Weierstrass claim are each decided by one exact identity
+and are not sampled.  Failures are data (reports), not exceptions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-import mpmath
-
 from .catalog import Record, record_context, solution_context, undeclared_divisors
 from .expr import (
-    Add, EvalDomainError, Expr, Ufunc, add, children, differentiate, free_jets,
-    jet, mul, pow_, rat, rewrite, substitute, ufunc_names,
+    ZERO, Add, EvalDomainError, Expr, Sym, Ufunc, add, children, derivation,
+    differentiate, free_jets, jet, mul, pow_, rat, rewrite, substitute,
+    ufunc_names,
 )
 from .jets import PDE, jet_bindings
 from .normal import as_expr, canonical, is_zero, nf_div_exact, normalize
-from .numeric import DD_PREC, compile_residual, sampled
+from .numeric import compile_residual, sampled
 from .parse import ParseContext, parse
-from . import weierstrass as wz
 
 
 class ResidualReport:
@@ -38,14 +35,6 @@ class ResidualReport:
                 f"over {self.samples} pts ({self.precision})>")
 
 
-def _worst(rels, empty: str):
-    """(max, count) of the sampled relative residuals; raise empty if none."""
-    rels = list(rels)
-    if not rels:
-        raise EvalDomainError(empty)
-    return max([0.0] + rels), len(rels)
-
-
 def _numeric_residual(terms, params, points, seed, precision,
                       complex_mode=False, box=(0.5, 2.5)):
     """Max of |sum terms| / (1 + sum |terms|) over seeded sample points."""
@@ -58,8 +47,10 @@ def _numeric_residual(terms, params, points, seed, precision,
             args[k] = v
         return fn(*args)
 
-    return _worst(sampled(rel, len(free), points, points * 20, seed, box),
-                  "all residual sample points hit singularities")
+    rels = list(sampled(rel, len(free), points, points * 20, seed, box))
+    if not rels:
+        raise EvalDomainError("all residual sample points hit singularities")
+    return max([0.0] + rels), len(rels)
 
 
 def _check_claim(f: Expr, dep: str):
@@ -214,41 +205,37 @@ def _ufunc_slots_to_jets(e: Expr, name: str, new_syms) -> Expr:
 # ---------------------------------------------------------------------------
 # Weierstrass claims
 
-def weierstrass_claim_residual(rec: Record, points: int = 40, seed: int = 0):
-    """Max relative residual of the reduced ODE for a Weierstrass record.
+_WP, _WP_S, _ZETA = Sym("wp"), Sym("wp_s"), Sym("zeta")
 
-    form `p`:    f = mu^-1 wp(mu (q + c1); 0, c2) against 6 f^2 + a f'' = 0
-    form `zeta`: H = P zeta_w(mu (q + c1); 0, c2) + c3 against
-                 6 H'^2 + a H''' = 0, written via wp as
-                 6 P^2 mu^2 wp^2 - a P mu^3 wp'' = 0.
-    wp and wp'' come from one jet evaluation per sample point, wp''
-    carried exactly through the duplication maps; the series constants
-    that depend on g3 alone are computed once.  The record's constants,
-    mu = cbrt(-1/a), the argument and the residual are all taken at 106 bits.
+
+def weierstrass_residual(rec: Record) -> Expr:
+    """The canonical residual of a Weierstrass record's reduced ODE.
+
+    With s = mu*(q + c1) and the real surd mu = (-1/a)^(1/3), d/dq sends
+    wp -> mu*wp_s, wp_s -> 6*mu*wp^2 and zeta -> -mu*wp: g2 = 0 gives
+    wp'' = 6 wp^2 and zeta' = -wp whatever c1 and g3 = c2 are, so both
+    cancel out (they are still read, so a malformed one is an error).
+    form `p`:    f = wp/mu against 6 f^2 + a f'' = 0
+    form `zeta`: H = P*zeta against 6 H'^2 + a H''' = 0, P = a*mu or a/mu,
+                 which is the same ODE in f = H'.
     """
-    form = rec.get("form", "p")
-    with mpmath.workprec(DD_PREC):
-        a, c1, g3 = (mpmath.mpf(v.numerator) / v.denominator for v in map(
-            Fraction, (rec.get("a"), rec.get("c1", "0"), rec.get("c2", "1"))))
-        mu = mpmath.sign(-a) * mpmath.cbrt(1 / abs(a))  # real cube root
-        P = {"a*mu": a * mu, "a/mu": a / mu}.get(rec.get("prefactor"))
-        if form != "p" and P is None:
+    a, _, _ = map(Fraction, (rec.get("a"), rec.get("c1", "0"), rec.get("c2", "1")))
+    mu = pow_(rat(-1 / a), Fraction(1, 3))
+    dq = {_WP: mul(mu, _WP_S), _WP_S: mul(rat(6), mu, pow_(_WP, 2)),
+          _ZETA: mul(rat(-1), mu, _WP)}
+
+    def d(e):
+        return derivation(e, dq.__getitem__)
+
+    if rec.get("form", "p") == "p":
+        f = mul(_WP, pow_(mu, -1))
+    else:
+        P = {"a*mu": mul(rat(a), mu),
+             "a/mu": mul(rat(a), pow_(mu, -1))}.get(rec.get("prefactor"))
+        if P is None:
             raise ValueError("zeta record needs prefactor a*mu or a/mu")
-        consts = wz.series_constants(g3, "dd")
-
-        def rel(q):
-            p, p2 = wz.weierstrass_p_with_second(mu * (q + c1), g3, "dd", consts)
-            if abs(p) > 50:
-                raise EvalDomainError("wp too large at sample")
-            if form == "p":  # f = wp/mu, f'' = mu wp''
-                terms = (6 * (p / mu) ** 2, a * mu * p2)
-            else:
-                terms = (6 * (P * mu * p) ** 2, -a * P * mu ** 3 * p2)
-            return float(abs(sum(terms)) / (1 + sum(map(abs, terms))))
-
-        return _worst(sampled(rel, 1, points, points * 30, seed, (0.15, 1.6),
-                              reject=EvalDomainError),
-                      "all Weierstrass sample points rejected")
+        f = d(mul(P, _ZETA))
+    return canonical(add(mul(rat(6), pow_(f, 2)), mul(rat(a), d(d(f)))))
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +313,12 @@ def _reduction_verdict(rec, pde, points, tol, seed, precision):
 
 
 def _weierstrass_verdict(rec, pde, points, tol, seed, precision):
-    worst, good = weierstrass_claim_residual(rec, min(points, 40), seed)
-    holds = worst <= 1e-8
+    res = weierstrass_residual(rec)
     if rec.expected == "mismatch":
-        if holds:
+        if res == ZERO:
             return False, "unexpectedly satisfies the equation"
-        return True, f"max_rel={worst:.2e} (claim fails as printed)"
-    if holds:
-        return True, f"max_rel={worst:.2e} over {good} pts"
-    return False, f"max_rel={worst:.2e}"
+        return True, f"residual = {res} (claim fails as printed)"
+    return res == ZERO, f"residual = {res}"
 
 
 _VERDICTS = {"solution": _claim_verdict, "solution-complex": _claim_verdict,

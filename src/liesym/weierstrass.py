@@ -1,6 +1,7 @@
-"""Equianharmonic Weierstrass functions (g2 = 0, g3 arbitrary).
+"""Equianharmonic Weierstrass functions (g2 = 0, g3 real), at 106 bits.
 
-Evaluation strategy: the Laurent series about the origin (30
+Every value is an mpc computed under `workprec(106)`, the dd budget of
+`numeric`.  Evaluation strategy: the Laurent series about the origin (30
 coefficients) inside a g3-scaled disk, then at most 8 argument doublings
 using the algebraic duplication maps
 
@@ -10,7 +11,9 @@ using the algebraic duplication maps
 
 where R is the rational map above.  Derivative values propagate through
 the doublings, so no ODE shortcut is needed at the evaluation point and
-wp'' is exact; the finite differences below only serve as a check.
+wp'' is exact; the finite differences below only serve as a check.  No
+catalog verdict evaluates these functions: `verify` decides the
+Weierstrass records exactly from wp'' = 6 wp^2 and zeta' = -wp.
 """
 
 from __future__ import annotations
@@ -57,41 +60,16 @@ def _series_coeffs(n: int = N_COEFFS):
 _COEFFS = _series_coeffs()
 
 
-class _Ctx:
-    """Numeric context: double (complex) or dd (mpmath complex)."""
-
-    def __init__(self, precision="double"):
-        self.precision = precision
-        if precision == "dd":
-            self.to = lambda v: mpmath.mpc(v)
-            self.absv = lambda v: float(mpmath.fabs(v))
-        else:
-            self.to = complex
-            self.absv = abs
-
-    def run(self, fn):
-        if self.precision == "dd":
-            with mpmath.workprec(DD_PREC):
-                return fn()
-        return fn()
-
-
-def series_constants(g3, precision="double"):
-    """(2k - 2, c_k g3^(m_k)) for each series term at the precision: its
-    exponent of z and the part of its value that depends on g3 alone."""
-    ctx = _Ctx(precision)
-    return ctx.run(lambda: [(2 * k - 2, ctx.to(c.numerator) / c.denominator
-                             * ctx.to(g3) ** p) for k, c, p in _COEFFS])
-
-
-def _series_eval(z, consts):
+def _series_eval(z, g3):
     """(P, P', P'', zeta) from the Laurent series; z inside the disk."""
     z2 = z * z
     P = 1 / z2
     P1 = -2 / (z2 * z)
     P2 = 6 / (z2 * z2)
     Z = 1 / z
-    for e, cv in consts:
+    for k, c, p in _COEFFS:
+        e = 2 * k - 2
+        cv = mpmath.mpf(c.numerator) / c.denominator * g3 ** p
         zp = z ** (e - 2)
         P = P + cv * zp * z2
         P1 = P1 + cv * e * zp * z
@@ -100,67 +78,51 @@ def _series_eval(z, consts):
     return P, P1, P2, Z
 
 
-def _dup(P, P1, P2, Z, g3, ctx):
+def _dup(P, P1, P2, Z, g3):
     """One argument doubling of the jet (P, P', P'', zeta)."""
-    Q = 4 * P ** 3 - ctx.to(g3)
-    if ctx.absv(Q) == 0 or ctx.absv(P1) == 0:
+    Q = 4 * P ** 3 - g3
+    if Q == 0 or P1 == 0:
         raise EvalDomainError("duplication hit a critical point")
     # R(P) = -2P + 9P^4/Q ; R'(P) = -2 + 36 P^3 (P^3 - g3)/Q^2
     # R''(P) = 108 g3 P^2 (2 P^3 + g3) / Q^3
-    g3v = ctx.to(g3)
     P3 = P ** 3
     Pn = -2 * P + 9 * P ** 4 / Q
-    R1 = -2 + 36 * P3 * (P3 - g3v) / Q ** 2
-    R2 = 108 * g3v * P * P * (2 * P3 + g3v) / Q ** 3
+    R1 = -2 + 36 * P3 * (P3 - g3) / Q ** 2
+    R2 = 108 * g3 * P * P * (2 * P3 + g3) / Q ** 3
     P1n = R1 * P1 / 2
     P2n = (R2 * P1 * P1 + R1 * P2) / 4
     Zn = 2 * Z + P2 / (2 * P1)
     return Pn, P1n, P2n, Zn
 
 
-def _eval_jet(zv, g3, ctx, consts=None):
-    z = ctx.to(zv)
-    if ctx.absv(z) < _POLE_TOL:
-        raise EvalDomainError("argument too close to the lattice pole at 0")
-    scale = max(abs(g3), 1e-300) ** (1.0 / 6.0)
-    radius = _DISK / scale
-    k = 0
-    while ctx.absv(z) > radius and k < MAX_DOUBLINGS:
-        z = z / 2
-        k += 1
-    if ctx.absv(z) > radius:
-        raise EvalDomainError("argument outside the duplication budget")
-    if consts is None:
-        consts = series_constants(g3, ctx.precision)
-    jet = _series_eval(z, consts)
-    for _ in range(k):
-        jet = _dup(*jet, g3, ctx)
-    return jet
+def weierstrass_jet(zv, g3):
+    """(wp, wp', wp'', zeta) at zv for invariants (0, g3), from one series
+    evaluation and its doublings."""
+    with mpmath.workprec(DD_PREC):
+        z, g3 = mpmath.mpc(zv), mpmath.mpf(g3)
+        if abs(z) < _POLE_TOL:
+            raise EvalDomainError("argument too close to the lattice pole at 0")
+        radius = _DISK / max(abs(g3), 1e-300) ** (1.0 / 6.0)
+        k = 0
+        while abs(z) > radius and k < MAX_DOUBLINGS:
+            z = z / 2
+            k += 1
+        if abs(z) > radius:
+            raise EvalDomainError("argument outside the duplication budget")
+        jet = _series_eval(z, g3)
+        for _ in range(k):
+            jet = _dup(*jet, g3)
+        return jet
 
 
-def weierstrass_p(zv, g3, precision="double"):
-    """wp(zv; 0, g3); complex in, complex out."""
-    ctx = _Ctx(precision)
-    return ctx.run(lambda: _eval_jet(zv, g3, ctx)[0])
+def weierstrass_p(zv, g3):
+    """wp(zv; 0, g3)."""
+    return weierstrass_jet(zv, g3)[0]
 
 
-def weierstrass_p_prime(zv, g3, precision="double"):
-    ctx = _Ctx(precision)
-    return ctx.run(lambda: _eval_jet(zv, g3, ctx)[1])
-
-
-def weierstrass_p_with_second(zv, g3, precision="double", consts=None):
-    """(wp, wp'') at zv from one jet evaluation; consts, when given, is
-    series_constants(g3, precision), computed once for many points."""
-    ctx = _Ctx(precision)
-    P, _, P2, _ = ctx.run(lambda: _eval_jet(zv, g3, ctx, consts))
-    return P, P2
-
-
-def weierstrass_zeta(zv, g3, precision="double"):
+def weierstrass_zeta(zv, g3):
     """Weierstrass zeta (zeta' = -wp), equianharmonic case."""
-    ctx = _Ctx(precision)
-    return ctx.run(lambda: _eval_jet(zv, g3, ctx)[3])
+    return weierstrass_jet(zv, g3)[3]
 
 
 def second_difference(f, z, h):
@@ -182,14 +144,14 @@ def first_difference(f, z, h):
 def wp_ode_residual(zv, g3, h=1e-5):
     """Relative residual of wp'' = 6 wp^2 with wp'' from finite differences.
 
-    The stencil points are formed at dd precision so the difference
-    quotient is not polluted by double rounding of z +- h.
+    The stencil points are formed at 106 bits so the difference quotient
+    is not polluted by double rounding of z +- h.
     """
     with mpmath.workprec(DD_PREC):
         z = mpmath.mpc(zv)
         hh = mpmath.mpf(h)
-        p = weierstrass_p(z, g3, "dd")
-        p2 = second_difference(lambda w: weierstrass_p(w, g3, "dd"), z, hh)
+        p = weierstrass_p(z, g3)
+        p2 = second_difference(lambda w: weierstrass_p(w, g3), z, hh)
         return float(abs(p2 - 6 * p * p) / (1 + abs(6 * p * p)))
 
 
@@ -198,6 +160,6 @@ def zeta_defining_residual(zv, g3, h=1e-5):
     with mpmath.workprec(DD_PREC):
         z = mpmath.mpc(zv)
         hh = mpmath.mpf(h)
-        zp = first_difference(lambda w: weierstrass_zeta(w, g3, "dd"), z, hh)
-        p = weierstrass_p(z, g3, "dd")
+        zp = first_difference(lambda w: weierstrass_zeta(w, g3), z, hh)
+        p = weierstrass_p(z, g3)
         return float(abs(zp + p) / (1 + abs(p)))

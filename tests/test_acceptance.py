@@ -24,9 +24,9 @@ from liesym.jets import restrict_on_shell, symmetry_condition
 from liesym.liealg import commutator_table, compare_with_golden, jacobi_check
 from liesym.verify import (
     ReductionAnsatz, check_reduction, ode_condition, ode_residual, residual,
-    weierstrass_claim_residual,
+    weierstrass_residual,
 )
-from liesym.weierstrass import wp_ode_residual
+from liesym.weierstrass import weierstrass_jet, wp_ode_residual
 from liesym.parse import ParseContext
 
 
@@ -192,6 +192,31 @@ def test_criterion_7_reduced_ode_solutions(records):
             f"(k^2-a)-condition={flag_ok}")
 
 
+def _scaled_f_residual(rec, points=40, seed=0):
+    """Max relative residual of 6 f^2 + a f'' for the record's
+    f = wp(mu (q + c1); 0, c2)/mu at seeded q, mu = cbrt(-1/a) real, with
+    wp and wp'' from one jet and everything taken at 106 bits."""
+    import mpmath
+    from liesym.expr import EvalDomainError
+    from liesym.numeric import DD_PREC, sampled
+
+    with mpmath.workprec(DD_PREC):
+        a, c1, g3 = (mpmath.mpf(v.numerator) / v.denominator for v in map(
+            Fraction, (rec.get("a"), rec.get("c1"), rec.get("c2"))))
+        mu = mpmath.sign(-a) * mpmath.cbrt(1 / abs(a))
+
+        def rel(q):
+            p, _, p2, _ = weierstrass_jet(mu * (q + c1), g3)
+            if abs(p) > 50:
+                raise EvalDomainError("wp too large at sample")
+            terms = (6 * (p / mu) ** 2, a * mu * p2)  # f = wp/mu, f'' = mu wp''
+            return float(abs(sum(terms)) / (1 + sum(map(abs, terms))))
+
+        rels = list(sampled(rel, 1, points, points * 30, seed, (0.15, 1.6)))
+    assert len(rels) == points
+    return max(rels)
+
+
 def test_criterion_8_weierstrass(records):
     import cmath
     import random
@@ -216,16 +241,17 @@ def test_criterion_8_weierstrass(records):
     ode_ok = worst <= 1e-8
 
     by_name = {r.name: r for r in records}
-    scaled_worst, _ = weierstrass_claim_residual(by_name["wp-equianharmonic"],
-                                                 points=40)
-    scaled_worst2, _ = weierstrass_claim_residual(
-        by_name["wp-equianharmonic-positive-a"], points=40)
+    p_form = [by_name["wp-equianharmonic"], by_name["wp-equianharmonic-positive-a"]]
+    scaled_worst, scaled_worst2 = map(_scaled_f_residual, p_form)
     f_ok = scaled_worst <= 1e-8 and scaled_worst2 <= 1e-8
     # exact wp'' and a residual taken at 106 bits leave no double rounding
     f_ok = f_ok and max(scaled_worst, scaled_worst2) < 1e-24
-    _report(8, ode_ok and f_ok,
+    # and the verdict itself: the residual is exactly zero
+    exact_ok = all(str(weierstrass_residual(r)) == "0" for r in p_form)
+    _report(8, ode_ok and f_ok and exact_ok,
             f"wp-ode max_rel={worst:.2e} scaled-f max_rel="
-            f"{max(scaled_worst, scaled_worst2):.2e} (tol 1e-8)")
+            f"{max(scaled_worst, scaled_worst2):.2e} (tol 1e-8) "
+            f"exact-residual-zero={exact_ok}")
 
 
 def test_criterion_9_group_actions(pde, records, flows10):

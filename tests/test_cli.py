@@ -119,15 +119,18 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv, digest", [
         (("--seed", "0"),
-         "4aa91734e085661a3b3731976841177a3581bad798cc2cd245a0442e7a52e761"),
+         "37e09c01bea1f6ab625e0ab0dc7d6c64cc1a6b61bbba465f2b0b140f82738a36"),
         (("--seed", "7", "--precision", "dd"),
-         "01dc81f344d3b810bb4cc9e0ae89f9570a800cfb6df9fc7786319f379725adde"),
+         "772eb67ed7b12b34d01f27ba8cd1ee68b226a229c7d51ccb185a12aa9d013c74"),
     ], ids=["seed0", "seed7-dd"])
     def test_output_is_byte_stable(self, capsys, argv, digest):
         # the sampled max_rel digits and "over N pts" counts every earlier
         # version printed (independent of PYTHONHASHSEED); since `i` is the
         # imaginary unit, u8u9-rational's multiplier reads -96*a*b*k^2/...
-        # where it read 96*a*b*i^2*k^2/...
+        # where it read 96*a*b*i^2*k^2/..., and since the Weierstrass
+        # records are decided exactly their rows print the exact residual
+        # (`residual = 0`, `residual = 288*wp^2 (claim fails as printed)`)
+        # where they printed a sampled max_rel
         rc, out, _ = run(capsys, "verify", *argv)
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -336,6 +339,19 @@ class TestPipeline:
         assert main(["derive"]) == 0
         assert [(a.seed, a.degree, a.points) for a in seen] == \
             [(0, 3, 100), (5, 3, 100), (0, 2, 100)]
+
+    @pytest.mark.parametrize("line, message", [
+        ("seed = 1.5", "argument --seed: invalid int value: '1.5'"),
+        ("precision = quad", "argument --precision: invalid choice: 'quad' "
+                             "(choose from 'double', 'dd')"),
+    ], ids=["seed", "precision"])
+    def test_bad_config_value_is_input_error(self, capsys, tmp_path, line, message):
+        # a config value is checked by its option's own type and choices
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        rc, out, err = run(capsys, "sample", "--config", str(cfg),
+                           "--expr", "x", "--grid", "x=1:2:2")
+        assert (rc, out, err) == (2, "", f"error: {cfg}: {message}\n")
 
     @pytest.mark.parametrize("exc, message", [
         (RecursionError("maximum recursion depth exceeded"),

@@ -26,3 +26,31 @@ def test_no_dead_imports(path):
     dead = [f"{name} (line {line})" for name, line in _imported(tree)
             if name not in used]
     assert not dead, f"{path.name} imports unused names: {', '.join(dead)}"
+
+
+def _imported_modules(tree):
+    """The liesym module or outside package each import statement names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] == "liesym":
+                module = module[len("liesym"):].lstrip(".")
+            # `from . import m` and `from liesym import m` name modules m
+            names = [module] if module else [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            yield name.removeprefix("liesym.").split(".")[0]
+
+
+@pytest.mark.parametrize("module, importers", [
+    ("weierstrass", {"__init__"}),
+    ("mpmath", {"numeric", "weierstrass", "cli"}),
+])
+def test_evaluator_stays_out_of_the_verdicts(module, importers):
+    # no verdict evaluates Weierstrass functions or computes in mpmath
+    found = {p.stem for p in SRC.glob("*.py")
+             if module in _imported_modules(ast.parse(p.read_text()))}
+    assert found <= importers, f"{module} imported by {sorted(found - importers)}"

@@ -1,5 +1,7 @@
 """Residual checks, reduction checking, ODE claims, the shipped catalog."""
 
+from fractions import Fraction
+
 import pytest
 
 from liesym import add, is_zero, mul, parse, rat, to_text
@@ -7,13 +9,13 @@ from liesym.catalog import (
     Record, load_catalog, parse_catalog, solution_context,
     undeclared_divisors,
 )
-from liesym.expr import EvalDomainError
+from liesym import expr as expr_mod
+from liesym.expr import KIND_INDEP, EvalDomainError, Sym, pow_, symbol
 from liesym.parse import ParseContext
 from liesym import verify as verify_mod
 from liesym.verify import (
     ReductionAnsatz, _numeric_residual, check_reduction, ode_condition,
-    ode_residual, residual, verify_catalog, verify_record,
-    weierstrass_claim_residual,
+    ode_residual, residual, verify_catalog, verify_record, weierstrass_residual,
 )
 from liesym.normal import canonical
 
@@ -227,18 +229,6 @@ class TestCatalog:
         with pytest.raises(EvalDomainError, match="all residual sample points"):
             _numeric_residual(terms, {"a": 1e308}, 5, 0, "double", complex_mode=True)
 
-    @pytest.mark.parametrize("exc", [EvalDomainError, ZeroDivisionError])
-    def test_weierstrass_rejects_only_domain_errors(self, by_name, monkeypatch, exc):
-        # only EvalDomainError rejects a point; any other error propagates
-        def failing(*args):
-            raise exc("no value here")
-
-        monkeypatch.setattr(verify_mod.wz, "weierstrass_p_with_second", failing)
-        with pytest.raises(exc) as got:
-            weierstrass_claim_residual(by_name["wp-equianharmonic"], points=5)
-        if exc is EvalDomainError:
-            assert "all Weierstrass sample points rejected" in str(got.value)
-
     @pytest.mark.parametrize("text", [
         "kind: solution\nclaim: u_x*y\nexpected: conditional\ncondition: y",
         "kind: ode\nvars: w\nunknown: R\nequation: R_ww\nsolution: R_w*w\nexpected: zero",
@@ -254,6 +244,10 @@ class TestCatalog:
 
     @pytest.mark.parametrize("base, text, status, detail", [
         (None, "kind: foo", "falsified", "unknown record kind 'foo'"),
+        ("wp-equianharmonic", "c2: abc", "error",
+         "ValueError: Invalid literal for Fraction: 'abc'"),
+        ("wzeta-corrected", "prefactor: mu", "error",
+         "ValueError: zeta record needs prefactor a*mu or a/mu"),
         ("red-travelling-wave", "expected: mismatch", "falsified",
          "unexpected match, multiplier a*b"),
         ("wp-equianharmonic", "expected: mismatch", "falsified",
@@ -270,7 +264,8 @@ class TestCatalog:
         # does not verify a residual that does not normalize to zero
         (None, "kind: solution-complex\nclaim: x*y/(6*t) + i*x/10^12\nexpected: zero",
          "falsified", "symbolic=undecided max_rel=1.09e-12"),
-    ], ids=["unknown-kind", "reduction-unexpected-match",
+    ], ids=["unknown-kind", "weierstrass-bad-c2", "weierstrass-bad-prefactor",
+            "reduction-unexpected-match",
             "weierstrass-unexpected-match", "solution-not-proportional",
             "ode-conditional", "solution-unexpected-match", "solution-mismatch",
             "complex-below-tol-not-exact"])
@@ -303,6 +298,16 @@ class TestCatalog:
         fixed = verify_record(by_name["wzeta-corrected"], pde, points=15)
         assert fixed.status == "verified-after-correction"
 
+    def test_weierstrass_rows_ignore_sampling_options(self, pde, records):
+        # the verdict is exact: --points, --seed and --precision do not reach it
+        recs = [r for r in records if r.kind == "weierstrass"]
+        rows = [[(r.status, r.detail) for r in verify_catalog(recs, pde, *opts)]
+                for opts in ((100, 1e-9, 0, "double"), (5, 1e-9, 7, "dd"))]
+        assert rows[0] == rows[1] == [
+            ("verified", "residual = 0"), ("verified", "residual = 0"),
+            ("flagged", "residual = 288*wp^2 (claim fails as printed)"),
+            ("verified-after-correction", "residual = 0")]
+
     def test_reduction_graph_coherence(self, pde):
         # R = w^2/6 -> G = r*s/6 -> u = x*y/(6*t): each level verifies.
         # w^2 R''' - R'(-6 w R' + 6 R + w^2) for R(w), then the (r, s)
@@ -318,3 +323,37 @@ class TestCatalog:
         syms = tuple(ctx.symbol(v) for v in ("r", "s"))
         assert ode_residual(gsol, eq26, syms, "G").symbolic == "zero"
         assert residual(parse("x*y/(6*t)"), pde, points=5).symbolic == "zero"
+
+
+class TestWeierstrassResidual:
+    """6 f^2 + a f'' for f = wp(s)/mu and 6 H'^2 + a H^(3) for H = P zeta(s),
+    s = mu*(q + c1), mu^3 = -1/a, from wp'' = 6 wp^2 and zeta' = -wp."""
+
+    @staticmethod
+    def record(a, form, prefactor):
+        return parse_catalog(f"[w]\nkind: weierstrass\nform: {form}\n"
+                             f"prefactor: {prefactor}\na: {a}\nc1: 1/4\nc2: 2\n"
+                             "expected: zero\n")[0]
+
+    @pytest.mark.parametrize("a", ["-27", "-8", "-1", "1", "5", "7/3"])
+    @pytest.mark.parametrize("form, prefactor", [
+        ("p", "a*mu"), ("zeta", "a*mu"), ("zeta", "a/mu")])
+    def test_exact_residual(self, a, form, prefactor):
+        res = weierstrass_residual(self.record(a, form, prefactor))
+        if prefactor == "a*mu":
+            assert str(res) == "0"
+            return
+        # P = a/mu: 6 P^2 mu^2 wp^2 - 6 a P mu^3 wp^2 = 6 a^2 (1 - mu^2) wp^2,
+        # zero exactly when a/mu = a*mu, that is when a = +-1
+        av = Fraction(a)
+        mu = pow_(rat(-1 / av), Fraction(1, 3))
+        expected = mul(rat(6 * av * av), add(rat(1), mul(rat(-1), pow_(mu, 2))),
+                       pow_(Sym("wp"), 2))
+        assert is_zero(add(res, mul(rat(-1), expected)))
+        assert (str(res) == "0") == (a in ("-1", "1"))
+
+    def test_plain_atoms_ignore_the_session(self, by_name, monkeypatch):
+        # a record context that declares wp as a variable cannot collide
+        monkeypatch.setattr(expr_mod, "_registry", {})
+        symbol("wp", KIND_INDEP)
+        assert str(weierstrass_residual(by_name["wp-equianharmonic"])) == "0"

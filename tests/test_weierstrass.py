@@ -3,13 +3,14 @@
 import cmath
 import random
 
+import mpmath
 import pytest
 
 from liesym.expr import EvalDomainError
+from liesym.numeric import DD_PREC
 from liesym.weierstrass import (
-    _Ctx, _dup, _series_eval, first_difference, second_difference, series_constants,
-    weierstrass_p, weierstrass_p_prime, weierstrass_p_with_second, weierstrass_zeta,
-    wp_ode_residual, zeta_defining_residual,
+    _dup, _series_eval, first_difference, second_difference, weierstrass_jet,
+    weierstrass_p, weierstrass_zeta, wp_ode_residual, zeta_defining_residual,
 )
 
 
@@ -37,13 +38,18 @@ class TestSeries:
             assert abs(z * z * weierstrass_p(z, 2.0) - 1) < 1e-9
 
     def test_duplication_consistency(self):
-        ctx = _Ctx("double")
-        z, g3 = 0.31 - 0.22j, 1.7
-        consts = series_constants(g3)
-        doubled = _dup(*_series_eval(ctx.to(z), consts), g3, ctx)
-        direct = _series_eval(ctx.to(2 * z), consts)
-        for a, b in zip(doubled, direct):
-            assert abs(a - b) / max(1.0, abs(b)) < 1e-12
+        with mpmath.workprec(DD_PREC):
+            z, g3 = mpmath.mpc(0.31, -0.22), mpmath.mpf(1.7)
+            doubled = _dup(*_series_eval(z, g3), g3)
+            direct = _series_eval(2 * z, g3)
+            for a, b in zip(doubled, direct):
+                assert abs(a - b) / max(1.0, abs(b)) < 1e-12
+
+    def test_values_carry_106_bits(self):
+        # one precision: every value is an mpc rounded to 106 bits, not 53
+        for v in weierstrass_jet(0.7 + 0.3j, 2.5):
+            assert isinstance(v, mpmath.mpc)
+            assert 53 < max(v.real._mpf_[3], v.imag._mpf_[3]) <= DD_PREC
 
     def test_evenness(self):
         z, g3 = 0.8 + 0.3j, 2.5
@@ -66,22 +72,20 @@ class TestDefiningRelations:
         assert worst <= 1e-8
 
     def test_wp_prime_consistent(self):
-        import mpmath
         for z, g3 in _annulus_points(20, 2):
-            with mpmath.workprec(106):
-                fd = first_difference(lambda w: weierstrass_p(w, g3, "dd"),
+            with mpmath.workprec(DD_PREC):
+                fd = first_difference(lambda w: weierstrass_p(w, g3),
                                       mpmath.mpc(z), mpmath.mpf(1e-5))
-                direct = weierstrass_p_prime(z, g3, "dd")
+                direct = weierstrass_jet(z, g3)[1]
                 assert abs(fd - direct) / (1 + abs(direct)) < 1e-10
 
     def test_wp_second_consistent(self):
-        import mpmath
         for z, g3 in _annulus_points(20, 4):
-            with mpmath.workprec(106):
-                fd = second_difference(lambda w: weierstrass_p(w, g3, "dd"),
+            with mpmath.workprec(DD_PREC):
+                fd = second_difference(lambda w: weierstrass_p(w, g3),
                                        mpmath.mpc(z), mpmath.mpf(1e-5))
-                p, direct = weierstrass_p_with_second(z, g3, "dd")
-                assert p == weierstrass_p(z, g3, "dd")
+                p, _, direct, _ = weierstrass_jet(z, g3)
+                assert p == weierstrass_p(z, g3)
                 assert abs(fd - direct) / (1 + abs(direct)) < 1e-10
                 # wp'' = 6 wp^2 when g2 = 0, to the working precision
                 assert abs(direct - 6 * p * p) / (1 + abs(6 * p * p)) < 1e-24
@@ -89,7 +93,6 @@ class TestDefiningRelations:
     def test_algebraic_first_integral(self):
         # wp'^2 = 4 wp^3 - g3 when g2 = 0
         for z, g3 in _annulus_points(20, 3):
-            p = weierstrass_p(z, g3, "dd")
-            dp = weierstrass_p_prime(z, g3, "dd")
+            p, dp, _, _ = weierstrass_jet(z, g3)
             num = abs(dp * dp - (4 * p ** 3 - g3))
             assert float(num / (1 + abs(4 * p ** 3))) < 1e-10
