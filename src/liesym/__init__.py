@@ -3,7 +3,7 @@
 from .expr import (
     Add, CyclicBindingError, EvalDomainError, Expr, ExprError, Fun, Jet, Mul,
     Pow, Rat, ResourceLimitError, Sym, Ufunc, add, differentiate, fun, jet,
-    mul, pow_, rat, substitute, symbol, to_text, ufunc,
+    mul, pow_, rat, substitute, to_text,
 )
 from .normal import NF, as_expr, canonical, equivalent, is_zero, normalize, set_expansion_limit
 from .parse import ParseContext, ParseError, parse

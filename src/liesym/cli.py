@@ -53,7 +53,7 @@ def cmd_derive(args) -> int:
 def cmd_solve(args) -> int:
     pde = _load_pde_arg(args.pde)
     system = detsys.extract_determining(pde)
-    basis = detsys.solve_poly_ansatz(system, detsys.PolyAnsatz(system, args.degree), pde)
+    basis = detsys.solve_poly_ansatz(system, detsys.PolyAnsatz(system, args.degree))
     lines = [f"dimension {basis.dimension}"]
     for i, V in enumerate(basis.fields, 1):
         coeffs = ", ".join(to_text(canonical(c)) for c in (*V.xi, V.eta))
@@ -66,7 +66,7 @@ def cmd_table(args) -> int:
     pde = _load_pde_arg(args.pde)
     if args.basis == "solve":
         system = detsys.extract_determining(pde)
-        basis = detsys.solve_poly_ansatz(system, detsys.PolyAnsatz(system, args.degree), pde)
+        basis = detsys.solve_poly_ansatz(system, detsys.PolyAnsatz(system, args.degree))
     else:
         basis = liealg.reference_basis(pde)
     table = liealg.commutator_table(basis)
@@ -229,7 +229,7 @@ def cmd_pipeline(args) -> int:
     summary["derive"] = {"constraints": len(system.constraints)}
     text.append(f"derive: {len(system.constraints)} determining constraints")
 
-    basis = detsys.solve_poly_ansatz(system, detsys.PolyAnsatz(system, args.degree), pde)
+    basis = detsys.solve_poly_ansatz(system, detsys.PolyAnsatz(system, args.degree))
     summary["solve"] = {"dimension": basis.dimension}
     text.append(f"solve: dimension {basis.dimension} at degree {args.degree}")
     if basis.dimension != 10:

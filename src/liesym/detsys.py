@@ -14,9 +14,7 @@ from __future__ import annotations
 import math
 from itertools import combinations_with_replacement
 
-from .expr import (
-    Expr, Jet, KIND_INDEP, Rat, Ufunc, add, jet, mul, rewrite, substitute, symbol,
-)
+from .expr import Expr, Jet, Rat, Sym, Ufunc, add, jet, mul, rewrite, substitute
 from .jets import PDE, VectorField, jet_bindings, restrict_on_shell, symmetry_condition
 from .normal import NF, as_expr, is_zero, mono_key, normalize, _mono, _primitive
 from . import linalg
@@ -47,7 +45,7 @@ def unknown_names(pde: PDE):
 
 def coordinate_symbols(pde: PDE):
     """The base coordinates plus the dependent variable as a symbol."""
-    return tuple(pde.vars) + (symbol(pde.dep, KIND_INDEP),)
+    return tuple(pde.vars) + (Sym(pde.dep),)
 
 
 def generic_field(pde: PDE) -> VectorField:
@@ -62,7 +60,7 @@ def _ufunc_to_jets(e: Expr, pde: PDE) -> Expr:
     """Rewrite generic-unknown slot derivatives as jet variables."""
     names = set(unknown_names(pde))
     coords = [v.name for v in pde.vars] + [pde.dep]
-    u_sym = symbol(pde.dep, KIND_INDEP)
+    u_sym = Sym(pde.dep)
 
     def leaf(x: Expr) -> Expr:
         if type(x) is Ufunc and x.name in names:
@@ -147,9 +145,10 @@ class SymmetryBasis:
         return self.dimension
 
 
-def solve_poly_ansatz(sys: DeterminingSystem, ansatz: PolyAnsatz,
-                      pde: PDE = None) -> SymmetryBasis:
+def solve_poly_ansatz(sys: DeterminingSystem, ansatz: PolyAnsatz) -> SymmetryBasis:
     """Exact nullspace of the constraint system on the ansatz coefficients.
+
+    The last coordinate of sys names the dependent variable.
 
     Every normal-form term of a constraint is c * rest * f_J for exactly one
     unknown jet f_J.  The J-th derivative of the ansatz monomial x^e is
@@ -181,7 +180,7 @@ def solve_poly_ansatz(sys: DeterminingSystem, ansatz: PolyAnsatz,
                 row = rows.setdefault((k, _mono(entries)), {})
                 row[base + m] = row.get(base + m, 0) + c * scale
     vectors = linalg.nullspace(list(rows.values()), ansatz.ncols)
-    dep = pde.dep if pde else "u"
+    dep = sys.coords[-1].name
     nvars = len(sys.coords) - 1
     atoms = (*sys.coords[:nvars], jet(dep, ()))
     monos = [mul(*(a for a, n in zip(atoms, e) for _ in range(n)))
@@ -199,7 +198,7 @@ def solve_poly_ansatz(sys: DeterminingSystem, ansatz: PolyAnsatz,
 
 def _field_vector(V: VectorField):
     """Coefficients of a polynomial field, keyed by (slot, monomial)."""
-    u_sym = symbol(V.dep, KIND_INDEP)
+    u_sym = Sym(V.dep)
     entries = {}
     for slot, c in enumerate((*V.xi, V.eta)):
         c = substitute(c, {jet(V.dep, ()): u_sym})
@@ -234,7 +233,7 @@ def is_symmetry(V: VectorField, pde: PDE) -> bool:
 
 def satisfies_system(sys: DeterminingSystem, V: VectorField) -> bool:
     """Substitute concrete infinitesimals into every constraint."""
-    u_sym = symbol(V.dep, KIND_INDEP)
+    u_sym = Sym(V.dep)
     polys = {}
     for name, c in zip(sys.unknowns, (*V.xi, V.eta)):
         polys[name] = substitute(c, {jet(V.dep, ()): u_sym})
@@ -255,10 +254,10 @@ def reference_system(pde: PDE) -> DeterminingSystem:
 
 
 def systems_equivalent(sys_a: DeterminingSystem, sys_b: DeterminingSystem,
-                       degree: int, pde: PDE = None) -> bool:
+                       degree: int) -> bool:
     """Mutual implication on polynomial unknowns of bounded degree."""
-    basis_a = solve_poly_ansatz(sys_a, PolyAnsatz(sys_a, degree), pde)
-    basis_b = solve_poly_ansatz(sys_b, PolyAnsatz(sys_b, degree), pde)
+    basis_a = solve_poly_ansatz(sys_a, PolyAnsatz(sys_a, degree))
+    basis_b = solve_poly_ansatz(sys_b, PolyAnsatz(sys_b, degree))
     if basis_a.dimension != basis_b.dimension:
         return False
     return (all(satisfies_system(sys_b, V) for V in basis_a.fields)

@@ -4,11 +4,13 @@ A rational is an `int` when integral, else a `Fraction` (`_q`), in
 `Rat.value`, `Pow.exp` and all computed from them: integers cost no gcd
 per operation, and compare and hash equal to Fractions of equal value.
 
-Node kinds: rational constants, symbols, jet variables (derivative
+Node types: rational constants, symbols, jet variables (derivative
 coordinates of a dependent variable), unknown-function applications with
 formal slot derivatives, a fixed set of elementary functions, rational
-powers, and flattened sums/products.  Trees never mutate after
-construction.  The smart constructors do the cheap canonical work
+powers, and flattened sums/products.  A symbol is its name and nothing
+more: `Sym("k")` is the same value wherever it was built, so every memo
+keyed on expressions is a pure function of its key.  Trees never mutate
+after construction.  The smart constructors do the cheap canonical work
 (flattening, like-term merging, a fixed total order on node shapes);
 anything that expands goes through normal.normalize.
 
@@ -41,11 +43,6 @@ class EvalDomainError(ExprError):
     pass
 
 
-# symbol kinds
-KIND_INDEP = "independent-variable"
-KIND_PARAM = "parameter"
-KIND_GROUP = "group-parameter"
-
 # elementary functions (sqrt is folded into rational powers at parse time)
 ELEMENTARY = ("tanh", "sech", "sinh", "cosh", "exp")
 
@@ -74,8 +71,12 @@ def as_rational(v):
 class Expr:
     __slots__ = ("_h",)
 
+    # a subclass that defines __eq__ restates __hash__: __eq__ unsets it
     def __hash__(self):
         return self._h
+
+    def __setattr__(self, *a):
+        raise AttributeError("immutable")
 
     # arithmetic sugar; accepts ints and Fractions on either side
     def __add__(self, other):
@@ -131,9 +132,6 @@ class Rat(Expr):
         object.__setattr__(self, "value", v)
         object.__setattr__(self, "_h", hash(("R", v)))
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     def __eq__(self, other):
         return self is other or (type(other) is Rat and self.value == other.value)
 
@@ -141,15 +139,13 @@ class Rat(Expr):
 
 
 class Sym(Expr):
-    __slots__ = ("name", "kind")
+    """A symbol: nothing but its name."""
 
-    def __init__(self, name: str, kind: str = KIND_PARAM):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "_h", hash(("S", name)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def __eq__(self, other):
         return self is other or (type(other) is Sym and self.name == other.name)
@@ -167,9 +163,6 @@ class Jet(Expr):
         object.__setattr__(self, "dep", dep)
         object.__setattr__(self, "idx", idx)
         object.__setattr__(self, "_h", hash(("J", dep, idx)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def __eq__(self, other):
         return self is other or (
@@ -205,9 +198,6 @@ class Ufunc(Expr):
         object.__setattr__(self, "dorders", dorders)
         object.__setattr__(self, "_h", hash(("U", name, dorders, args)))
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     def __eq__(self, other):
         return self is other or (
             type(other) is Ufunc
@@ -229,9 +219,6 @@ class Fun(Expr):
         object.__setattr__(self, "arg", arg)
         object.__setattr__(self, "_h", hash(("F", fn, arg)))
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     def __eq__(self, other):
         return self is other or (
             type(other) is Fun and self.fn == other.fn and self.arg == other.arg
@@ -249,9 +236,6 @@ class Pow(Expr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exp", exp)
         object.__setattr__(self, "_h", hash(("P", base, exp)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def __eq__(self, other):
         return self is other or (
@@ -271,9 +255,6 @@ class Mul(Expr):
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "_h", hash(("M", factors)))
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     def __eq__(self, other):
         return self is other or (type(other) is Mul and self.factors == other.factors)
 
@@ -287,9 +268,6 @@ class Add(Expr):
         terms = tuple(terms)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_h", hash(("A", terms)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def __eq__(self, other):
         return self is other or (type(other) is Add and self.terms == other.terms)
@@ -502,42 +480,6 @@ def jet(dep: str, idx=()) -> Jet:
     return Jet(dep, idx)
 
 
-def ufunc(name: str, args, dorders=None) -> Ufunc:
-    return Ufunc(name, args, dorders)
-
-
-# ---------------------------------------------------------------------------
-# symbol session registry (names unique per session, kind fixed at creation)
-
-_registry: dict = {}
-
-
-def symbol(name: str, kind: str = KIND_PARAM) -> Sym:
-    known = _registry.get(name)
-    if known is None:
-        s = Sym(name, kind)
-        _registry[name] = s
-        return s
-    if known.kind != kind:
-        raise ExprError(
-            f"symbol {name!r} already registered with kind {known.kind!r}"
-        )
-    return known
-
-
-def reset_session():
-    """Forget every symbol and every process-wide memo keyed on expressions.
-
-    Symbols compare by name only, so a memo that outlived the registry could
-    hand back an atom of the kind a name had before the reset.  A PDE's own
-    memos (prolongation, on-shell jets) live and die with the PDE.
-    """
-    from . import normal
-    _registry.clear()
-    for cached in (skey, free_symbols, free_jets, ufunc_names, normal.normalize):
-        cached.cache_clear()
-
-
 # ---------------------------------------------------------------------------
 # tree walking: children() is the one place that knows where a node keeps
 # its subtrees
@@ -583,8 +525,8 @@ def free_jets(e: Expr) -> frozenset:
 
 
 @lru_cache(maxsize=None)
-def ufunc_names(e: Expr) -> frozenset:
-    out = _union(e, ufunc_names)
+def free_ufunc_names(e: Expr) -> frozenset:
+    out = _union(e, free_ufunc_names)
     return out | {e.name} if type(e) is Ufunc else out
 
 
@@ -710,7 +652,7 @@ def substitute(e: Expr, bindings: dict) -> Expr:
     """
     ufn = {k: v for k, v in bindings.items() if isinstance(k, str)}
     for name, (params, body) in ufn.items():
-        hit = ufunc_names(body) & set(ufn)
+        hit = free_ufunc_names(body) & set(ufn)
         if hit:
             raise CyclicBindingError(
                 f"binding for {name!r} references bound function(s) {sorted(hit)}"

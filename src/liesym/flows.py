@@ -3,12 +3,15 @@
 exponentiate detects two closed-form patterns per coordinate: a
 terminating Lie series (nilpotent action) and a pure scaling
 V(w) = c*w.  Anything else is reported as non-closed-form rather than
-approximated.  The comparator against the published groups accepts a
-match up to a single rational reparametrization eps -> c*eps per group.
-A one-parameter group is fixed by its infinitesimal generator, and
-eps -> c*eps multiplies that generator by c (Olver, Applications of Lie
-Groups to Differential Equations, GTM 107, sec. 1.3), so c is read off as
-the exact ratio of the two generators and then confirmed on the maps.
+approximated.  The group parameter is the symbol `eps`: a coordinate or
+a transformed claim of that name is refused with ValueError, not
+captured by the flow.  The comparator against the published groups
+accepts a match up to a single rational reparametrization eps -> c*eps
+per group.  A one-parameter group is fixed by its infinitesimal
+generator, and eps -> c*eps multiplies that generator by c (Olver,
+Applications of Lie Groups to Differential Equations, GTM 107, sec. 1.3),
+so c is read off as the exact ratio of the two generators and then
+confirmed on the maps.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from __future__ import annotations
 import math
 
 from .expr import (
-    Expr, KIND_GROUP, Rat, Sym, add, differentiate, fun, jet, mul, pow_, rat,
-    substitute, symbol,
+    Expr, Rat, Sym, add, differentiate, free_symbols, fun, jet, mul, pow_, rat,
+    substitute,
 )
 from .jets import PDE, VectorField
 from .normal import canonical, is_zero, normalize, nf_div_exact
@@ -26,13 +29,6 @@ from .parse import ParseContext, data_lines, data_text, parse
 
 class NonClosedFormError(Exception):
     pass
-
-
-EPS_NAME = "eps"
-
-
-def _eps() -> Sym:
-    return symbol(EPS_NAME, KIND_GROUP)
 
 
 class GroupElement:
@@ -62,7 +58,9 @@ class GroupElement:
 
 def exponentiate(V: VectorField, max_nilpotent: int = 6) -> GroupElement:
     """Closed-form flow of V, or NonClosedFormError."""
-    eps = _eps()
+    eps = Sym("eps")
+    if eps in V.vars:
+        raise ValueError(f"coordinate {eps} is the group parameter's name")
     maps = []
     for w in (*V.vars, jet(V.dep, ())):
         series = [w]
@@ -110,8 +108,7 @@ def satisfies_flow_ode(g: GroupElement) -> bool:
 
 def group_law_residuals(g: GroupElement):
     """Maps at eps1+eps2 minus the composition at eps1 then eps2."""
-    e1 = symbol("eps1", KIND_GROUP)
-    e2 = symbol("eps2", KIND_GROUP)
+    e1, e2 = Sym("eps1"), Sym("eps2")
     combined = [substitute(m, {g.eps: add(e1, e2)}) for m in g.maps]
     first = {c: substitute(m, {g.eps: e1}) for c, m in zip(g.coords(), g.maps)}
     second = [substitute(substitute(m, {g.eps: e2}), first) for m in g.maps]
@@ -132,6 +129,8 @@ def transform_solution(g: GroupElement, f: Expr) -> Expr:
     the inverse image, with u replaced by f there; requires the u-map to
     be affine in u (true for point-symmetry flows here).
     """
+    if g.eps in free_symbols(f):
+        raise ValueError(f"the claim uses {g.eps}, the group parameter's name")
     u0 = jet(g.field.dep, ())
     u_map = g.maps[-1]
     if not _u_affine(u_map, u0):
@@ -184,8 +183,7 @@ class FlowComparison:
 
 
 def load_reference_groups(pde: PDE):
-    ctx = ParseContext(indep=[v.name for v in pde.vars], deps=(pde.dep,),
-                       kinds={EPS_NAME: KIND_GROUP})
+    ctx = ParseContext(indep=[v.name for v in pde.vars], deps=(pde.dep,))
     out = {}
     for line in data_lines(data_text("groups_reference.txt")):
         name, rhs = (s.strip() for s in line.split("=", 1))

@@ -57,7 +57,7 @@ def load_pde(text: str) -> PDE:
         raise ParseError("PDE definition needs vars, dep and eq sections")
     ctx = ParseContext(indep=variables, deps=(dep,))
     delta = parse(eq_text, ctx)
-    pde = PDE(delta, tuple(ctx.symbol(v) for v in variables), dep)
+    pde = PDE(delta, tuple(map(Sym, variables)), dep)
     lead = jet(dep, {pde.evolution: 1})
     if lead not in free_jets(delta):
         raise ParseError(f"not an evolution equation: no {lead} term")

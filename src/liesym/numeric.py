@@ -42,7 +42,7 @@ from mpmath.libmp import (
 
 from .expr import (
     Add, EvalDomainError, Expr, ExprError, Fun, Mul, Pow, Rat, free_jets,
-    free_symbols, ufunc_names,
+    free_symbols, free_ufunc_names,
 )
 
 DD_PREC = 106
@@ -227,7 +227,7 @@ def _compile(terms, precision, complex_mode, tail):
     for e in terms:
         if free_jets(e):
             raise EvalDomainError("expression contains jet variables")
-        if ufunc_names(e):
+        if free_ufunc_names(e):
             raise EvalDomainError("expression contains unbound unknown functions")
     backend = _BACKENDS[precision, complex_mode]
     syms = sorted(set().union(*map(free_symbols, terms)), key=lambda s: s.name)

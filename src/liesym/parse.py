@@ -10,6 +10,9 @@ Grammar (whitespace-insensitive):
     jetvar := depvar '_' indepvar+            e.g. u_xxz
     number := integer ('/' integer)? | decimal
 
+An identifier that is not a declared dependent variable, constant or
+function name is the symbol of that name (`Sym`); a name carries no role,
+so one name may be a variable in one record and a parameter in the next.
 Decimals parse as exact ratios of powers of ten.  Rational exponents may
 be parenthesized and signed: x^2, x^(-1), x^(1/2), x^(-1/4).
 
@@ -24,10 +27,7 @@ import os
 from fractions import Fraction
 from importlib import resources
 
-from .expr import (
-    ELEMENTARY, Expr, KIND_INDEP, KIND_PARAM, Rat,
-    fun, jet, pow_, symbol, ufunc,
-)
+from .expr import ELEMENTARY, Expr, Rat, Sym, Ufunc, fun, jet, pow_
 
 
 class ParseError(Exception):
@@ -44,20 +44,15 @@ class ParseError(Exception):
 
 
 class ParseContext:
-    """Declares jet dependents / independents, symbol kinds and constants."""
+    """Declares jet dependents / independents and named constants.
 
-    def __init__(self, indep=("x", "y", "z", "t"), deps=("u",), kinds=None,
-                 constants=None):
+    Any other identifier parses as the symbol of that name.
+    """
+
+    def __init__(self, indep=("x", "y", "z", "t"), deps=("u",), constants=None):
         self.indep = tuple(indep)
         self.deps = tuple(deps)
-        self.kinds = dict(kinds or {})
         self.constants = dict(constants or {})
-
-    def symbol(self, name: str):
-        if name in self.kinds:
-            return symbol(name, self.kinds[name])
-        kind = KIND_INDEP if name in self.indep else KIND_PARAM
-        return symbol(name, kind)
 
 
 DEFAULT_CONTEXT = ParseContext()
@@ -256,10 +251,10 @@ class _Parser:
                 if len(name) > 1:
                     raise ParseError(f"unknown function name {name!r}",
                                      t.line, t.col, sorted(_FUNC_NAMES))
-                return ufunc(name, args)
+                return Ufunc(name, args)
             if name in self.ctx.deps:
                 return jet(name, ())
-            return self.ctx.constants.get(name) or self.ctx.symbol(name)
+            return self.ctx.constants.get(name) or Sym(name)
         raise ParseError(f"unexpected token {t.value!r}", t.line, t.col,
                          ["number", "identifier", "("])
 

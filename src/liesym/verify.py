@@ -13,8 +13,8 @@ from fractions import Fraction
 from .catalog import Record, record_context, solution_context, undeclared_divisors
 from .expr import (
     ZERO, Add, EvalDomainError, Expr, Sym, Ufunc, add, children, derivation,
-    differentiate, free_jets, jet, mul, pow_, rat, rewrite, substitute,
-    ufunc_names,
+    differentiate, free_jets, free_ufunc_names, jet, mul, pow_, rat, rewrite,
+    substitute,
 )
 from .jets import PDE, jet_bindings
 from .normal import as_expr, canonical, is_zero, nf_div_exact, normalize
@@ -95,7 +95,7 @@ def ode_residual(solution: Expr, equation: Expr, variables, dep: str,
     _check_claim(solution, dep)
     terms = substituted_terms(equation, solution, variables, dep)
     symbolic = "zero" if normalize(add(*terms)).is_zero() else "undecided"
-    if any(ufunc_names(t) or free_jets(t) for t in terms):
+    if any(free_ufunc_names(t) or free_jets(t) for t in terms):
         # formal unknown functions cannot be sampled numerically
         return ResidualReport(symbolic, 0.0, 0, precision,
                               {"formal": True})
@@ -136,7 +136,7 @@ class ReductionAnsatz:
             src_ctx = ParseContext(indep=src_vars.split(),
                                    deps=(rec.get("eqdep"),))
             self.equation = parse(rec.get("equation"), src_ctx)
-            self.old_vars = tuple(src_ctx.symbol(v) for v in src_vars.split())
+            self.old_vars = tuple(map(Sym, src_vars.split()))
             self.old_dep = rec.get("eqdep")
         else:
             self.equation = pde.delta
@@ -149,12 +149,12 @@ class ReductionAnsatz:
         self.defs = [(n, parse(txt, self.octx)) for n, txt in rec.pairs("newvar")]
         if tuple(n for n, _ in self.defs) != self.new_vars:
             raise ValueError("newvar lines must match the vars order")
-        self.back = {mixed.symbol(n): parse(txt, mixed) for n, txt in rec.pairs("back")}
+        self.back = {Sym(n): parse(txt, mixed) for n, txt in rec.pairs("back")}
         self.prefactor = parse(rec.get("prefactor", "1"), self.octx)
         self.shift = parse(rec.get("shift", "0"), self.octx)
         nctx = ParseContext(indep=self.new_vars, deps=(self.unknown,))
         self.claim = parse(rec.get("reduced"), nctx)
-        self.new_syms = tuple(nctx.symbol(v) for v in self.new_vars)
+        self.new_syms = tuple(map(Sym, self.new_vars))
 
     def ansatz_expr(self) -> Expr:
         f = Ufunc(self.unknown, tuple(e for _, e in self.defs))
@@ -269,7 +269,7 @@ def _claim_verdict(rec, pde, points, tol, seed, precision):
         ctx = record_context(rec)
         eqn = parse(rec.get("equation"), ctx)
         f = parse(rec.get("solution"), ctx)
-        target = (eqn, tuple(ctx.symbol(v) for v in ctx.indep), ctx.deps[0])
+        target = (eqn, tuple(map(Sym, ctx.indep)), ctx.deps[0])
         suffix = ""
     else:
         ctx = solution_context()

@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from liesym import add, fun, jet, mul, pow_, rat, symbol
-from liesym.expr import Ufunc
+from liesym import Sym, Ufunc, add, fun, jet, mul, pow_, rat
 from liesym.jets import load_pde
 from liesym.liealg import reference_basis
 from importlib import resources
@@ -21,7 +20,7 @@ def basis(pde):
 
 
 # leaves of the random expression trees shared by the property tests
-TREE_SYMBOLS = tuple(symbol(n, "independent-variable") for n in ("x", "y", "t"))
+TREE_SYMBOLS = tuple(Sym(n) for n in ("x", "y", "t"))
 TREE_JETS = (jet("u", ()), jet("u", "x"), jet("u", "xxt"), jet("v", "y"))
 
 

@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, determinism, CSV."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liesym.cli import main
 
@@ -110,6 +115,14 @@ class TestFlow:
         rc, _, err = run(capsys, "flow", "--field", "99")
         assert rc == 2
 
+    def test_claim_naming_the_group_parameter_is_input_error(self, capsys, tmp_path):
+        # the claim's eps would be captured by the flow's own parameter
+        sol = tmp_path / "sol.txt"
+        sol.write_text("eps*x + t\n")
+        rc, out, err = run(capsys, "flow", "--field", "2", "--apply", str(sol))
+        assert (rc, out) == (2, "")
+        assert "eps" in err
+
 
 class TestVerify:
     def test_catalog_passes(self, capsys):
@@ -156,6 +169,16 @@ class TestVerify:
         assert rc == 1
         assert "error" in out and "ValueError: claim contains jets of u: u_x" in out
 
+    def test_a_name_may_change_roles_between_records(self, capsys, tmp_path):
+        # k is the ode record's variable and the solution record's parameter
+        cat = tmp_path / "k.txt"
+        cat.write_text("[ode-k]\nkind: ode\nvars: k\nunknown: R\nequation: R_k\n"
+                       "solution: 1\nexpected: zero\n\n"
+                       "[sol-k]\nclaim: k*x*0 + 0\nexpected: zero\n")
+        rc, out, _ = run(capsys, "verify", "--catalog", str(cat), "--points", "8")
+        assert rc == 0
+        assert out.splitlines()[-1] == "2/2 records as expected"
+
     def test_ode_solution_with_own_jets_is_an_error_row(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("[jet-ode]\nkind: ode\nvars: w\nunknown: R\nequation: R_ww\n"
@@ -163,6 +186,59 @@ class TestVerify:
         rc, out, _ = run(capsys, "verify", "--catalog", str(bad), "--points", "8")
         assert rc == 1
         assert "error" in out and "ValueError: claim contains jets of R: R_w" in out
+
+
+# Catalog fuzz: names from one small pool recur as ode variables, claim
+# parameters and PDE coordinates, so a name changes roles between records.
+_NAMES = ("a", "k", "w", "x", "t")
+_CLAIMS = ("{p}", "{p}*x*0 + {q}", "{p}*x + {q}*t", "{p}/{q}", "exp({p}*x - {q}*t)")
+_ODES = (("R_{v}", "{p}"), ("R_{v}{v} - {p}^2*R", "exp({p}*{v})"),
+         ("{v}*R_{v} - R", "{p}*{v}"), ("R_{v} - {p}", "{p}*{v} + {q}"))
+
+
+@st.composite
+def _records(draw):
+    p, q, v = (draw(st.sampled_from(_NAMES)) for _ in range(3))
+    expected = draw(st.sampled_from(("zero", "mismatch")))
+    if draw(st.booleans()):
+        claim = draw(st.sampled_from(_CLAIMS)).format(p=p, q=q)
+        return f"claim: {claim}\nexpected: {expected}\n"
+    eq, sol = draw(st.sampled_from(_ODES))
+    return (f"kind: ode\nvars: {v}\nunknown: R\nequation: {eq.format(v=v, p=p)}\n"
+            f"solution: {sol.format(v=v, p=p, q=q)}\nexpected: {expected}\n")
+
+
+def _verify_rows(tmp, records, precision):
+    """Exit code and the whitespace-split rows of `verify` on records."""
+    cat, out = os.path.join(tmp, "cat.txt"), os.path.join(tmp, "out.txt")
+    with open(cat, "w") as fh:
+        fh.write("\n".join(f"[r{i}]\n{body}" for i, body in records))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["verify", "--catalog", cat, "--points", "4",
+                   "--precision", precision, "--out", out])
+    assert rc in (0, 1, 2, 3) and "Traceback" not in err.getvalue()
+    if not os.path.exists(out):
+        return rc, []
+    with open(out) as fh:
+        rows = [line.split() for line in fh.read().splitlines()]
+    os.remove(out)
+    return rc, rows[:len(records)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_records(), min_size=2, max_size=4))
+def test_catalog_rows_do_not_depend_on_their_neighbours(bodies):
+    records = list(enumerate(bodies))
+    with tempfile.TemporaryDirectory() as tmp:
+        for precision in ("double", "dd"):
+            rc, rows = _verify_rows(tmp, records, precision)
+            # alone, last record first, so state one run leaves to the next shows
+            alone = [_verify_rows(tmp, [rec], precision) for rec in records[::-1]][::-1]
+            assert rows == [row for _, (row,) in alone]
+            # every drawn record is well formed, so an error row is a fault
+            assert [row for row in rows if row[3] == "error"] == []
+            assert rc == max(a_rc for a_rc, _ in alone)
 
 
 class TestSample:

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from liesym import (
     CyclicBindingError, add, differentiate, equivalent, fun, is_zero, jet,
-    mul, normalize, parse, pow_, rat, substitute, symbol, to_text, ufunc,
+    mul, normalize, parse, pow_, rat, substitute, to_text,
 )
 from liesym.expr import (
     Add, ExprError, Fun, Jet, Mul, Pow, Rat, Sym, Ufunc, diff_n, free_jets,
-    free_symbols, rewrite, ufunc_names,
+    free_symbols, free_ufunc_names, rewrite,
 )
 from liesym.normal import as_expr, nf_const
 from liesym.numeric import EvalDomainError, eval_numeric, random_equiv
@@ -20,9 +20,9 @@ from liesym.parse import ParseError
 from conftest import TREE_JETS, TREE_SYMBOLS, expr_trees
 
 
-x = symbol("x", "independent-variable")
-y = symbol("y", "independent-variable")
-t = symbol("t", "independent-variable")
+x = Sym("x")
+y = Sym("y")
+t = Sym("t")
 
 
 class TestParse:
@@ -57,8 +57,8 @@ class TestParse:
 
     def test_single_letter_unknown_functions_allowed(self):
         e = parse("g(y, z)")
-        assert e == ufunc("g", (symbol("y", "independent-variable"),
-                                symbol("z", "independent-variable")))
+        assert e == Ufunc("g", (Sym("y"),
+                                Sym("z")))
 
     def test_decimals_are_exact(self):
         assert parse("1.9872") == Rat(Fraction(19872, 10000))
@@ -84,8 +84,8 @@ class TestDifferentiate:
         assert differentiate(jet("u", "x"), x) == rat(0)
 
     def test_formal_slot_derivative(self):
-        X, Y = symbol("X", "independent-variable"), symbol("Y", "independent-variable")
-        F = ufunc("F", (X, Y))
+        X, Y = Sym("X"), Sym("Y")
+        F = Ufunc("F", (X, Y))
         dF = differentiate(F, X)
         assert dF == Ufunc("F", (X, Y), (1, 0))
 
@@ -103,8 +103,8 @@ class TestSubstitute:
 
     def test_chain_rule_consistency(self):
         # substitute-then-differentiate equals differentiate-then-substitute
-        a = symbol("a")
-        F = ufunc("F", (x,))
+        a = Sym("a")
+        F = Ufunc("F", (x,))
         binding = {"F": ((a,), fun("tanh", a))}
         lhs = differentiate(substitute(F, binding), x)
         rhs = substitute(differentiate(F, x), binding)
@@ -113,8 +113,8 @@ class TestSubstitute:
     def test_scaling_similarity_chain_rule(self):
         # u = F(x*t^(-1/4), y*t^(-1/2), z) gives
         # u_t = -(X F_X)/(4t) - (Y F_Y)/(2t) in the similarity variables
-        z = symbol("z", "independent-variable")
-        u = ufunc("F", (mul(x, pow_(t, Fraction(-1, 4))),
+        z = Sym("z")
+        u = Ufunc("F", (mul(x, pow_(t, Fraction(-1, 4))),
                         mul(y, pow_(t, Fraction(-1, 2))), z))
         ut = differentiate(u, t)
         X = mul(x, pow_(t, Fraction(-1, 4)))
@@ -130,10 +130,10 @@ class TestSubstitute:
         assert equivalent(out, add(x, y))
 
     def test_cycle_detected(self):
-        F = ufunc("F", (x,))
-        a = symbol("a")
+        F = Ufunc("F", (x,))
+        a = Sym("a")
         with pytest.raises(CyclicBindingError):
-            substitute(F, {"F": ((a,), ufunc("F", (a,)))})
+            substitute(F, {"F": ((a,), Ufunc("F", (a,)))})
 
 
 @pytest.mark.parametrize("make", [lambda: Rat(0.1), lambda: rat(0.5),
@@ -144,17 +144,6 @@ def test_exact_constants_refuse_floats(make):
     # 3602879701896397/36028797018963968: refuse it instead
     with pytest.raises(ExprError, match="not an exact rational"):
         make()
-
-
-def test_reset_session_forgets_normal_forms():
-    # symbols compare by name, so a stale normal form would keep the old kind
-    from liesym.expr import KIND_GROUP, KIND_PARAM, reset_session
-    reset_session()
-    normalize(symbol("a0c0", KIND_PARAM))
-    reset_session()
-    (mono,) = normalize(symbol("a0c0", KIND_GROUP)).terms
-    ((atom, _),) = mono
-    assert atom.kind == KIND_GROUP
 
 
 def test_walks_leave_no_cyclic_garbage():
@@ -213,7 +202,7 @@ class TestEvalNumeric:
 
 class TestRandomEquiv:
     def test_double_angle_identity(self):
-        th = symbol("th")
+        th = Sym("th")
         e1 = fun("tanh", mul(rat(2), th))
         e2 = mul(rat(2), fun("tanh", th),
                  pow_(add(rat(1), pow_(fun("tanh", th), 2)), Fraction(-1)))
@@ -372,7 +361,7 @@ def test_structure_queries_match_brute_force(e):
     nodes = list(_nodes(e))
     assert free_symbols(e) == {n for n in nodes if isinstance(n, Sym)}
     assert free_jets(e) == {n for n in nodes if isinstance(n, Jet)}
-    assert ufunc_names(e) == {n.name for n in nodes if isinstance(n, Ufunc)}
+    assert free_ufunc_names(e) == {n.name for n in nodes if isinstance(n, Ufunc)}
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from liesym import add, equivalent, fun, mul, parse, rat, substitute
+from liesym import Sym, add, equivalent, fun, mul, parse, rat, substitute
 from liesym.flows import (
     NonClosedFormError, compare_flow, exponentiate, load_reference_groups,
     satisfies_flow_ode, satisfies_group_law, transform_solution,
@@ -58,12 +58,16 @@ class TestExponentiate:
         with pytest.raises(NonClosedFormError):
             exponentiate(V)
 
+    def test_coordinate_named_like_the_group_parameter(self):
+        # the flow's maps would confuse the coordinate with the parameter
+        V = VectorField([rat(1), rat(0)], rat(0), [Sym("eps"), Sym("t")], "u")
+        with pytest.raises(ValueError, match="eps"):
+            exponentiate(V)
+
 
 def _ctx(pde):
     from liesym.parse import ParseContext
-    from liesym.expr import KIND_GROUP
-    return ParseContext(indep=[v.name for v in pde.vars], deps=(pde.dep,),
-                        kinds={"eps": KIND_GROUP})
+    return ParseContext(indep=[v.name for v in pde.vars], deps=(pde.dep,))
 
 
 class TestFlowIdentities:

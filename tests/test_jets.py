@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liesym import (
-    add, differentiate, is_zero, jet, mul, normalize, parse, pow_, rat, symbol, to_text,
+    Sym, add, differentiate, is_zero, jet, mul, normalize, parse, pow_, rat, to_text,
 )
 from liesym import jets
 from liesym.expr import diff_n, free_jets
@@ -251,6 +251,6 @@ class TestRestrictOnShell:
         from liesym.parse import ParseContext
         ctx = ParseContext(indep=("x", "t"), deps=("u",))
         bad = PDE(parse("u_t^2 + u_x", ctx),
-                  [ctx.symbol(v) for v in ("x", "t")], "u")
+                  [Sym(v) for v in ("x", "t")], "u")
         with pytest.raises(ValueError):
             _lead_rhs(bad)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from liesym import (
-    ResourceLimitError, add, fun, is_zero, mul, normalize, parse, pow_, rat,
-    symbol, set_expansion_limit,
+    ResourceLimitError, Sym, add, fun, is_zero, mul, normalize, parse, pow_,
+    rat, set_expansion_limit,
 )
 from liesym import normal
 from liesym.catalog import solution_context
@@ -19,10 +19,10 @@ from liesym.numeric import compile_terms, sampled
 
 from conftest import exact_number, expr_trees
 
-x = symbol("x", "independent-variable")
-y = symbol("y", "independent-variable")
-z = symbol("z", "independent-variable")
-th = symbol("th")
+x = Sym("x")
+y = Sym("y")
+z = Sym("z")
+th = Sym("th")
 
 
 def test_binomial_collapses():

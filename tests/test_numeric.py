@@ -14,14 +14,14 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import liesym
-from liesym import add, fun, mul, parse, pow_, rat, symbol
+from liesym import add, fun, mul, parse, pow_, rat
 from liesym.expr import EvalDomainError, ExprError, Fun, Mul, Pow, Rat, Sym
 from liesym.numeric import (
     DD_PREC, DOMAIN_ERRORS, _BACKENDS, compile_residual, compile_terms,
     eval_numeric, sampled,
 )
 
-_syms = [symbol(n, "independent-variable") for n in ("x", "y", "t")]
+_syms = [Sym(n) for n in ("x", "y", "t")]
 _FUNS = ("tanh", "sech", "sinh", "cosh", "exp")
 _RATS = [rat(v) for v in (-2, -1, 0, 1, 2, 3)] + [rat(1, 2), rat(5, 3), rat(-3, 4)]
 _EXPONENTS = (-2, -1, 2, 3, rat(1, 2), rat(1, 3), rat(-3, 2))

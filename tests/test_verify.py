@@ -9,8 +9,7 @@ from liesym.catalog import (
     Record, load_catalog, parse_catalog, solution_context,
     undeclared_divisors,
 )
-from liesym import expr as expr_mod
-from liesym.expr import KIND_INDEP, EvalDomainError, Sym, pow_, symbol
+from liesym.expr import EvalDomainError, Sym, pow_
 from liesym.parse import ParseContext
 from liesym import verify as verify_mod
 from liesym.verify import (
@@ -62,7 +61,7 @@ class TestOdeResidual:
         ctx = ParseContext(indep=variables, deps=(dep,))
         eq = parse(eq_text, ctx)
         sol = parse(sol_text, ctx)
-        syms = tuple(ctx.symbol(v) for v in variables)
+        syms = tuple(Sym(v) for v in variables)
         return eq, sol, syms, dep
 
     def test_third_order_constant(self):
@@ -89,7 +88,7 @@ class TestOdeResidual:
         eq = parse("6*G_s*G_r + G_rrs", ctx)
         sol = parse("2*k^2/(alpha1*k + 2*(a*r + b*s))", ctx)
         cond = parse("k^2 - a", ctx)
-        syms = tuple(ctx.symbol(v) for v in ("r", "s"))
+        syms = tuple(Sym(v) for v in ("r", "s"))
         m = ode_condition(sol, eq, syms, "G", cond)
         assert m is not None and not m.is_zero()
 
@@ -316,11 +315,11 @@ class TestCatalog:
         wctx = ParseContext(indep=("w",), deps=("R",))
         ode = parse("w^2*R_www - R_w*(-6*w*R_w + 6*R + w^2)", wctx)
         assert ode_residual(parse("w^2/6", wctx), ode,
-                            (wctx.symbol("w"),), "R").symbolic == "zero"
+                            (Sym("w"),), "R").symbolic == "zero"
         ctx = ParseContext(indep=("r", "s"), deps=("G",))
         eq26 = parse("G + 2*G_s*(s - 12*G_r) + r*G_r - 4*G_rrs", ctx)
         gsol = parse("r*s/6", ctx)
-        syms = tuple(ctx.symbol(v) for v in ("r", "s"))
+        syms = tuple(Sym(v) for v in ("r", "s"))
         assert ode_residual(gsol, eq26, syms, "G").symbolic == "zero"
         assert residual(parse("x*y/(6*t)"), pde, points=5).symbolic == "zero"
 
@@ -351,9 +350,3 @@ class TestWeierstrassResidual:
                        pow_(Sym("wp"), 2))
         assert is_zero(add(res, mul(rat(-1), expected)))
         assert (str(res) == "0") == (a in ("-1", "1"))
-
-    def test_plain_atoms_ignore_the_session(self, by_name, monkeypatch):
-        # a record context that declares wp as a variable cannot collide
-        monkeypatch.setattr(expr_mod, "_registry", {})
-        symbol("wp", KIND_INDEP)
-        assert str(weierstrass_residual(by_name["wp-equianharmonic"])) == "0"
