@@ -7,7 +7,7 @@ from .expr import (
 )
 from .normal import NF, as_expr, canonical, equivalent, is_zero, normalize, set_expansion_limit
 from .parse import ParseContext, ParseError, parse
-from .numeric import eval_numeric, random_equiv
+from .numeric import eval_numeric
 from .jets import (
     PDE, VectorField, load_pde, prolongation_coefficient, restrict_on_shell,
     symmetry_condition, total_derivative,

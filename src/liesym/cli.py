@@ -226,8 +226,8 @@ def cmd_pipeline(args) -> int:
     text = []
 
     system = detsys.extract_determining(pde)
-    summary["derive"] = {"constraints": len(system.constraints)}
-    text.append(f"derive: {len(system.constraints)} determining constraints")
+    summary["derive"] = {"constraints": len(system)}
+    text.append(f"derive: {len(system)} determining constraints")
 
     basis = detsys.solve_poly_ansatz(system, detsys.PolyAnsatz(system, args.degree))
     summary["solve"] = {"dimension": basis.dimension}

@@ -2,16 +2,19 @@
 
 The symmetry condition with generic unknown infinitesimals is restricted
 to the solution manifold and split by monomials in derivative jets; each
-coefficient is one linear constraint.  A degree-bounded polynomial
-ansatz turns the constraints into an exact rational linear system whose
-nullspace is the symmetry algebra.  The constraints are linear in the
-unknowns and a derivative of a monomial is a monomial, so the system is
-assembled as sparse rows straight from monomial exponents.
+coefficient is one linear constraint, kept as its normal-form row; the
+constraints as printable expressions are built only when asked for.  A
+degree-bounded polynomial ansatz turns the rows into an exact rational
+linear system whose nullspace is the symmetry algebra.  The constraints
+are linear in the unknowns and a derivative of a monomial is a monomial,
+so the system is assembled as sparse rows straight from monomial
+exponents.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 from .expr import Expr, Jet, Rat, Sym, Ufunc, add, jet, mul, rewrite, substitute
@@ -23,17 +26,32 @@ from . import linalg
 class DeterminingSystem:
     """Linear homogeneous constraints on the unknown infinitesimals.
 
-    Constraints are expressions over the coordinate symbols and jet
-    variables of the unknowns (xi1_x, eta_u, ...), printable in the DSL.
+    `rows` holds one normal-form term map {monomial: coefficient} per
+    constraint, over the coordinate symbols and the jet variables of the
+    unknowns (xi1_x, eta_u, ...).  `constraints`, the same rows as
+    expressions printable in the DSL and sorted by text, is built on first
+    use.
     """
 
-    def __init__(self, constraints, unknowns, coords):
-        self.constraints = tuple(constraints)
+    def __init__(self, rows, unknowns, coords):
+        self.rows = tuple(rows)
         self.unknowns = tuple(unknowns)
         self.coords = tuple(coords)
 
+    @classmethod
+    def of(cls, constraints, unknowns, coords):
+        """The system whose constraints are these expressions.
+
+        A row is a constraint's normal-form numerator: the constraint
+        vanishes exactly where that does."""
+        return cls((normalize(c).terms for c in constraints), unknowns, coords)
+
+    @cached_property
+    def constraints(self):
+        return tuple(sorted((as_expr(NF(r)) for r in self.rows), key=str))
+
     def __len__(self):
-        return len(self.constraints)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.constraints)
@@ -56,29 +74,13 @@ def generic_field(pde: PDE) -> VectorField:
     return VectorField(xi, eta, pde.vars, pde.dep)
 
 
-def _ufunc_to_jets(e: Expr, pde: PDE) -> Expr:
-    """Rewrite generic-unknown slot derivatives as jet variables."""
-    names = set(unknown_names(pde))
-    coords = [v.name for v in pde.vars] + [pde.dep]
-    u_sym = Sym(pde.dep)
-
-    def leaf(x: Expr) -> Expr:
-        if type(x) is Ufunc and x.name in names:
-            return jet(x.name, {coords[i]: k for i, k in enumerate(x.dorders) if k})
-        if type(x) is Jet and x.dep == pde.dep and x.order == 0:
-            return u_sym
-        return x
-
-    return rewrite(e, leaf)
-
-
-def _primitive_expr(nf: NF) -> Expr:
-    content, prim = _primitive(nf.terms)
-    return as_expr(NF(prim, nf.den))
-
-
 def extract_determining(pde: PDE) -> DeterminingSystem:
-    """Coefficients of independent derivative-jet monomials, each forced to 0."""
+    """Coefficients of independent derivative-jet monomials, each forced to 0.
+
+    Each coefficient is made primitive, then every atom is renamed at every
+    depth: an unknown's slot derivative becomes its jet variable and the
+    order-0 jet of the dependent variable becomes its symbol.
+    """
     V = generic_field(pde)
     cond = restrict_on_shell(symmetry_condition(V, pde), pde)
     n = normalize(cond)
@@ -91,20 +93,39 @@ def extract_determining(pde: PDE) -> DeterminingSystem:
                 label.append((atom, e))
             else:
                 rest.append((atom, e))
-        key = tuple(label)
-        groups.setdefault(key, {})[tuple(rest)] = (
-            groups.get(key, {}).get(tuple(rest), 0) + c
-        )
-    seen = {}
+        groups.setdefault(tuple(label), {})[tuple(rest)] = c
+    names = set(unknown_names(pde))
+    coords = [v.name for v in pde.vars] + [pde.dep]
+    u_sym = Sym(pde.dep)
+
+    def leaf(x: Expr) -> Expr:
+        if type(x) is Ufunc and x.name in names:
+            return jet(x.name, {coords[i]: k for i, k in enumerate(x.dorders) if k})
+        if type(x) is Jet and x.dep == pde.dep and x.order == 0:
+            return u_sym
+        return x
+
+    renamed: dict = {}
+    rows: dict = {}
     for key in sorted(groups, key=mono_key):
-        terms = {m: c for m, c in groups[key].items() if c}
-        if not terms:
-            continue
-        constraint = _primitive_expr(NF(terms))
-        constraint = _ufunc_to_jets(constraint, pde)
-        seen.setdefault(constraint, key)
-    constraints = sorted(seen, key=lambda e: str(e))
-    return DeterminingSystem(constraints, unknown_names(pde), coordinate_symbols(pde))
+        row: dict = {}
+        stale = False
+        for mono, c in _primitive(groups[key])[1].items():
+            entries: dict = {}
+            for atom, e in mono:
+                got = renamed.get(atom)
+                if got is None:
+                    new = rewrite(atom, leaf)
+                    # a compound atom holding u may leave the normal form
+                    # once u is a symbol: (u - x)^(1/2) leads with x then
+                    got = renamed[atom] = new, type(new) not in (Sym, Jet) and new != atom
+                entries[got[0]] = entries.get(got[0], 0) + e
+                stale |= got[1]
+            row[_mono(entries)] = c
+        if stale:
+            row = normalize(as_expr(NF(row))).terms
+        rows.setdefault(frozenset(row.items()), row)
+    return DeterminingSystem(rows.values(), unknown_names(pde), coordinate_symbols(pde))
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +180,8 @@ def solve_poly_ansatz(sys: DeterminingSystem, ansatz: PolyAnsatz) -> SymmetryBas
     names = [s.name for s in sys.coords]
     nmono = len(ansatz.monomials)
     rows: dict = {}
-    for k, constraint in enumerate(sys.constraints):
-        for mono, c in normalize(constraint).terms.items():
+    for k, terms in enumerate(sys.rows):
+        for mono, c in terms.items():
             rest = dict(mono)
             fjets = [a for a in rest if type(a) is Jet and a.dep in unknowns]
             if not fjets:
@@ -250,7 +271,7 @@ def reference_system(pde: PDE) -> DeterminingSystem:
     ctx = ParseContext(indep=coords, deps=names)
     constraints = [parse_dsl(line, ctx)
                    for line in data_lines(data_text("determining_reference.txt"))]
-    return DeterminingSystem(constraints, names, coordinate_symbols(pde))
+    return DeterminingSystem.of(constraints, names, coordinate_symbols(pde))
 
 
 def systems_equivalent(sys_a: DeterminingSystem, sys_b: DeterminingSystem,

@@ -1,4 +1,4 @@
-"""Numeric evaluation, seeded sampling, and randomized equivalence.
+"""Numeric evaluation and seeded sampling.
 
 `compile_terms` turns a list of expressions, such as the terms of one
 residual claim, into one generated Python function that returns all of
@@ -47,10 +47,6 @@ from .expr import (
 
 DD_PREC = 106
 _PR = f"{DD_PREC},'n'"  # precision and rounding of every real dd libmp call
-
-
-class SamplingError(ExprError):
-    pass
 
 
 def _rp_real(b, p, q):
@@ -325,32 +321,3 @@ def sampled(fn, nfree: int, points: int, budget: int, seed: int, box):
         points -= 1
         yield out
 
-
-def random_equiv(e1: Expr, e2: Expr, trials: int = 64, tol: float = 1e-9,
-                 seed: int = 0, box=(0.0, 2.0)) -> bool:
-    """Numeric equivalence at seeded sample points.
-
-    box is the magnitude range of every coordinate; signs are random.
-    True iff |e1-e2| <= tol*(1+max(|e1|,|e2|)) at every point that
-    evaluates cleanly; raises SamplingError when every point hits a
-    singularity.
-    """
-    try:
-        fn, syms = compile_terms((e1, e2))
-    except EvalDomainError as exc:  # no point can evaluate
-        raise SamplingError(str(exc)) from None
-
-    def close(*draw):
-        v1, v2 = fn(*draw)
-        if abs(v1) > 1e12 or abs(v2) > 1e12:
-            raise EvalDomainError("value too large at sample")
-        return not abs(v1 - v2) > tol * (1 + max(abs(v1), abs(v2)))  # nan passes
-
-    good = 0
-    for ok in sampled(close, len(syms), trials, trials * 4, seed, box):
-        if not ok:
-            return False
-        good += 1
-    if good == 0:
-        raise SamplingError("all sampled points hit singularities")
-    return True

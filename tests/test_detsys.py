@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -67,6 +68,45 @@ class TestExtraction:
         # ... while the scaling combination consistent with them passes
         consistent = VF(pde, ["-x/4", "y/2", "z", "0"], "u/4")
         assert satisfies_system(system, consistent)
+
+
+_DATA = Path(__file__).parent / "data"
+_FIXTURES = ("kdv_v", "exp_transport", "ratio", "decay", "stationary")
+
+
+@pytest.fixture(scope="module", params=("kdv31",) + _FIXTURES + ("surd",))
+def any_system(request, pde):
+    """kdv31, the fixture equations, and a surd of u - x whose sum atom
+    leads with another term once u is a symbol."""
+    if request.param == "kdv31":
+        other = pde
+    elif request.param == "surd":
+        other = load_pde("vars x t\ndep u\neq u_t + (u - x)^(1/2)*u_x\n")
+    else:
+        other = load_pde((_DATA / f"{request.param}.pde").read_text())
+    return other, extract_determining(other)
+
+
+class TestRowsAndConstraints:
+    def test_rows_are_the_normal_forms_of_the_constraints(self, any_system):
+        _, system = any_system
+        assert len(system) == len(system.constraints)
+        assert ({frozenset(normalize(c).terms.items()) for c in system.constraints}
+                == {frozenset(r.items()) for r in system.rows})
+
+    def test_dependent_variable_is_a_symbol_at_every_depth(self, any_system):
+        # exp(u) must read exp of the symbol u, not of u's order-0 jet
+        from liesym.expr import free_jets
+        other, system = any_system
+        for c in system.constraints:
+            assert jet(other.dep, ()) not in free_jets(c)
+
+    def test_solving_the_printed_constraints_agrees(self, any_system):
+        _, system = any_system
+        again = DeterminingSystem.of(system.constraints, system.unknowns, system.coords)
+        for degree in (1, 2):
+            assert (solve_poly_ansatz(again, PolyAnsatz(again, degree)).vectors
+                    == solve_poly_ansatz(system, PolyAnsatz(system, degree)).vectors)
 
 
 class TestSolver:
@@ -146,12 +186,12 @@ def _linear_systems(draw):
         return mul(rat(c), *mono, jet(draw(st.sampled_from(_UNKNOWNS)), "".join(idx)))
     constraints = [add(*(term() for _ in range(draw(st.integers(1, 3)))))
                    for _ in range(draw(st.integers(1, 4)))]
-    return DeterminingSystem(constraints, _UNKNOWNS, _COORDS), draw(st.integers(1, 3))
+    return DeterminingSystem.of(constraints, _UNKNOWNS, _COORDS), draw(st.integers(1, 3))
 
 
 # xi1_x - x*xi1_xx: both terms reach column (xi1, x^2) of row (0, x) and
 # cancel there, so x^2 d/dx is in the nullspace only if they are summed
-_CANCELLING = DeterminingSystem(
+_CANCELLING = DeterminingSystem.of(
     [add(jet("xi1", "x"), mul(rat(-1), _COORDS[0], jet("xi1", "xx")))],
     _UNKNOWNS, _COORDS)
 
@@ -176,7 +216,7 @@ class TestAssemblyOracle:
     ])
     def test_constraint_outside_the_linear_form(self, text, message):
         ctx = ParseContext(indep=["x", "t", "u"], deps=_UNKNOWNS)
-        system = DeterminingSystem([parse(text, ctx)], _UNKNOWNS, _COORDS)
+        system = DeterminingSystem.of([parse(text, ctx)], _UNKNOWNS, _COORDS)
         with pytest.raises(ValueError, match=message):
             solve_poly_ansatz(system, PolyAnsatz(system, 1))
 

@@ -14,7 +14,7 @@ from liesym.expr import (
     free_symbols, free_ufunc_names, rewrite,
 )
 from liesym.normal import as_expr, nf_const
-from liesym.numeric import EvalDomainError, eval_numeric, random_equiv
+from liesym.numeric import EvalDomainError, eval_numeric
 from liesym.parse import ParseError
 
 from conftest import TREE_JETS, TREE_SYMBOLS, expr_trees
@@ -198,45 +198,6 @@ class TestEvalNumeric:
         e = parse("tanh(x) + exp(y/5)")
         env = {"x": 0.7, "y": 1.3}
         assert abs(float(eval_numeric(e, env, "dd")) - eval_numeric(e, env)) < 1e-15
-
-
-class TestRandomEquiv:
-    def test_double_angle_identity(self):
-        th = Sym("th")
-        e1 = fun("tanh", mul(rat(2), th))
-        e2 = mul(rat(2), fun("tanh", th),
-                 pow_(add(rat(1), pow_(fun("tanh", th), 2)), Fraction(-1)))
-        assert random_equiv(e1, e2, 64, 1e-9)
-
-    def test_detects_offset(self):
-        e1 = parse("x*y/(6*t)")
-        e2 = parse("x*y/(6*t) + 1/1000")
-        assert not random_equiv(e1, e2, 32, 1e-9)
-
-    def test_stops_at_first_mismatch(self, monkeypatch):
-        from liesym import numeric
-        real, drawn = numeric.sampled, []
-
-        def counting(*args, **kw):
-            for v in real(*args, **kw):
-                drawn.append(v)
-                yield v
-
-        monkeypatch.setattr(numeric, "sampled", counting)
-        assert not random_equiv(parse("x"), parse("x + 1"), 32, 1e-9)
-        assert drawn == [False]
-
-    def test_all_singular_reported(self):
-        from liesym.numeric import SamplingError
-        # sqrt(-1 - x^2) has no real value anywhere in the sampling box
-        e = pow_(add(rat(-1), mul(rat(-1), pow_(x, 2))), Fraction(1, 2))
-        with pytest.raises(SamplingError):
-            random_equiv(e, e, 8, 1e-9)
-
-    def test_jet_cannot_be_sampled(self):
-        from liesym.numeric import SamplingError
-        with pytest.raises(SamplingError):
-            random_equiv(jet("u", "x"), x, 8, 1e-9)
 
 
 # ---------------------------------------------------------------------------
