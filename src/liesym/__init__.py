@@ -5,7 +5,7 @@ from .expr import (
     Pow, Rat, ResourceLimitError, Sym, Ufunc, add, differentiate, fun, jet,
     mul, pow_, rat, substitute, to_text,
 )
-from .normal import NF, as_expr, canonical, equivalent, is_zero, normalize, set_expansion_limit
+from .normal import NF, as_expr, canonical, equivalent, is_zero, normalize
 from .parse import ParseContext, ParseError, parse
 from .numeric import eval_numeric
 from .jets import (

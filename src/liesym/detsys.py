@@ -276,10 +276,9 @@ def reference_system(pde: PDE) -> DeterminingSystem:
 
 def systems_equivalent(sys_a: DeterminingSystem, sys_b: DeterminingSystem,
                        degree: int) -> bool:
-    """Mutual implication on polynomial unknowns of bounded degree."""
-    basis_a = solve_poly_ansatz(sys_a, PolyAnsatz(sys_a, degree))
-    basis_b = solve_poly_ansatz(sys_b, PolyAnsatz(sys_b, degree))
-    if basis_a.dimension != basis_b.dimension:
-        return False
-    return (all(satisfies_system(sys_b, V) for V in basis_a.fields)
-            and all(satisfies_system(sys_a, V) for V in basis_b.fields))
+    """Mutual implication on polynomial unknowns of bounded degree: each
+    nullspace basis is read off the unique RREF of a matrix with the same
+    columns, so the bases are equal exactly when the solution spaces are."""
+    return (sys_a.coords == sys_b.coords
+            and solve_poly_ansatz(sys_a, PolyAnsatz(sys_a, degree)).vectors
+            == solve_poly_ansatz(sys_b, PolyAnsatz(sys_b, degree)).vectors)

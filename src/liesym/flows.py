@@ -24,7 +24,12 @@ from .expr import (
 )
 from .jets import PDE, VectorField
 from .normal import canonical, is_zero, normalize, nf_div_exact
+from .numeric import sampled_residual
 from .parse import ParseContext, data_lines, data_text, parse
+from .verify import substituted_terms
+
+# the longest terminating Lie series exponentiate recognizes
+_MAX_NILPOTENT = 6
 
 
 class NonClosedFormError(Exception):
@@ -56,7 +61,7 @@ class GroupElement:
         return f"<GroupElement ({body})>"
 
 
-def exponentiate(V: VectorField, max_nilpotent: int = 6) -> GroupElement:
+def exponentiate(V: VectorField) -> GroupElement:
     """Closed-form flow of V, or NonClosedFormError."""
     eps = Sym("eps")
     if eps in V.vars:
@@ -66,7 +71,7 @@ def exponentiate(V: VectorField, max_nilpotent: int = 6) -> GroupElement:
         series = [w]
         cur = w
         terminated = False
-        for _ in range(max_nilpotent):
+        for _ in range(_MAX_NILPOTENT):
             cur = V.apply_to(cur)
             if is_zero(cur):
                 terminated = True
@@ -115,10 +120,6 @@ def group_law_residuals(g: GroupElement):
     return [add(a, mul(rat(-1), b)) for a, b in zip(combined, second)]
 
 
-def satisfies_group_law(g: GroupElement) -> bool:
-    return all(is_zero(r) for r in group_law_residuals(g))
-
-
 # ---------------------------------------------------------------------------
 # transforming known solutions
 
@@ -155,11 +156,9 @@ def verify_group_action(g: GroupElement, f: Expr, pde, params=None,
     The group parameter is sampled along with the coordinates; passes iff
     the maximal relative residual stays below tol.
     """
-    from .verify import _numeric_residual, substituted_terms
-
     terms = substituted_terms(pde.delta, transform_solution(g, f), pde.vars, pde.dep)
-    worst, good = _numeric_residual(terms, params or {}, samples, seed,
-                                    precision, box=(0.4, 1.6))
+    worst, good = sampled_residual(terms, params or {}, samples, seed,
+                                   precision, box=(0.4, 1.6))
     return {"max_rel": worst, "samples": good, "pass": worst < tol}
 
 

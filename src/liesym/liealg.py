@@ -13,8 +13,7 @@ from .expr import add, mul, rat
 from .jets import PDE, VectorField
 from .normal import canonical
 from .parse import ParseContext, data_lines, data_text, parse
-from . import linalg
-from .detsys import SymmetryBasis, check_membership, _field_vector
+from .detsys import SymmetryBasis, check_membership
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -124,13 +123,6 @@ def commutator_table(basis: SymmetryBasis) -> CommutatorTable:
             else:
                 entries[i][j] = coords
     return CommutatorTable(basis, entries, failures)
-
-
-def linearly_independent(fields) -> bool:
-    cols: dict = {}
-    rows = [{cols.setdefault(k, len(cols)): c for k, c in _field_vector(V).items()}
-            for V in fields]
-    return linalg.rank(rows) == len(fields)
 
 
 # ---------------------------------------------------------------------------

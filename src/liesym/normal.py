@@ -30,11 +30,6 @@ from .expr import (
 _EXPANSION_LIMIT = 200_000
 
 
-def set_expansion_limit(n: int):
-    global _EXPANSION_LIMIT
-    _EXPANSION_LIMIT = int(n)
-
-
 def _guard(n: int):
     if n > _EXPANSION_LIMIT:
         raise ResourceLimitError(

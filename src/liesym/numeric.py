@@ -321,3 +321,21 @@ def sampled(fn, nfree: int, points: int, budget: int, seed: int, box):
         points -= 1
         yield out
 
+
+def sampled_residual(terms, params, points, seed, precision,
+                     complex_mode=False, box=(0.5, 2.5)):
+    """(max, count) of |sum terms| / (1 + sum |terms|) over the points that
+    `sampled` draws for the symbols params does not bind by name."""
+    fn, syms = compile_residual(terms, precision, complex_mode)
+    args = [params.get(s.name) for s in syms]
+    free = [k for k, s in enumerate(syms) if s.name not in params]
+
+    def rel(*draw):
+        for k, v in zip(free, draw):
+            args[k] = v
+        return fn(*args)
+
+    rels = list(sampled(rel, len(free), points, points * 20, seed, box))
+    if not rels:
+        raise EvalDomainError("all residual sample points hit singularities")
+    return max([0.0] + rels), len(rels)

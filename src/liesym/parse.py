@@ -16,6 +16,15 @@ so one name may be a variable in one record and a parameter in the next.
 Decimals parse as exact ratios of powers of ten.  Rational exponents may
 be parenthesized and signed: x^2, x^(-1), x^(1/2), x^(-1/4).
 
+With `^` spelled `**` the grammar is a subset of Python's expressions, so
+`ast.parse` finds the structure.  It sees each letter as `q` and each
+digit as `1`; names and numbers are read back from the text, so a name
+may be a Python keyword (`in`, `lambda`), `007` is 7 and a decimal stays
+exact.  Parentheses leave no node, so the source around a node decides
+what the grammar says of them: a minus starts the text, a group or an
+argument, and an exponent has at most one pair.  They nest fewer than
+200 deep, Python's own limit.
+
 The data files (`.pde`, reference transcriptions, golden table, config)
 are read through `data_text`, and their `#`-comment lines through
 `data_lines`.
@@ -23,24 +32,23 @@ are read through `data_text`, and their `#`-comment lines through
 
 from __future__ import annotations
 
+import ast
 import os
+import sys
+import threading
 from fractions import Fraction
 from importlib import resources
 
-from .expr import ELEMENTARY, Expr, Rat, Sym, Ufunc, fun, jet, pow_
+from .expr import (
+    ELEMENTARY, MINUS_ONE, Expr, Rat, Sym, Ufunc, add, fun, jet, mul, pow_,
+)
 
 
 class ParseError(Exception):
     def __init__(self, msg, line=1, col=1, expected=None):
-        self.line = line
-        self.col = col
-        self.expected = tuple(expected or ())
-        where = f"line {line}, column {col}"
-        if self.expected:
-            msg = f"{msg} at {where} (expected one of: {', '.join(self.expected)})"
-        else:
-            msg = f"{msg} at {where}"
-        super().__init__(msg)
+        self.line, self.col, self.expected = line, col, tuple(expected or ())
+        hint = f" (expected one of: {', '.join(self.expected)})" if self.expected else ""
+        super().__init__(f"{msg} at line {line}, column {col}{hint}")
 
 
 class ParseContext:
@@ -57,206 +65,147 @@ class ParseContext:
 
 DEFAULT_CONTEXT = ParseContext()
 
-_FUNC_NAMES = set(ELEMENTARY) | {"sqrt"}
+_FUNC_NAMES = sorted(ELEMENTARY + ("sqrt",))
+_BASE = ["number", "identifier", "("]
+# a left-nested chain is built by one call: operator -> (that call, the
+# inverse operator, what the inverse does to its operand)
+_CHAINS = {ast.Add: (add, ast.Sub, lambda e: mul(MINUS_ONE, e)),
+           ast.Mult: (mul, ast.Div, lambda e: pow_(e, -1))}
+_RECURSION_LIMIT = threading.Lock()
 
 
-class _Tok:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
+def _where(text: str, i: int):
+    """The line and column of text[i], or of the end of text."""
+    return text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i)
 
 
-def _tokenize(text: str):
-    toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            lit = text[i:j]
-            if seen_dot:
-                whole, frac = lit.split(".")
-                value = Fraction(int(whole or "0") * 10 ** len(frac) + int(frac or "0"),
-                                 10 ** len(frac))
-            else:
-                value = Fraction(int(lit))
-            toks.append(_Tok("num", value, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and text[j].isalnum():
-                j += 1
-            name = text[i:j]
-            if j < n and text[j] == "_":
-                k = j + 1
-                while k < n and text[k].isalpha():
-                    k += 1
-                suffix = text[j + 1:k]
-                if not suffix:
-                    raise ParseError("dangling derivative suffix", line, start_col,
-                                     ["independent-variable letters"])
-                toks.append(_Tok("jet", (name, suffix), line, start_col))
-                col += k - i
-                i = k
-            else:
-                toks.append(_Tok("ident", name, line, start_col))
-                col += j - i
-                i = j
-            continue
-        if c in "+-*/^(),":
-            toks.append(_Tok(c, c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, start_col)
-    toks.append(_Tok("end", None, line, col))
-    return toks
+class _Reader:
+    """Python's tree of DSL text, read as an Expr tree; `at[k]` is the index
+    in text of character k of the Python source."""
 
+    def __init__(self, text: str, ctx: ParseContext):
+        self.text, self.ctx = text, ctx
+        src, self.at, depth = ["("], [0], 0
+        for i, c in enumerate(text):
+            if c.isalnum() or c.isspace():
+                c = "1" if c.isdecimal() else "q" if c.isalnum() else " "
+            elif c == "^":
+                c = "**"
+            elif c not in "+-*/(),._" or text[i:i + 2] in ("**", "//"):
+                raise ParseError(f"unexpected character {c!r}", *_where(text, i))
+            depth += (c == "(") - (c == ")")
+            if depth < 0:
+                raise ParseError("trailing input ')'", *_where(text, i), ["end"])
+            src.append(c)
+            self.at += [i] * len(c)
+        self.at += [len(text)] * 2
+        self.src = "".join(src) + ")"
+        # Python 3.11 counts the depth of the tree it builds against three
+        # times the recursion limit, and a flat sum of n terms is n deep;
+        # the lock keeps two parses from restoring each other's limit
+        with _RECURSION_LIMIT:
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(max(limit, min(len(self.src), 50_000)))
+            try:
+                self.body = ast.parse(self.src, mode="eval").body
+            except SyntaxError as exc:
+                k = min((exc.offset or 1) - 1, len(self.src))
+                raise self.error("invalid syntax", k) from None
+            finally:
+                sys.setrecursionlimit(limit)
 
-class _Parser:
-    def __init__(self, toks, ctx: ParseContext):
-        self.toks = toks
-        self.pos = 0
-        self.ctx = ctx
+    def error(self, msg, k, expected=None) -> ParseError:
+        return ParseError(msg, *_where(self.text, self.at[k]), expected)
 
-    def peek(self):
-        return self.toks[self.pos]
+    def word(self, node) -> str:
+        return self.text[self.at[node.col_offset]:self.at[node.end_col_offset]]
 
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
+    def expr(self, node) -> Expr:
+        op = type(getattr(node, "op", None))
+        for first, (join, inverse, invert) in _CHAINS.items():
+            if op in (first, inverse):
+                links = []
+                while type(getattr(node, "op", None)) in (first, inverse):
+                    links.append((type(node.op), node.right))
+                    node = node.left
+                links.append((first, node))
+                return join(*(self.expr(n) if o is first else invert(self.expr(n))
+                              for o, n in reversed(links)))
+        if op is ast.Pow:
+            return pow_(self.expr(node.left), self.exponent(node))
+        if op is ast.USub:
+            # a minus starts an expression: the text, a group or an argument
+            if self.src[:node.col_offset].rstrip()[-1] not in "(,":
+                raise self.error("unexpected token '-'", node.col_offset, _BASE)
+            return mul(MINUS_ONE, self.expr(node.operand))
+        if type(node) is ast.Constant:
+            return Rat(self.number(node))
+        if type(node) is ast.Name:
+            return self.name(node)
+        if type(node) is ast.Call:
+            return self.call(node)
+        raise self.error("invalid syntax", node.col_offset)
 
-    def expect(self, kind):
-        t = self.next()
-        if t.kind != kind:
-            raise ParseError(f"unexpected token {t.value!r}", t.line, t.col, [kind])
-        return t
+    def number(self, node) -> Fraction:
+        word = self.word(node)
+        if not word.replace(".", "", 1).isdecimal():
+            raise self.error("invalid syntax", node.col_offset)
+        return int(word) if word.isdecimal() else Fraction(word)
 
-    def parse_expr(self) -> Expr:
-        neg = False
-        if self.peek().kind == "-":
-            self.next()
-            neg = True
-        e = self.parse_term()
-        if neg:
-            e = -e
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            rhs = self.parse_term()
-            e = e + rhs if op == "+" else e - rhs
-        return e
+    def exponent(self, power) -> Fraction:
+        """['-'] integer, or ['-'] integer ['/' integer] in one pair of parentheses."""
+        e = power.right
+        shape = self.src[self.src.index("**", power.left.end_col_offset) + 2:
+                         power.end_col_offset].replace(" ", "")
+        num, den = (e.left, e.right) if type(getattr(e, "op", None)) is ast.Div else (e, None)
+        sign, num = (-1, num.operand) if type(getattr(num, "op", None)) is ast.USub else (1, num)
+        if ("(" in shape[1:] or type(num) is not ast.Constant
+                or self.number(num).denominator != 1):
+            raise self.error("exponent must be rational", num.col_offset, ["integer"])
+        # no denominator reads as 1, one that is not a number as 0
+        d = 1 if den is None else self.number(den) if type(den) is ast.Constant else 0
+        if d == 0 or d.denominator != 1:
+            raise self.error("bad exponent denominator", den.col_offset, ["integer"])
+        return Fraction(sign * self.number(num), d)
 
-    def parse_term(self) -> Expr:
-        e = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            rhs = self.parse_factor()
-            e = e * rhs if op == "*" else e / rhs
-        return e
+    def name(self, node) -> Expr:
+        word, k = self.word(node), node.col_offset
+        dep, jet_mark, suffix = word.partition("_")
+        # a letter first, and only letters after the derivative mark
+        bad = [j for j, c in enumerate(word) if not c.isalpha() and (j == 0 or j > len(dep))]
+        if bad:
+            raise self.error(f"unexpected character {word[bad[0]]!r}", k + bad[0])
+        if not jet_mark:
+            if word in self.ctx.deps:
+                return jet(word, ())
+            return self.ctx.constants.get(word) or Sym(word)
+        if not suffix:
+            raise self.error("dangling derivative suffix", k, ["independent-variable letters"])
+        if dep not in self.ctx.deps:
+            raise self.error(f"unknown dependent variable {dep!r}", k, self.ctx.deps)
+        bad = [c for c in suffix if c not in self.ctx.indep]
+        if bad:
+            raise self.error(f"unknown independent variable {bad[0]!r}", k, self.ctx.indep)
+        return jet(dep, suffix)
 
-    def parse_factor(self) -> Expr:
-        e = self.parse_base()
-        if self.peek().kind == "^":
-            self.next()
-            e = pow_(e, self.parse_rational())
-        return e
-
-    def parse_rational(self) -> Fraction:
-        t = self.peek()
-        if t.kind == "(":
-            self.next()
-            q = self._signed_rational(in_parens=True)
-            self.expect(")")
-            return q
-        return self._signed_rational(in_parens=False)
-
-    def _signed_rational(self, in_parens: bool) -> Fraction:
-        sign = 1
-        if self.peek().kind == "-":
-            self.next()
-            sign = -1
-        t = self.expect("num")
-        q = t.value
-        if q.denominator != 1:
-            raise ParseError("exponent must be rational", t.line, t.col, ["integer"])
-        # x^1/2 is (x^1)/2; fractional exponents must be parenthesized
-        if in_parens and self.peek().kind == "/":
-            self.next()
-            d = self.expect("num")
-            if d.value.denominator != 1 or d.value == 0:
-                raise ParseError("bad exponent denominator", d.line, d.col, ["integer"])
-            q = Fraction(q, d.value)
-        return sign * q
-
-    def parse_base(self) -> Expr:
-        t = self.next()
-        if t.kind == "num":
-            return Rat(t.value)
-        if t.kind == "(":
-            e = self.parse_expr()
-            self.expect(")")
-            return e
-        if t.kind == "jet":
-            dep, suffix = t.value
-            if dep not in self.ctx.deps:
-                raise ParseError(f"unknown dependent variable {dep!r}", t.line, t.col,
-                                 self.ctx.deps)
-            bad = [ch for ch in suffix if ch not in self.ctx.indep]
-            if bad:
-                raise ParseError(f"unknown independent variable {bad[0]!r}",
-                                 t.line, t.col, self.ctx.indep)
-            return jet(dep, suffix)
-        if t.kind == "ident":
-            name = t.value
-            if self.peek().kind == "(":
-                self.next()
-                args = [self.parse_expr()]
-                while self.peek().kind == ",":
-                    self.next()
-                    args.append(self.parse_expr())
-                self.expect(")")
-                if name == "sqrt":
-                    if len(args) != 1:
-                        raise ParseError("sqrt takes one argument", t.line, t.col)
-                    return pow_(args[0], Fraction(1, 2))
-                if name in ELEMENTARY:
-                    if len(args) != 1:
-                        raise ParseError(f"{name} takes one argument", t.line, t.col)
-                    return fun(name, args[0])
-                # single letters name formal unknown functions (F, G, f, ...);
-                # anything longer is a typo for an elementary function
-                if len(name) > 1:
-                    raise ParseError(f"unknown function name {name!r}",
-                                     t.line, t.col, sorted(_FUNC_NAMES))
-                return Ufunc(name, args)
-            if name in self.ctx.deps:
-                return jet(name, ())
-            return self.ctx.constants.get(name) or Sym(name)
-        raise ParseError(f"unexpected token {t.value!r}", t.line, t.col,
-                         ["number", "identifier", "("])
+    def call(self, node) -> Expr:
+        f, k, close = node.func, node.col_offset, node.end_col_offset - 1
+        # a parenthesized callee starts after its call does
+        if type(f) is not ast.Name or f.col_offset != k:
+            raise self.error("invalid syntax", k)
+        if not node.args or "," in self.src[node.args[-1].end_col_offset:close]:
+            raise self.error("unexpected token ')'", close, _BASE)
+        args = [self.expr(a) for a in node.args]
+        name = self.word(f)
+        if name == "sqrt" or name in ELEMENTARY:
+            if len(args) != 1:
+                raise self.error(f"{name} takes one argument", k)
+            return pow_(args[0], Fraction(1, 2)) if name == "sqrt" else fun(name, args[0])
+        # single letters name formal unknown functions (F, G, f, ...);
+        # anything longer is a typo for an elementary function
+        if len(name) > 1 or not name.isalpha():
+            raise self.error(f"unknown function name {name!r}", k, _FUNC_NAMES)
+        return Ufunc(name, args)
 
 
 def data_text(name: str, path=None) -> str:
@@ -278,9 +227,5 @@ def data_lines(text: str):
 
 def parse(text: str, ctx: ParseContext = None) -> Expr:
     """Parse DSL text into an expression tree."""
-    p = _Parser(_tokenize(text), ctx or DEFAULT_CONTEXT)
-    e = p.parse_expr()
-    tail = p.peek()
-    if tail.kind != "end":
-        raise ParseError(f"trailing input {tail.value!r}", tail.line, tail.col, ["end"])
-    return e
+    reader = _Reader(text, ctx or DEFAULT_CONTEXT)
+    return reader.expr(reader.body)

@@ -18,7 +18,7 @@ from .expr import (
 )
 from .jets import PDE, jet_bindings
 from .normal import as_expr, canonical, is_zero, nf_div_exact, normalize
-from .numeric import compile_residual, sampled
+from .numeric import sampled_residual
 from .parse import ParseContext, parse
 
 
@@ -33,24 +33,6 @@ class ResidualReport:
     def __repr__(self):
         return (f"<residual {self.symbolic}; max_rel={self.max_rel:.3e} "
                 f"over {self.samples} pts ({self.precision})>")
-
-
-def _numeric_residual(terms, params, points, seed, precision,
-                      complex_mode=False, box=(0.5, 2.5)):
-    """Max of |sum terms| / (1 + sum |terms|) over seeded sample points."""
-    fn, syms = compile_residual(terms, precision, complex_mode)
-    args = [params.get(s.name) for s in syms]
-    free = [k for k, s in enumerate(syms) if s.name not in params]
-
-    def rel(*draw):
-        for k, v in zip(free, draw):
-            args[k] = v
-        return fn(*args)
-
-    rels = list(sampled(rel, len(free), points, points * 20, seed, box))
-    if not rels:
-        raise EvalDomainError("all residual sample points hit singularities")
-    return max([0.0] + rels), len(rels)
 
 
 def _check_claim(f: Expr, dep: str):
@@ -99,8 +81,8 @@ def ode_residual(solution: Expr, equation: Expr, variables, dep: str,
         # formal unknown functions cannot be sampled numerically
         return ResidualReport(symbolic, 0.0, 0, precision,
                               {"formal": True})
-    worst, good = _numeric_residual(terms, params or {}, points, seed,
-                                    precision, complex_mode)
+    worst, good = sampled_residual(terms, params or {}, points, seed,
+                                   precision, complex_mode)
     if symbolic == "undecided":
         symbolic = "nonzero" if worst > tol else "undecided"
     return ResidualReport(symbolic, worst, good, precision)

@@ -266,6 +266,15 @@ class TestReferenceEquivalence:
         ref = reference_system(pde)
         assert systems_equivalent(system, ref, 2)
 
+    def test_extra_constraint_breaks_equivalence(self, pde, system):
+        # xi1_x = 0 removes the scaling, whose xi1 is linear in x
+        ref = reference_system(pde)
+        ctx = ParseContext(indep=[s.name for s in ref.coords], deps=ref.unknowns)
+        stricter = DeterminingSystem.of([*ref.constraints, parse("xi1_x", ctx)],
+                                        ref.unknowns, ref.coords)
+        assert not systems_equivalent(system, stricter, 2)
+        assert not systems_equivalent(stricter, system, 2)
+
 
 class TestOtherEquation:
     def test_classical_kdv_algebra(self):

@@ -54,3 +54,11 @@ def test_evaluator_stays_out_of_the_verdicts(module, importers):
     found = {p.stem for p in SRC.glob("*.py")
              if module in _imported_modules(ast.parse(p.read_text()))}
     assert found <= importers, f"{module} imported by {sorted(found - importers)}"
+
+
+def test_parser_runs_no_text():
+    # the DSL is parsed, never run: parse.py calls no eval, exec or compile
+    tree = ast.parse((SRC / "parse.py").read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not names & {"eval", "exec", "compile"}

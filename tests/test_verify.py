@@ -11,12 +11,13 @@ from liesym.catalog import (
 )
 from liesym.expr import EvalDomainError, Sym, pow_
 from liesym.parse import ParseContext
-from liesym import verify as verify_mod
 from liesym.verify import (
-    ReductionAnsatz, _numeric_residual, check_reduction, ode_condition,
-    ode_residual, residual, verify_catalog, verify_record, weierstrass_residual,
+    ReductionAnsatz, check_reduction, ode_condition, ode_residual, residual,
+    verify_catalog, verify_record, weierstrass_residual,
 )
 from liesym.normal import canonical
+from liesym import numeric
+from liesym.numeric import sampled_residual
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +227,7 @@ class TestCatalog:
         # so it is rejected like one, not raised as OverflowError
         terms = (parse("a + a*i", solution_context()),)
         with pytest.raises(EvalDomainError, match="all residual sample points"):
-            _numeric_residual(terms, {"a": 1e308}, 5, 0, "double", complex_mode=True)
+            sampled_residual(terms, {"a": 1e308}, 5, 0, "double", complex_mode=True)
 
     @pytest.mark.parametrize("text", [
         "kind: solution\nclaim: u_x*y\nexpected: conditional\ncondition: y",
@@ -278,13 +279,13 @@ class TestCatalog:
 
     def test_points_reach_ode_records(self, pde, by_name, monkeypatch):
         # ODE records are sampled at min(points, 60), not always at 60
-        asked, original = [], verify_mod.sampled
+        asked, original = [], numeric.sampled
 
         def spy(fn, nfree, points, *args, **kwargs):
             asked.append(points)
             return original(fn, nfree, points, *args, **kwargs)
 
-        monkeypatch.setattr(verify_mod, "sampled", spy)
+        monkeypatch.setattr(numeric, "sampled", spy)
         res = verify_record(by_name["ode-w2-parabola"], pde, points=5)
         assert res.status == "verified"
         assert asked and max(asked) <= 5
