@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .expr import Expr, Pow, children, free_symbols, pow_, rat
-from .parse import ParseContext, data_text
+from .parse import ParseContext, data_lines, data_text
 
 
 class CatalogError(Exception):
@@ -63,14 +63,11 @@ def parse_catalog(text: str) -> list:
     records = []
     name = None
     fields: dict = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
+    for line in data_lines(text):
         if line.startswith("["):
             if name is not None:
                 records.append(Record(name, fields))
-            name = line.strip().strip("[]")
+            name = line.strip("[]")
             fields = {}
             continue
         if name is None:

@@ -1,16 +1,17 @@
 """Jet-space bookkeeping: total derivatives, prolongation, on-shell work.
 
-The prolongation coefficients come from the general recursion
-eta^{J+e_i} = D_i(eta^J) - sum_k u_{J+e_k} D_i(xi^k); the closed forms a
-derivation by hand would produce are used as test oracles, never as
-code.
+Every derivative along a multi-index is taken by `jet_bindings`.  The
+prolongation coefficients come from the characteristic form (Olver,
+GTM 107, Thm 2.36): eta^J = D_J(Q) + sum_i xi^i u_{J+i}, where
+Q = eta - sum_i xi^i u_i.  The recursion
+eta^{J+e_i} = D_i(eta^J) - sum_k u_{J+e_k} D_i(xi^k), and the closed forms
+a derivation by hand would produce, are test oracles, never code.
 """
 
 from __future__ import annotations
 
-
 from .expr import (
-    ONE, ZERO, Expr, Jet, Rat, Sym, add, derivation, differentiate,
+    MINUS_ONE, ONE, ZERO, Expr, Jet, Sym, add, derivation, differentiate,
     free_jets, jet, mul, pow_, rat, substitute,
 )
 from .normal import canonical, is_zero
@@ -25,16 +26,7 @@ class PDE:
         self.vars = tuple(variables)
         self.dep = dep
         self.evolution = evolution
-        self.order = max((j.order for j in free_jets(delta) if j.dep == dep),
-                         default=0)
-        self._onshell_memo: dict = {}
-        self._prolong_memo: dict = {}
         self._lead_rhs = None
-
-    def multi_index(self, j: Jet):
-        """Counts of j in the declared variable order."""
-        d = dict(j.idx)
-        return tuple(d.get(v.name, 0) for v in self.vars)
 
     def __repr__(self):
         return f"<PDE {self.delta}>"
@@ -74,15 +66,17 @@ def total_derivative(e: Expr, v: Sym) -> Expr:
                       else ONE if x == v else ZERO)
 
 
-def jet_bindings(exprs, funcs: dict, variables) -> dict:
+def jet_bindings(exprs, funcs: dict, variables, derivative=None) -> dict:
     """Bind every jet in exprs whose dependent variable has an entry in
-    funcs to the matching partial derivative of that entry.
+    funcs to the matching derivative of that entry, taken one variable at
+    a time by derivative(e, v) (default: the partial derivative).
 
     Jets are taken in sorted order of (dep, single-variable steps in j.idx
     order), so each extends the longest prefix of the previous one, kept
     on a stack: every shared prefix is derived once, and only one chain of
     prefixes is alive at a time.
     """
+    derivative = derivative or differentiate
     var_by_name = {v.name: v for v in variables}
     wanted = {(j.dep, *(n for n, c in j.idx for _ in range(c))): j
               for e in exprs for j in free_jets(e) if j.dep in funcs}
@@ -93,7 +87,7 @@ def jet_bindings(exprs, funcs: dict, variables) -> dict:
         if not stack:
             stack.append((key[:1], funcs[key[0]]))
         for i in range(len(stack[-1][0]), len(key)):
-            stack.append((key[:i + 1], differentiate(stack[-1][1], var_by_name[key[i]])))
+            stack.append((key[:i + 1], derivative(stack[-1][1], var_by_name[key[i]])))
         bindings[j] = stack[-1][1]
     return bindings
 
@@ -101,25 +95,15 @@ def jet_bindings(exprs, funcs: dict, variables) -> dict:
 class VectorField:
     """Point vector field xi^1..xi^n d/dx_i + eta d/du."""
 
-    __slots__ = ("xi", "eta", "vars", "dep", "_h")
+    __slots__ = ("xi", "eta", "vars", "dep")
 
     def __init__(self, xi, eta: Expr, variables, dep: str = "u"):
         self.xi = tuple(xi)
         self.eta = eta
         self.vars = tuple(variables)
         self.dep = dep
-        self._h = hash((self.xi, self.eta, self.vars, self.dep))
         if len(self.xi) != len(self.vars):
             raise ValueError("one xi per independent variable")
-
-    def __hash__(self):
-        return self._h
-
-    def __eq__(self, other):
-        return isinstance(other, VectorField) and (
-            self.xi == other.xi and self.eta == other.eta
-            and self.vars == other.vars and self.dep == other.dep
-        )
 
     def coefficient(self, coord) -> Expr:
         """Coefficient for a coordinate symbol or the dependent variable."""
@@ -154,57 +138,35 @@ class VectorField:
         return f"<VectorField ({coeffs})>"
 
 
+def _prolonged(V: VectorField, exprs, pde: PDE) -> dict:
+    """eta^J for every jet u_J in exprs: D_J(Q) + sum_i xi^i u_{J+i}, where
+    Q = eta - sum_i xi^i u_i is the characteristic of V."""
+    u = jet(pde.dep, ())
+    q = add(V.eta, *(mul(MINUS_ONE, c, u.lifted(v.name)) for v, c in zip(pde.vars, V.xi)))
+    dq = jet_bindings(exprs, {pde.dep: q}, pde.vars, total_derivative)
+    return {j: add(d, *(mul(c, j.lifted(v.name)) for v, c in zip(pde.vars, V.xi)))
+            for j, d in dq.items()}
+
+
 def prolongation_coefficient(V: VectorField, index, pde: PDE) -> Expr:
     """eta^J for a multi-index given as counts in pde variable order."""
-    index = tuple(int(k) for k in index)
-    key = (V, index)
-    got = pde._prolong_memo.get(key)
-    if got is not None:
-        return got
-    if not any(index):
-        out = V.eta
-    else:
-        i = next(k for k, c in enumerate(index) if c > 0)
-        prev = list(index)
-        prev[i] -= 1
-        prev = tuple(prev)
-        base = prolongation_coefficient(V, prev, pde)
-        vi = pde.vars[i]
-        parts = [total_derivative(base, vi)]
-        for k, vk in enumerate(pde.vars):
-            uk = _jet_from_counts(pde, prev, extra=vk.name)
-            parts.append(mul(rat(-1), uk, total_derivative(V.xi[k], vi)))
-        out = add(*parts)
-    pde._prolong_memo[key] = out
-    return out
-
-
-def _jet_from_counts(pde: PDE, counts, extra=None) -> Jet:
-    d = {v.name: c for v, c in zip(pde.vars, counts) if c}
-    if extra is not None:
-        d[extra] = d.get(extra, 0) + 1
-    return jet(pde.dep, d)
+    j = jet(pde.dep, {v.name: int(k) for v, k in zip(pde.vars, index)})
+    return _prolonged(V, [j], pde)[j]
 
 
 def symmetry_condition(V: VectorField, pde: PDE) -> Expr:
-    """pr^(k) V applied to delta, k = pde.order."""
-    parts = []
-    for v, c in zip(pde.vars, V.xi):
-        dd = differentiate(pde.delta, v)
-        if not (type(dd) is Rat and dd.value == 0):
-            parts.append(mul(c, dd))
-    for j in sorted(free_jets(pde.delta), key=lambda j: (j.order, j.idx)):
-        dd = differentiate(pde.delta, j)
-        eta_j = prolongation_coefficient(V, pde.multi_index(j), pde)
-        parts.append(mul(eta_j, dd))
-    return add(*parts)
+    """pr V applied to delta: sum_i xi^i d delta/dx_i + sum_J eta^J d delta/du_J."""
+    eta = _prolonged(V, [pde.delta], pde)
+    return add(*(mul(c, differentiate(pde.delta, v)) for v, c in zip(pde.vars, V.xi)),
+               *(mul(e, differentiate(pde.delta, j)) for j, e in eta.items()))
 
 
 # ---------------------------------------------------------------------------
 # on-shell restriction (solve for the evolution derivative and substitute)
 
 def _lead_rhs(pde: PDE) -> Expr:
-    """u_t = rhs with delta linear in u_t."""
+    """u_t = rhs with delta linear in u_t and rhs free of evolution
+    derivatives, so one substitution restricts to the shell."""
     if pde._lead_rhs is not None:
         return pde._lead_rhs
     lead = jet(pde.dep, {pde.evolution: 1})
@@ -213,40 +175,28 @@ def _lead_rhs(pde: PDE) -> Expr:
         raise ValueError("leading derivative does not appear linearly")
     rest = substitute(pde.delta, {lead: rat(0)})
     rhs = canonical(mul(rat(-1), rest, pow_(coef, -1)))
+    if _evolution_jets(rhs, pde):
+        raise ValueError(f"solving for {lead} leaves another {pde.evolution}-derivative")
     pde._lead_rhs = rhs
     return rhs
 
 
-def _onshell_jet(pde: PDE, j: Jet) -> Expr:
-    """The on-shell value of a jet containing the evolution derivative."""
-    got = pde._onshell_memo.get(j)
-    if got is not None:
-        return got
-    d = dict(j.idx)
-    ev = pde.evolution
-    d[ev] -= 1
-    if not d[ev]:
-        del d[ev]
-    rest = jet(pde.dep, d)
-    expr = _lead_rhs(pde)
-    # apply the remaining total derivatives, staying on shell throughout
-    for name, count in rest.idx:
-        v = next(w for w in pde.vars if w.name == name)
-        for _ in range(count):
-            expr = restrict_on_shell(total_derivative(expr, v), pde)
-    pde._onshell_memo[j] = expr
-    return expr
+def _evolution_jets(e: Expr, pde: PDE) -> list:
+    return [j for j in free_jets(e) if j.dep == pde.dep and dict(j.idx).get(pde.evolution)]
 
 
 def restrict_on_shell(e: Expr, pde: PDE) -> Expr:
-    """Substitute the evolution derivative (and its prolongations) away."""
+    """Substitute each u_{J+t} by D_J(rhs), with u_t = rhs.  rhs holds no
+    t-derivative, so only a D_t step leaves the shell, and it is restricted
+    as it is taken."""
     ev = pde.evolution
-    while True:
-        targets = [j for j in free_jets(e)
-                   if j.dep == pde.dep and dict(j.idx).get(ev, 0) > 0]
-        if not targets:
-            return e
-        # highest evolution order first so replacements stay consistent
-        targets.sort(key=lambda j: (dict(j.idx).get(ev, 0), j.order), reverse=True)
-        bindings = {j: _onshell_jet(pde, j) for j in targets}
-        e = substitute(e, bindings)
+    targets = {j: j.lifted(ev, -1) for j in _evolution_jets(e, pde)}
+    if not targets:
+        return e
+
+    def step(f: Expr, v: Sym) -> Expr:
+        d = total_derivative(f, v)
+        return restrict_on_shell(d, pde) if v.name == ev else d
+
+    on_shell = jet_bindings(targets.values(), {pde.dep: _lead_rhs(pde)}, pde.vars, step)
+    return substitute(e, {j: on_shell[k] for j, k in targets.items()})

@@ -346,10 +346,6 @@ def _primitive(terms: dict):
     return content, {m: _q(Fraction(c, content)) for m, c in terms.items()}
 
 
-def _sum_atom_expr(terms: dict) -> Expr:
-    return as_expr(NF(terms))
-
-
 def nf_pow(a: NF, q) -> NF:
     q = _q(q)
     if q == 0:
@@ -372,23 +368,19 @@ def nf_pow(a: NF, q) -> NF:
             if n:
                 base = nf_mul(base, base)
         return out
+    # one term raises each of its atoms; a sum becomes one atom, its
+    # primitive part, with the content as coefficient
     if len(a.terms) == 1:
         (m, c), = a.terms.items()
         entries = {atom: e * q for atom, e in m}
-        for atom, e in a.den:
-            entries[atom] = entries.get(atom, 0) - e * q
-        fc, fe = _rat_pow_fold(c, q)
-        for atom, e in fe.items():
-            entries[atom] = entries.get(atom, 0) + e
-        return _reduce(_canon_term(entries, fc))
-    content, prim = _primitive(a.terms)
-    atom = _sum_atom_expr(prim)
-    entries = {atom: q}
-    for d_atom, e in a.den:
-        entries[d_atom] = entries.get(d_atom, 0) - e * q
-    fc, fe = _rat_pow_fold(content, q)
-    for b, e in fe.items():
-        entries[b] = entries.get(b, 0) + e
+    else:
+        c, prim = _primitive(a.terms)
+        entries = {as_expr(NF(prim)): q}
+    for atom, e in a.den:
+        entries[atom] = entries.get(atom, 0) - e * q
+    fc, fe = _rat_pow_fold(c, q)
+    for atom, e in fe.items():
+        entries[atom] = entries.get(atom, 0) + e
     return _reduce(_canon_term(entries, fc))
 
 

@@ -40,7 +40,8 @@ from fractions import Fraction
 from importlib import resources
 
 from .expr import (
-    ELEMENTARY, MINUS_ONE, Expr, Rat, Sym, Ufunc, add, fun, jet, mul, pow_,
+    ELEMENTARY, MINUS_ONE, EvalDomainError, Expr, Rat, Sym, Ufunc, add, fun,
+    jet, mul, pow_,
 )
 
 
@@ -68,9 +69,9 @@ DEFAULT_CONTEXT = ParseContext()
 _FUNC_NAMES = sorted(ELEMENTARY + ("sqrt",))
 _BASE = ["number", "identifier", "("]
 # a left-nested chain is built by one call: operator -> (that call, the
-# inverse operator, what the inverse does to its operand)
-_CHAINS = {ast.Add: (add, ast.Sub, lambda e: mul(MINUS_ONE, e)),
-           ast.Mult: (mul, ast.Div, lambda e: pow_(e, -1))}
+# inverse operator, how a reader reads the inverse's operand node)
+_CHAINS = {ast.Add: (add, ast.Sub, lambda r, n: mul(MINUS_ONE, r.expr(n))),
+           ast.Mult: (mul, ast.Div, lambda r, n: r.power(r.expr(n), -1, n))}
 _RECURSION_LIMIT = threading.Lock()
 
 
@@ -129,10 +130,10 @@ class _Reader:
                     links.append((type(node.op), node.right))
                     node = node.left
                 links.append((first, node))
-                return join(*(self.expr(n) if o is first else invert(self.expr(n))
+                return join(*(self.expr(n) if o is first else invert(self, n)
                               for o, n in reversed(links)))
         if op is ast.Pow:
-            return pow_(self.expr(node.left), self.exponent(node))
+            return self.power(self.expr(node.left), self.exponent(node), node.left)
         if op is ast.USub:
             # a minus starts an expression: the text, a group or an argument
             if self.src[:node.col_offset].rstrip()[-1] not in "(,":
@@ -145,6 +146,14 @@ class _Reader:
         if type(node) is ast.Call:
             return self.call(node)
         raise self.error("invalid syntax", node.col_offset)
+
+    def power(self, base: Expr, exp, node) -> Expr:
+        """base^exp, where base was read from node; a zero base to a
+        negative power is an error at node."""
+        try:
+            return pow_(base, exp)
+        except EvalDomainError as exc:
+            raise self.error(str(exc), node.col_offset) from None
 
     def number(self, node) -> Fraction:
         word = self.word(node)

@@ -489,3 +489,14 @@ class TestPipeline:
         rc, _, err = run(capsys, "solve", "--degree", "1", "--pde", str(bad))
         assert rc == 2
         assert "no u_t term" in err
+
+    @pytest.mark.parametrize("command", ["derive", "solve"])
+    @pytest.mark.parametrize("eq", ["u_t + u_xt", "u_t + u_tt"])
+    def test_other_evolution_derivative_is_input_error(self, capsys, tmp_path, command, eq):
+        # solving for u_t must leave no t-derivative; this used to recurse
+        # until the recursion limit (exit 3)
+        bad = tmp_path / "bad.pde"
+        bad.write_text(f"vars x t\ndep u\neq {eq}\n")
+        rc, out, err = run(capsys, command, "--pde", str(bad))
+        assert (rc, out) == (2, "")
+        assert err == "error: solving for u_t leaves another t-derivative\n"

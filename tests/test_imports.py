@@ -28,6 +28,27 @@ def test_no_dead_imports(path):
     assert not dead, f"{path.name} imports unused names: {', '.join(dead)}"
 
 
+def test_no_dead_private_definitions():
+    # a module-level _name function or class that no module refers to
+    # is dead code
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    used = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+            elif isinstance(n, ast.alias):
+                used.add(n.name)
+    dead = [f"{stem}.{n.name} (line {n.lineno})" for stem, tree in sorted(trees.items())
+            for n in tree.body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+            and n.name.startswith("_") and not n.name.startswith("__")
+            and n.name not in used]
+    assert not dead, f"unreferenced private definitions: {', '.join(dead)}"
+
+
 def _imported_modules(tree):
     """The liesym module or outside package each import statement names."""
     for node in ast.walk(tree):

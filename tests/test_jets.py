@@ -166,6 +166,35 @@ class TestProlongation:
             assert to_text(got) == to_text(canonical(expect)), target
 
 
+def _recursion_oracle(V, index, pde):
+    """eta^J by eta^{J+e_i} = D_i(eta^J) - sum_k u_{J+e_k} D_i(xi^k), one
+    step at a time along index's counts in variable order."""
+    eta, prev = V.eta, jet(pde.dep, ())
+    for v, count in zip(pde.vars, index):
+        for _ in range(count):
+            eta = add(total_derivative(eta, v),
+                      *(mul(rat(-1), prev.lifted(w.name), total_derivative(xi, v))
+                        for w, xi in zip(pde.vars, V.xi)))
+            prev = prev.lifted(v.name)
+    return eta
+
+
+_POLY_ATOMS = (rat(1), *(Sym(n) for n in "xyzt"), jet("u", ()))
+_polys = st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(_POLY_ATOMS),
+                            st.sampled_from(_POLY_ATOMS)), max_size=3).map(
+    lambda ts: add(rat(0), *(mul(rat(c), a, b) for c, a, b in ts)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_polys, min_size=5, max_size=5),
+       st.tuples(*[st.integers(0, 3)] * 4).filter(lambda i: sum(i) <= 3))
+def test_prolongation_matches_recursion(pde, coeffs, index):
+    # the characteristic form the code uses against the recursion
+    V = VectorField(coeffs[:4], coeffs[4], pde.vars, pde.dep)
+    got = prolongation_coefficient(V, index, pde)
+    assert normalize(got) == normalize(_recursion_oracle(V, index, pde))
+
+
 class TestSymmetryCondition:
     def test_shift_and_translations_vanish(self, pde):
         for xs, eta in ((["0", "0", "0", "0"], "1"),
@@ -245,6 +274,17 @@ class TestRestrictOnShell:
         rhs = restrict_on_shell(jet("u", "t"), pde)
         got = restrict_on_shell(jet("u", "xt"), pde)
         assert is_zero(add(got, mul(rat(-1), total_derivative(rhs, x))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from([jet("u", idx) for idx in (
+        "t", "tt", "xt", "yt", "zt", "xxt", "xtt", "x", "xxy", "")]), min_size=1, max_size=3))
+    def test_no_evolution_jet_is_left(self, pde, js):
+        got = restrict_on_shell(add(mul(*js), *js), pde)
+        assert not [j for j in free_jets(got) if dict(j.idx).get("t")]
+
+    def test_no_evolution_jet_is_left_in_the_condition(self, pde):
+        cond = restrict_on_shell(symmetry_condition(generic_field(pde), pde), pde)
+        assert not [j for j in free_jets(cond) if dict(j.idx).get("t")]
 
     def test_nonlinear_leading_rejected(self):
         from liesym.jets import PDE, _lead_rhs

@@ -91,12 +91,25 @@ def test_malformed_expr_exits_2(capsys, text):
     ("2*sqrt(x, y)", "sqrt takes one argument", 1, 3),
     ("x^1.5", "exponent must be rational", 1, 3),
     ("t^(-1/0)", "bad exponent denominator", 1, 7),
+    # a zero base to a negative power, at the zero
+    ("y/0", "0 raised to a non-positive power", 1, 3),
+    ("2/0", "0 raised to a non-positive power", 1, 3),
+    ("0^-007", "0 raised to a non-positive power", 1, 1),
+    ("x + 1/(0)", "0 raised to a non-positive power", 1, 8),
+    ("(x-x)^-1", "0 raised to a non-positive power", 1, 2),
 ])
 def test_error_positions(text, message, line, col):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert (err.value.line, err.value.col) == (line, col)
     assert str(err.value).startswith(f"{message} at line {line}, column {col}")
+
+
+def test_zero_divisor_exits_2_at_its_position(capsys):
+    rc = main(["sample", "--expr=y/0", "--grid", "x=0:1:2"])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: 0 raised to a non-positive power at line 1, column 3\n"
 
 
 def test_names_and_numbers_are_read_from_the_text():
