@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expr import Expr, Pow, children, free_symbols, pow_, rat
+from .expr import Expr, Pow, free_symbols, nodes, pow_, rat
 from .parse import ParseContext, data_lines, data_text
 
 
@@ -28,9 +28,6 @@ class Record:
 
     def get(self, key, default=None):
         return self.fields.get(key, default)
-
-    def __contains__(self, key):
-        return key in self.fields
 
     @property
     def kind(self):
@@ -108,12 +105,7 @@ def record_context(rec: Record) -> ParseContext:
 
 def undeclared_divisors(e: Expr, declared, coords) -> tuple:
     """Parameter symbols occurring in denominators but not declared nonzero."""
-    bad = set()
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if type(x) is Pow and x.exp < 0:
-            bad.update(s.name for s in free_symbols(x.base)
-                       if s.name not in declared and s.name not in coords)
-        stack.extend(children(x))
+    bad = {s.name for x in nodes(e) if type(x) is Pow and x.exp < 0
+           for s in free_symbols(x.base)
+           if s.name not in declared and s.name not in coords}
     return tuple(sorted(bad))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from mpmath import nstr
 
 from .catalog import CatalogError, load_catalog, solution_context
-from .expr import ExprError, Pow, Rat, ResourceLimitError, children, to_text
+from .expr import ExprError, Pow, Rat, ResourceLimitError, nodes, to_text
 from .jets import load_pde
 from .numeric import DOMAIN_ERRORS, compile_terms
 from .normal import canonical
@@ -76,7 +76,8 @@ def cmd_table(args) -> int:
         out.append(f"closure failures: {len(table.failures)}")
         rc = 1
     if args.compare:
-        golden = liealg.load_golden_table(data_text("table1.golden", args.compare))
+        golden = liealg.load_golden_table(data_text("table1.golden", args.compare),
+                                           len(basis))
         mism = liealg.compare_with_golden(table, golden)
         if mism:
             rc = 1
@@ -164,9 +165,8 @@ def _parse_fixed(specs):
 
 def _is_real(e) -> bool:
     """No even root of a negative constant, such as i = (-1)^(1/2), in e."""
-    if type(e) is Pow and type(e.base) is Rat and e.base.value < 0:
-        return e.exp.denominator % 2 == 1
-    return all(map(_is_real, children(e)))
+    return all(x.exp.denominator % 2 == 1 for x in nodes(e)
+               if type(x) is Pow and type(x.base) is Rat and x.base.value < 0)
 
 
 def cmd_sample(args) -> int:

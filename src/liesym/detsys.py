@@ -53,9 +53,6 @@ class DeterminingSystem:
     def __len__(self):
         return len(self.rows)
 
-    def __iter__(self):
-        return iter(self.constraints)
-
 
 def unknown_names(pde: PDE):
     return tuple(f"xi{i + 1}" for i in range(len(pde.vars))) + ("eta",)
@@ -158,9 +155,6 @@ class SymmetryBasis:
         self.dimension = len(self.fields)
         self.ansatz = ansatz
         self.vectors = vectors
-
-    def __iter__(self):
-        return iter(self.fields)
 
     def __len__(self):
         return self.dimension

@@ -14,17 +14,20 @@ after construction.  The smart constructors do the cheap canonical work
 (flattening, like-term merging, a fixed total order on node shapes);
 anything that expands goes through normal.normalize.
 
-`children` is the one place that knows where a node keeps its subtrees.
-The structure queries are unions over it, and every rewriting walk,
-substitution included, is a leaf function passed to `rewrite`.  In the
-same way every derivative, partial or total, is the derivative of the
-leaves passed to `derivation`.
+Each node stores its hash `_h` and its structural key `_k` (`skey`),
+both built from its children's when the node is constructed, so equality
+and the total order need neither a memo nor a walk.  `children` is the
+one place that knows where a node keeps its subtrees; `nodes` walks
+them, and the structure queries are filters over it.  Every rewriting
+walk, substitution included, is a leaf function passed to `rewrite`.  In
+the same way every derivative, partial or total, is the derivative of
+the leaves passed to `derivation`.  These walks keep their memos for one
+call only: `normal.normalize` holds the one process-wide memo.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 
 class ExprError(Exception):
@@ -69,9 +72,13 @@ def as_rational(v):
 
 
 class Expr:
-    __slots__ = ("_h",)
+    __slots__ = ("_h", "_k")  # hash and structural key, set by each constructor
 
-    # a subclass that defines __eq__ restates __hash__: __eq__ unsets it
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, Expr) and self._h == other._h and self._k == other._k
+        )
+
     def __hash__(self):
         return self._h
 
@@ -131,11 +138,7 @@ class Rat(Expr):
         v = _q(value)
         object.__setattr__(self, "value", v)
         object.__setattr__(self, "_h", hash(("R", v)))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Rat and self.value == other.value)
-
-    __hash__ = Expr.__hash__
+        object.__setattr__(self, "_k", (0, v))
 
 
 class Sym(Expr):
@@ -146,11 +149,7 @@ class Sym(Expr):
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_h", hash(("S", name)))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Sym and self.name == other.name)
-
-    __hash__ = Expr.__hash__
+        object.__setattr__(self, "_k", (1, name))
 
 
 class Jet(Expr):
@@ -163,13 +162,7 @@ class Jet(Expr):
         object.__setattr__(self, "dep", dep)
         object.__setattr__(self, "idx", idx)
         object.__setattr__(self, "_h", hash(("J", dep, idx)))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Jet and self.dep == other.dep and self.idx == other.idx
-        )
-
-    __hash__ = Expr.__hash__
+        object.__setattr__(self, "_k", (2, dep, idx))
 
     @property
     def order(self) -> int:
@@ -197,16 +190,7 @@ class Ufunc(Expr):
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "dorders", dorders)
         object.__setattr__(self, "_h", hash(("U", name, dorders, args)))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Ufunc
-            and self.name == other.name
-            and self.dorders == other.dorders
-            and self.args == other.args
-        )
-
-    __hash__ = Expr.__hash__
+        object.__setattr__(self, "_k", (3, name, dorders, tuple(a._k for a in args)))
 
 
 class Fun(Expr):
@@ -218,13 +202,7 @@ class Fun(Expr):
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "arg", arg)
         object.__setattr__(self, "_h", hash(("F", fn, arg)))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Fun and self.fn == other.fn and self.arg == other.arg
-        )
-
-    __hash__ = Expr.__hash__
+        object.__setattr__(self, "_k", (4, fn, arg._k))
 
 
 class Pow(Expr):
@@ -236,13 +214,7 @@ class Pow(Expr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exp", exp)
         object.__setattr__(self, "_h", hash(("P", base, exp)))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Pow and self.exp == other.exp and self.base == other.base
-        )
-
-    __hash__ = Expr.__hash__
+        object.__setattr__(self, "_k", (5, base._k, exp))
 
 
 class Mul(Expr):
@@ -254,11 +226,7 @@ class Mul(Expr):
         factors = tuple(factors)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "_h", hash(("M", factors)))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Mul and self.factors == other.factors)
-
-    __hash__ = Expr.__hash__
+        object.__setattr__(self, "_k", (6, tuple(f._k for f in factors)))
 
 
 class Add(Expr):
@@ -268,11 +236,7 @@ class Add(Expr):
         terms = tuple(terms)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_h", hash(("A", terms)))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Add and self.terms == other.terms)
-
-    __hash__ = Expr.__hash__
+        object.__setattr__(self, "_k", (7, tuple(x._k for x in terms)))
 
 
 ZERO = Rat(0)
@@ -283,26 +247,11 @@ MINUS_ONE = Rat(-1)
 # ---------------------------------------------------------------------------
 # total order on node shapes
 
-@lru_cache(maxsize=None)
 def skey(e: Expr):
-    t = type(e)
-    if t is Rat:
-        return (0, e.value)
-    if t is Sym:
-        return (1, e.name)
-    if t is Jet:
-        return (2, e.dep, e.idx)
-    if t is Ufunc:
-        return (3, e.name, e.dorders, tuple(skey(a) for a in e.args))
-    if t is Fun:
-        return (4, e.fn, skey(e.arg))
-    if t is Pow:
-        return (5, skey(e.base), e.exp)
-    if t is Mul:
-        return (6, tuple(skey(f) for f in e.factors))
-    if t is Add:
-        return (7, tuple(skey(x) for x in e.terms))
-    raise ExprError(f"unknown node {e!r}")
+    """The structural key: a kind tag (Rat 0, Sym 1, Jet 2, Ufunc 3, Fun 4,
+    Pow 5, Mul 6, Add 7), then the node's fields with each child's key in
+    its place.  Keys order node shapes totally; equal keys, equal trees."""
+    return e._k
 
 
 def _base_exp(e: Expr):
@@ -482,7 +431,7 @@ def jet(dep: str, idx=()) -> Jet:
 
 # ---------------------------------------------------------------------------
 # tree walking: children() is the one place that knows where a node keeps
-# its subtrees
+# its subtrees, and nodes() the one walk the structure queries filter
 
 def children(e: Expr) -> tuple:
     """The direct subtrees of e in stored order; () for a leaf."""
@@ -500,34 +449,29 @@ def children(e: Expr) -> tuple:
     return ()
 
 
-_NOTHING = frozenset()
+def nodes(e: Expr):
+    """Each distinct subtree of e once, e first, depth first."""
+    seen = {e}
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        yield x
+        for c in children(x):
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
 
 
-def _union(e: Expr, query) -> frozenset:
-    """Union of query over the children of e; one child's set is shared."""
-    kids = children(e)
-    if len(kids) == 1:
-        return query(kids[0])
-    out = _NOTHING
-    for c in kids:
-        out |= query(c)
-    return out
-
-
-@lru_cache(maxsize=None)
 def free_symbols(e: Expr) -> frozenset:
-    return frozenset((e,)) if type(e) is Sym else _union(e, free_symbols)
+    return frozenset(x for x in nodes(e) if type(x) is Sym)
 
 
-@lru_cache(maxsize=None)
 def free_jets(e: Expr) -> frozenset:
-    return frozenset((e,)) if type(e) is Jet else _union(e, free_jets)
+    return frozenset(x for x in nodes(e) if type(x) is Jet)
 
 
-@lru_cache(maxsize=None)
 def free_ufunc_names(e: Expr) -> frozenset:
-    out = _union(e, free_ufunc_names)
-    return out | {e.name} if type(e) is Ufunc else out
+    return frozenset(x.name for x in nodes(e) if type(x) is Ufunc)
 
 
 _REBUILD = {

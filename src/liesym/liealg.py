@@ -7,12 +7,13 @@ must be reportable as data.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .expr import add, mul, rat
 from .jets import PDE, VectorField
 from .normal import canonical
-from .parse import ParseContext, data_lines, data_text, parse
+from .parse import ParseContext, ParseError, data_lines, data_text, parse
 from .detsys import SymmetryBasis, check_membership
 
 
@@ -139,24 +140,34 @@ def reference_basis(pde: PDE) -> SymmetryBasis:
     return SymmetryBasis(fields)
 
 
-def load_golden_table(text: str = None):
-    """Parse nonzero table cells: {(i, j): (coefficient, k)} (0-based)."""
+_CELL = re.compile(r"\[\s*v(\d+)\s*,\s*v(\d+)\s*\]\s*=\s*(-?\d+(?:/0*[1-9]\d*)?)\s+v(\d+)")
+
+
+def load_golden_table(text: str = None, n: int = 10):
+    """Parse nonzero table cells `[vI, vJ] = c vK` of an n-dimensional
+    algebra (the published one by default): {(i, j): (c, k)} (0-based).
+
+    A cell of another form, or an index outside 1..n, is a ParseError
+    at its line."""
     cells = {}
-    for line in data_lines(text if text is not None else data_text("table1.golden")):
-        lhs, rhs = line.split("=", 1)
-        pair = lhs.strip().strip("[]").split(",")
-        i = int(pair[0].strip()[1:]) - 1
-        j = int(pair[1].strip()[1:]) - 1
-        coeff_txt, k_txt = rhs.split()
-        cells[(i, j)] = (Fraction(coeff_txt), int(k_txt[1:]) - 1)
+    text = text if text is not None else data_text("table1.golden")
+    for no, raw in enumerate(text.splitlines(), 1):
+        for line in data_lines(raw):
+            m = _CELL.fullmatch(line)
+            if m is None:
+                raise ParseError(f"golden cell {line!r} is not [vI, vJ] = c vK", no)
+            i, j, k = (int(m[g]) - 1 for g in (1, 2, 4))
+            if not all(0 <= x < n for x in (i, j, k)):
+                raise ParseError(f"golden cell {line!r} names a generator outside v1..v{n}", no)
+            cells[(i, j)] = (Fraction(m[3]), k)
     return cells
 
 
 def compare_with_golden(table: CommutatorTable, golden=None):
     """Cell-by-cell diff against the shipped transcription."""
-    if golden is None:
-        golden = load_golden_table()
     n = len(table.basis)
+    if golden is None:
+        golden = load_golden_table(n=n)
     mismatches = []
     for i in range(n):
         for j in range(n):

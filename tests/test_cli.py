@@ -131,6 +131,19 @@ class TestTable:
         assert rc == 1
         assert "mismatch" in out
 
+    @pytest.mark.parametrize("cell, message", [
+        ("[v1] = 1 v3", "is not [vI, vJ] = c vK"),
+        ("[w1, v2] = 1 v3", "is not [vI, vJ] = c vK"),
+        ("[v1, v2] = 1 v99", "outside v1..v10"),
+        ("[v0, v2] = 1 v2", "outside v1..v10"),
+    ])
+    def test_malformed_golden_is_input_error(self, capsys, tmp_path, cell, message):
+        golden = tmp_path / "bad.golden"
+        golden.write_text(f"[v1,v2] = 1/4 v2\n# a comment\n\n{cell}\n")
+        rc, out, err = run(capsys, "table", "--compare", str(golden))
+        assert (rc, out) == (2, "")
+        assert message in err and "at line 4" in err
+
 
 class TestFlow:
     def test_prints_maps(self, capsys):
@@ -144,6 +157,15 @@ class TestFlow:
         rc, out, _ = run(capsys, "flow", "--field", "3", "--apply", str(sol))
         assert rc == 0
         assert "transformed solution" in out
+
+    def test_apply_solution_at_epsilon(self, capsys, tmp_path):
+        # v3 translates t: u(x, t - eps) solves the equation again
+        sol = tmp_path / "sol.txt"
+        sol.write_text("tanh(x - t)\n")
+        rc, out, _ = run(capsys, "flow", "--field", "3", "--apply", str(sol),
+                         "--epsilon", "1/2")
+        assert rc == 0
+        assert "transformed solution: tanh(1/2 - t + x)" in out.splitlines()
 
     def test_bad_index(self, capsys):
         rc, _, err = run(capsys, "flow", "--field", "99")
@@ -428,6 +450,18 @@ class TestPipeline:
         assert rc == 0
         assert hashlib.sha256(j.read_bytes()).hexdigest() == (
             "38865c31ff67918d61b4be13703b5775b995b49c7ebe8a9924482a6cbddbf1a8")
+
+    def test_other_equation_fails_at_solve(self, capsys, tmp_path):
+        # the 1+1 KdV equation has no ten-dimensional algebra, so the run
+        # stops after solve and records no table stage
+        j = tmp_path / "s.json"
+        pde = os.path.join(_DATA, "kdv_v.pde")
+        rc, out, _ = run(capsys, "pipeline", "--pde", pde, "--degree", "1",
+                         "--json", str(j))
+        assert rc == 1
+        assert out.splitlines()[-1] == "pipeline: FAIL (solve)"
+        summary = json.loads(j.read_text())
+        assert summary["ok"] is False and "table" not in summary
 
     def test_config_file_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -11,7 +11,7 @@ from liesym import (
 )
 from liesym.expr import (
     Add, ExprError, Fun, Jet, Mul, Pow, Rat, Sym, Ufunc, diff_n, free_jets,
-    free_symbols, free_ufunc_names, rewrite,
+    free_symbols, free_ufunc_names, nodes, rewrite, skey,
 )
 from liesym.normal import as_expr, nf_const
 from liesym.numeric import EvalDomainError, eval_numeric
@@ -319,10 +319,69 @@ def _naive_derivative(e, v):
 @settings(max_examples=150, deadline=None)
 @given(walker_exprs)
 def test_structure_queries_match_brute_force(e):
-    nodes = list(_nodes(e))
-    assert free_symbols(e) == {n for n in nodes if isinstance(n, Sym)}
-    assert free_jets(e) == {n for n in nodes if isinstance(n, Jet)}
-    assert free_ufunc_names(e) == {n.name for n in nodes if isinstance(n, Ufunc)}
+    brute = list(_nodes(e))
+    assert free_symbols(e) == {n for n in brute if isinstance(n, Sym)}
+    assert free_jets(e) == {n for n in brute if isinstance(n, Jet)}
+    assert free_ufunc_names(e) == {n.name for n in brute if isinstance(n, Ufunc)}
+    walked = list(nodes(e))
+    assert len(walked) == len(set(walked)) and set(walked) == set(brute)
+
+
+_KINDS = (Rat, Sym, Jet, Ufunc, Fun, Pow, Mul, Add)
+
+
+def _oracle_key(e):
+    """The kind's place in _KINDS, then the node's fields, each child by
+    its own oracle key."""
+    if isinstance(e, Rat):
+        fields = (e.value,)
+    elif isinstance(e, Sym):
+        fields = (e.name,)
+    elif isinstance(e, Jet):
+        fields = (e.dep, e.idx)
+    elif isinstance(e, Ufunc):
+        fields = (e.name, e.dorders, tuple(map(_oracle_key, e.args)))
+    elif isinstance(e, Fun):
+        fields = (e.fn, _oracle_key(e.arg))
+    elif isinstance(e, Pow):
+        fields = (_oracle_key(e.base), e.exp)
+    else:
+        fields = (tuple(map(_oracle_key, _kids(e))),)
+    return (_KINDS.index(type(e)), *fields)
+
+
+def _twin(e):
+    """e rebuilt node by node through the raw constructors: equal to e,
+    and sharing no node with it."""
+    if isinstance(e, Rat):
+        return Rat(e.value)
+    if isinstance(e, Sym):
+        return Sym(e.name)
+    if isinstance(e, Jet):
+        return Jet(e.dep, e.idx)
+    if isinstance(e, Ufunc):
+        return Ufunc(e.name, map(_twin, e.args), e.dorders)
+    if isinstance(e, Fun):
+        return Fun(e.fn, _twin(e.arg))
+    if isinstance(e, Pow):
+        return Pow(_twin(e.base), e.exp)
+    return type(e)(map(_twin, _kids(e)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(walker_exprs, walker_exprs)
+def test_equality_hash_and_order_match_the_oracle(a, b):
+    twin = _twin(a)
+    assert twin is not a
+    for p, q in ((a, b), (a, twin), (twin, b), (b, a)):
+        kp, kq = _oracle_key(p), _oracle_key(q)
+        assert (p == q) == (kp == kq) == (skey(p) == skey(q))
+        assert (p != q) == (kp != kq)
+        if p == q:
+            assert hash(p) == hash(q)
+        assert (skey(p) < skey(q)) == (kp < kq)
+    # a tree never equals a plain value, not even its own name or number
+    assert Sym("x") != "x" and rat(1) != 1 and a != _oracle_key(a)
 
 
 @settings(max_examples=150, deadline=None)

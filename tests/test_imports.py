@@ -49,6 +49,36 @@ def test_no_dead_private_definitions():
     assert not dead, f"unreferenced private definitions: {', '.join(dead)}"
 
 
+_MEMOS = ("lru_cache", "cache")
+
+
+def _memo_sites(path):
+    """module.function for each functools memo decorating a function in
+    path, module.<line N> for any other use of one."""
+    tree = ast.parse(path.read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    modules = {a.asname or a.name for n in imports if isinstance(n, ast.Import)
+               for a in n.names if a.name == "functools"}
+    names = {a.asname or a.name for n in imports
+             if isinstance(n, ast.ImportFrom) and n.module == "functools"
+             for a in n.names if a.name in _MEMOS}
+    owner = {id(d.func if isinstance(d, ast.Call) else d): f.name
+             for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for d in f.decorator_list}
+    for n in ast.walk(tree):
+        if ((isinstance(n, ast.Name) and n.id in names)
+                or (isinstance(n, ast.Attribute) and n.attr in _MEMOS
+                    and isinstance(n.value, ast.Name) and n.value.id in modules)):
+            yield f"{path.stem}.{owner.get(id(n), f'<line {n.lineno}>')}"
+
+
+def test_normalize_holds_the_only_memo():
+    # a process-wide memo keeps every key it has seen alive for the life
+    # of the process; one more is added to this list on purpose
+    sites = [site for p in sorted(SRC.glob("*.py")) for site in _memo_sites(p)]
+    assert sites == ["normal.normalize"]
+
+
 def _imported_modules(tree):
     """The liesym module or outside package each import statement names."""
     for node in ast.walk(tree):
