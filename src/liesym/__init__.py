@@ -1,9 +1,9 @@
 """Lie point-symmetry toolkit for a fifth-order (3+1)-dimensional KdV-type equation."""
 
 from .expr import (
-    Add, CyclicBindingError, EvalDomainError, Expr, ExprError, Fun, Jet, Mul,
-    Pow, Rat, ResourceLimitError, Sym, Ufunc, add, differentiate, fun, jet,
-    mul, pow_, rat, substitute, to_text,
+    Add, EvalDomainError, Expr, ExprError, Fun, Jet, Mul, Pow, Rat,
+    ResourceLimitError, Sym, Ufunc, add, differentiate, fun, jet, mul, pow_,
+    rat, substitute, to_text,
 )
 from .normal import NF, as_expr, canonical, equivalent, is_zero, normalize
 from .parse import ParseContext, ParseError, parse

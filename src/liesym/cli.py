@@ -82,7 +82,8 @@ def cmd_table(args) -> int:
         if mism:
             rc = 1
             for i, j, got, exp in mism:
-                out.append(f"mismatch at (v{i+1}, v{j+1}): got {got} expected {exp}")
+                out.append(f"mismatch at (v{i+1}, v{j+1}): got {liealg.format_cell(got)} "
+                           f"expected {liealg.format_cell(exp)}")
         else:
             out.append("golden comparison: all cells match")
     _emit("\n".join(out) + "\n", args.out)
@@ -241,7 +242,7 @@ def cmd_pipeline(args) -> int:
     membership_ok = all(detsys.check_membership(basis, V) is not None for V in ref.fields)
     table = liealg.commutator_table(ref)
     mism = liealg.compare_with_golden(table)
-    jac = liealg.jacobi_check(table.structure_constants())
+    jac = liealg.jacobi_check(table)
     summary["table"] = {
         "membership": membership_ok,
         "closed": table.closed,

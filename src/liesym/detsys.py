@@ -55,7 +55,10 @@ class DeterminingSystem:
 
 
 def unknown_names(pde: PDE):
-    return tuple(f"xi{i + 1}" for i in range(len(pde.vars))) + ("eta",)
+    """xi1..xin and eta, in upper case when the dependent variable takes
+    one of these names: an unknown's jets must not be the variable's."""
+    names = tuple(f"xi{i + 1}" for i in range(len(pde.vars))) + ("eta",)
+    return tuple(n.upper() for n in names) if pde.dep in names else names
 
 
 def coordinate_symbols(pde: PDE):
@@ -74,23 +77,12 @@ def generic_field(pde: PDE) -> VectorField:
 def extract_determining(pde: PDE) -> DeterminingSystem:
     """Coefficients of independent derivative-jet monomials, each forced to 0.
 
-    Each coefficient is made primitive, then every atom is renamed at every
-    depth: an unknown's slot derivative becomes its jet variable and the
-    order-0 jet of the dependent variable becomes its symbol.
+    Every atom of the on-shell condition is renamed first, at every depth:
+    an unknown's slot derivative becomes its jet variable and the order-0
+    jet of the dependent variable becomes its symbol.  The renamed
+    condition is normalized once, its terms are grouped by their jets of
+    the dependent variable, and each group is made primitive.
     """
-    V = generic_field(pde)
-    cond = restrict_on_shell(symmetry_condition(V, pde), pde)
-    n = normalize(cond)
-    groups: dict = {}
-    for mono, c in n.terms.items():
-        label = []
-        rest = []
-        for atom, e in mono:
-            if type(atom) is Jet and atom.dep == pde.dep and atom.order >= 1:
-                label.append((atom, e))
-            else:
-                rest.append((atom, e))
-        groups.setdefault(tuple(label), {})[tuple(rest)] = c
     names = set(unknown_names(pde))
     coords = [v.name for v in pde.vars] + [pde.dep]
     u_sym = Sym(pde.dep)
@@ -102,25 +94,21 @@ def extract_determining(pde: PDE) -> DeterminingSystem:
             return u_sym
         return x
 
-    renamed: dict = {}
+    V = generic_field(pde)
+    cond = rewrite(restrict_on_shell(symmetry_condition(V, pde), pde), leaf)
+    groups: dict = {}
+    for mono, c in normalize(cond).terms.items():
+        label = []
+        rest = []
+        for atom, e in mono:
+            if type(atom) is Jet and atom.dep == pde.dep:
+                label.append((atom, e))
+            else:
+                rest.append((atom, e))
+        groups.setdefault(tuple(label), {})[tuple(rest)] = c
     rows: dict = {}
     for key in sorted(groups, key=mono_key):
-        row: dict = {}
-        stale = False
-        for mono, c in _primitive(groups[key])[1].items():
-            entries: dict = {}
-            for atom, e in mono:
-                got = renamed.get(atom)
-                if got is None:
-                    new = rewrite(atom, leaf)
-                    # a compound atom holding u may leave the normal form
-                    # once u is a symbol: (u - x)^(1/2) leads with x then
-                    got = renamed[atom] = new, type(new) not in (Sym, Jet) and new != atom
-                entries[got[0]] = entries.get(got[0], 0) + e
-                stale |= got[1]
-            row[_mono(entries)] = c
-        if stale:
-            row = normalize(as_expr(NF(row))).terms
+        row = _primitive(groups[key])[1]
         rows.setdefault(frozenset(row.items()), row)
     return DeterminingSystem(rows.values(), unknown_names(pde), coordinate_symbols(pde))
 

@@ -34,10 +34,6 @@ class ExprError(Exception):
     pass
 
 
-class CyclicBindingError(ExprError):
-    pass
-
-
 class ResourceLimitError(ExprError):
     pass
 
@@ -449,10 +445,11 @@ def children(e: Expr) -> tuple:
     return ()
 
 
-def nodes(e: Expr):
-    """Each distinct subtree of e once, e first, depth first."""
-    seen = {e}
-    stack = [e]
+def nodes(*roots: Expr):
+    """Each distinct subtree of the roots once, the first root first,
+    depth first."""
+    stack = list(dict.fromkeys(roots))[::-1]
+    seen = set(stack)
     while stack:
         x = stack.pop()
         yield x
@@ -588,34 +585,8 @@ def diff_n(e: Expr, v, n: int) -> Expr:
 # substitution
 
 def substitute(e: Expr, bindings: dict) -> Expr:
-    """Simultaneous substitution.
-
-    Keys may be Sym, Jet, or an unknown-function name (str).  A string key
-    maps to (params, body); stored slot derivatives are expanded by
-    differentiating the body before the parameters are replaced.
-    """
-    ufn = {k: v for k, v in bindings.items() if isinstance(k, str)}
-    for name, (params, body) in ufn.items():
-        hit = free_ufunc_names(body) & set(ufn)
-        if hit:
-            raise CyclicBindingError(
-                f"binding for {name!r} references bound function(s) {sorted(hit)}"
-            )
-
-    def leaf(x: Expr) -> Expr:
-        if type(x) is not Ufunc:
-            return bindings.get(x, x)
-        bound = ufn.get(x.name)
-        if bound is None:
-            return x
-        params, body = bound
-        if len(params) != len(x.args):
-            raise ExprError(f"arity mismatch substituting {x.name!r}")
-        for p, k in zip(params, x.dorders):
-            body = diff_n(body, p, k)
-        return substitute(body, dict(zip(params, x.args)))
-
-    return rewrite(e, leaf)
+    """Simultaneous substitution of the Sym and Jet keys of bindings."""
+    return rewrite(e, lambda x: bindings.get(x, x))
 
 
 # ---------------------------------------------------------------------------

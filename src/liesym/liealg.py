@@ -1,7 +1,7 @@
-"""Lie brackets, the commutator table, structure constants, sanity checks.
+"""Lie brackets, the commutator table as its structure constants, sanity checks.
 
-Decomposition failures are first-class results (None entries plus a
-failure list), never exceptions: a mismatch against the shipped table
+Decomposition failures are first-class results (None cells plus a
+failure map), never exceptions: a mismatch against the shipped table
 must be reportable as data.
 """
 
@@ -26,62 +26,43 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 
 
 class CommutatorTable:
-    """n x n decompositions of [v_i, v_j] in the given basis."""
+    """The nonzero structure constants of a basis, {(i, j): {k: c_ij^k}}:
+    [v_i, v_j] = sum_k c_ij^k v_k.
 
-    def __init__(self, basis: SymmetryBasis, entries, failures):
+    Both orders of a pair are stored.  A pair whose bracket left the span
+    has no constants; `failures` maps both its orders to their brackets.
+    """
+
+    def __init__(self, basis: SymmetryBasis, c: dict, failures: dict):
         self.basis = basis
-        self.entries = entries      # entries[i][j]: list[Fraction] or None
-        self.failures = tuple(failures)  # (i, j, bracket) triples
+        self.c = c
+        self.failures = failures
 
     @property
     def closed(self) -> bool:
         return not self.failures
 
-    def structure_constants(self):
-        return StructureConstants(self.entries)
+    def cell(self, i, j):
+        """{k: c_ij^k} of [v_i, v_j], or None where it left the span."""
+        return None if (i, j) in self.failures else self.c.get((i, j), {})
 
     def is_skew_symmetric(self) -> bool:
-        n = len(self.basis)
-        for i in range(n):
-            for j in range(n):
-                a, b = self.entries[i][j], self.entries[j][i]
-                if a is None or b is None:
-                    return False
-                if any(x != -y for x, y in zip(a, b)):
-                    return False
-        return True
-
-
-class StructureConstants:
-    """Nonzero structure constants, {(i, j): {k: c_ij^k}}.
-
-    Built from a dense n x n x n nested list; the checks below sum only
-    over the nonzero terms.
-    """
-
-    def __init__(self, c):
-        self.n = len(c)
-        self.c = {}
-        for i, row in enumerate(c):
-            for j, cell in enumerate(row):
-                nz = {k: Fraction(x) for k, x in enumerate(cell) if x}
-                if nz:
-                    self.c[(i, j)] = nz
-
-    def get(self, i, j, k) -> Fraction:
-        return self.c.get((i, j), {}).get(k, Fraction(0))
+        return self.closed and not self.antisymmetry_violations()
 
     def antisymmetry_violations(self):
         """Triples (i, j, k) with c_ij^k != -c_ji^k, in lexicographic order."""
-        support = {(i, j, k) for (i, j), cell in self.c.items() for k in cell}
+        c = self.c
+
+        def get(i, j, k):
+            return c.get((i, j), {}).get(k, Fraction(0))
+        support = {(i, j, k) for (i, j), cell in c.items() for k in cell}
         support |= {(j, i, k) for i, j, k in support}
-        return sorted((i, j, k) for i, j, k in support
-                      if self.get(i, j, k) != -self.get(j, i, k))
+        return sorted((i, j, k) for i, j, k in support if get(i, j, k) != -get(j, i, k))
 
     def jacobi_violations(self):
         """Quadruples (i, j, k, l), i < j < k, where the Jacobi identity fails."""
         out = []
-        n, c = self.n, self.c
+        n, c = len(self.basis), self.c
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
@@ -94,36 +75,30 @@ class StructureConstants:
         return out
 
 
-def jacobi_check(sc: StructureConstants) -> dict:
-    anti = sc.antisymmetry_violations()
-    jac = sc.jacobi_violations()
+def jacobi_check(table: CommutatorTable) -> dict:
+    anti = table.antisymmetry_violations()
+    jac = table.jacobi_violations()
     return {"antisymmetry_violations": anti, "jacobi_violations": jac,
             "ok": not anti and not jac}
 
 
 def commutator_table(basis: SymmetryBasis) -> CommutatorTable:
+    """Each unordered pair is bracketed and decomposed once."""
     n = len(basis)
-    entries = [[None] * n for _ in range(n)]
-    failures = []
-    fields = list(basis.fields)
+    c, failures = {}, {}
+    fields = basis.fields
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                entries[i][j] = [Fraction(0)] * n
-                continue
-            if j < i and entries[j][i] is not None:
-                entries[i][j] = [-c for c in entries[j][i]]
-                continue
+        for j in range(i + 1, n):
             br = lie_bracket(fields[i], fields[j])
             if br.is_zero():
-                entries[i][j] = [Fraction(0)] * n
                 continue
             coords = check_membership(basis, br)
             if coords is None:
-                failures.append((i, j, br))
-            else:
-                entries[i][j] = coords
-    return CommutatorTable(basis, entries, failures)
+                failures[(i, j)], failures[(j, i)] = br, br.scaled(-1)
+                continue
+            cell = {k: Fraction(x) for k, x in enumerate(coords) if x}
+            c[(i, j)], c[(j, i)] = cell, {k: -x for k, x in cell.items()}
+    return CommutatorTable(basis, c, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -164,41 +139,42 @@ def load_golden_table(text: str = None, n: int = 10):
 
 
 def compare_with_golden(table: CommutatorTable, golden=None):
-    """Cell-by-cell diff against the shipped transcription."""
+    """Cell-by-cell diff against the shipped transcription:
+    (i, j, got, expected) with cells as CommutatorTable.cell gives them."""
     n = len(table.basis)
     if golden is None:
         golden = load_golden_table(n=n)
     mismatches = []
     for i in range(n):
         for j in range(n):
-            got = table.entries[i][j]
-            expect = [Fraction(0)] * n
-            if (i, j) in golden:
-                coeff, k = golden[(i, j)]
-                expect[k] = coeff
-            if got is None or list(got) != expect:
+            got = table.cell(i, j)
+            coeff, k = golden.get((i, j), (0, 0))
+            expect = {k: coeff} if coeff else {}
+            if got != expect:
                 mismatches.append((i, j, got, expect))
     return mismatches
 
 
-def format_table(table: CommutatorTable, names=None) -> str:
+def format_cell(cell) -> str:
+    """One cell as text: '?' where the bracket left the span, else its
+    terms 'c vK' (or 'vK', '-vK'), '0' when it has none."""
+    if cell is None:
+        return "?"
+    if not cell:
+        return "0"
+    return "+".join(
+        (f"v{k + 1}" if c == 1 else f"-v{k + 1}" if c == -1 else f"{c} v{k + 1}")
+        for k, c in sorted(cell.items())
+    ).replace("+-", "-")
+
+
+def format_table(table: CommutatorTable) -> str:
     """Fixed-width text rendering of the commutator table."""
     n = len(table.basis)
-    names = names or [f"v{i + 1}" for i in range(n)]
-
-    def cell(entry):
-        if entry is None:
-            return "?"
-        nz = [(c, k) for k, c in enumerate(entry) if c != 0]
-        if not nz:
-            return "0"
-        return "+".join(
-            (names[k] if c == 1 else f"-{names[k]}" if c == -1 else f"{c} {names[k]}")
-            for c, k in nz
-        ).replace("+-", "-")
+    names = [f"v{i + 1}" for i in range(n)]
     rows = [["*"] + names]
     for i in range(n):
-        rows.append([names[i]] + [cell(table.entries[i][j]) for j in range(n)])
+        rows.append([names[i]] + [format_cell(table.cell(i, j)) for j in range(n)])
     widths = [max(len(r[c]) for r in rows) for c in range(n + 1)]
     return "\n".join(
         "  ".join(v.rjust(w) for v, w in zip(r, widths)) for r in rows

@@ -92,20 +92,20 @@ _SMALL_PRIMES = [p for p in range(2, 1000)
                  if all(p % d for d in range(2, int(math.isqrt(p)) + 1))]
 
 
-def _extract_root_part(n: int, b: int):
-    """n = s**b * rem with s maximal over small-prime factors."""
-    s, rem = 1, 1
+def _small_factors(n: int) -> dict:
+    """n > 0 as {base: exponent}: each prime factor below 1000, and what is
+    left once they are divided out, one base even when it is a product of
+    larger primes."""
+    out = {}
     for p in _SMALL_PRIMES:
         if p * p > n:
             break
-        e = 0
         while n % p == 0:
             n //= p
-            e += 1
-        if e:
-            s *= p ** (e // b)
-            rem *= p ** (e % b)
-    return s, rem * n
+            out[p] = out.get(p, 0) + 1
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def _rat_pow_fold(c, q):
@@ -130,14 +130,15 @@ def _rat_pow_fold(c, q):
     else:
         factor = _rat_exact_pow(c, n)
     if f:
+        # one atom per prime base, its exponent in (0, 1), the whole part
+        # folded into the factor: 6^(1/2) is 2^(1/2)*3^(1/2), 4^(1/3) is 2^(2/3)
         for m, sgn in ((c.numerator, 1), (c.denominator, -1)):
-            if m == 1:
-                continue
-            s, rem = _extract_root_part(m, f.denominator)
-            factor *= _rat_exact_pow(s, sgn * f.numerator)
-            if rem != 1:
-                a = Rat(rem)
-                entries[a] = entries.get(a, 0) + sgn * f
+            for p, e in _small_factors(m).items():
+                q_p = sgn * e * f
+                whole = math.floor(q_p)
+                factor *= _rat_exact_pow(p, whole)
+                if q_p != whole:
+                    entries[Rat(p)] = q_p - whole
     return _q(factor), entries
 
 

@@ -41,8 +41,8 @@ from mpmath.libmp import (
 )
 
 from .expr import (
-    Add, EvalDomainError, Expr, ExprError, Fun, Mul, Pow, Rat, free_jets,
-    free_symbols, free_ufunc_names,
+    Add, EvalDomainError, Expr, ExprError, Fun, Jet, Mul, Pow, Rat, Sym, Ufunc,
+    nodes,
 )
 
 DD_PREC = 106
@@ -220,13 +220,17 @@ def _emit(terms, names: dict, backend: dict, spell: dict):
 def _compile(terms, precision, complex_mode, tail):
     """One function of the terms' symbols: their straight-line code, then
     the lines tail(result locals, real dd?) returns."""
-    for e in terms:
-        if free_jets(e):
-            raise EvalDomainError("expression contains jet variables")
-        if free_ufunc_names(e):
-            raise EvalDomainError("expression contains unbound unknown functions")
+    kinds, syms = set(), set()
+    for x in nodes(*terms):
+        kinds.add(type(x))
+        if type(x) is Sym:
+            syms.add(x)
+    if Jet in kinds:
+        raise EvalDomainError("expression contains jet variables")
+    if Ufunc in kinds:
+        raise EvalDomainError("expression contains unbound unknown functions")
     backend = _BACKENDS[precision, complex_mode]
-    syms = sorted(set().union(*map(free_symbols, terms)), key=lambda s: s.name)
+    syms = sorted(syms, key=lambda s: s.name)
     names = {s: f"v{i}" for i, s in enumerate(syms)}
     lines, consts, results = _emit(terms, names, backend, _SPELLING[precision])
     raw = precision == "dd"

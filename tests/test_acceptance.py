@@ -84,10 +84,8 @@ def test_criterion_2_symmetry_algebra(pde, system, solved, basis):
 def test_criterion_3_commutator_table(basis):
     table = commutator_table(basis)
     mism = compare_with_golden(table)
-    jac = jacobi_check(table.structure_constants())
-    entry = table.entries[3][9]  # [v4, v10] = -(1/20) v2
-    cell_ok = entry[1] == Fraction(-1, 20) and all(
-        c == 0 for k, c in enumerate(entry) if k != 1)
+    jac = jacobi_check(table)
+    cell_ok = table.c[(3, 9)] == {1: Fraction(-1, 20)}  # [v4, v10] = -(1/20) v2
     ok = not mism and table.is_skew_symmetric() and jac["ok"] and cell_ok
     _report(3, ok, f"golden_mismatches={len(mism)} skew={table.is_skew_symmetric()} "
                    f"jacobi={jac['ok']}")

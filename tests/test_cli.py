@@ -106,6 +106,18 @@ class TestOtherEquations:
             assert rc == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("dep", ["eta", "xi1"])
+    def test_dependent_variable_named_like_an_unknown(self, capsys, tmp_path, dep):
+        # KdV in a variable that the unknowns would be named: its jets stay
+        # apart from theirs, which are named in upper case
+        pde = tmp_path / "kdv.pde"
+        pde.write_text(f"vars x t\ndep {dep}\neq {dep}_t + {dep}*{dep}_x + {dep}_xxx\n")
+        rc, out, _ = run(capsys, "derive", "--pde", str(pde))
+        assert rc == 0 and f"-ETA_x{dep} + XI1_xx - {dep}*XI2_xx" in out.splitlines()
+        rc, out, _ = run(capsys, "solve", "--degree", "2", "--pde", str(pde))
+        assert rc == 0
+        assert out.splitlines()[:3] == ["dimension 4", "b1 = (1, 0, 0)", f"b2 = (x, 3*t, -2*{dep})"]
+
 
 class TestTable:
     def test_golden_match(self, capsys):
@@ -124,12 +136,24 @@ class TestTable:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "1bddc1a592d1ce1ffdc4b5a0f59a4bcf38c2b28a219cd998d63c895e5e89eabd")
 
+    @pytest.mark.parametrize("argv, digest", [
+        ((), "7d27cacabffc7fd308fefbaa80415551e1f9dae25d764bfa557ea0931f5f9bbb"),
+        (("--compare", "table1.golden"),
+         "d88f9af6cf29eeb450c989e02edde9ccfc3f8a37d9bb27d78b22820660136246"),
+    ], ids=["reference", "compare"])
+    def test_reference_output_is_byte_stable(self, capsys, argv, digest):
+        rc, out, _ = run(capsys, "table", *argv)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_mismatching_golden_fails(self, capsys, tmp_path):
         golden = tmp_path / "wrong.golden"
         golden.write_text("[v1,v2] = 1/3 v2\n[v2,v1] = -1/3 v2\n")
         rc, out, _ = run(capsys, "table", "--compare", str(golden))
         assert rc == 1
-        assert "mismatch" in out
+        lines = out.splitlines()
+        assert "mismatch at (v1, v2): got 1/4 v2 expected 1/3 v2" in lines
+        assert "mismatch at (v1, v3): got -v3 expected 0" in lines
 
     @pytest.mark.parametrize("cell, message", [
         ("[v1] = 1 v3", "is not [vI, vJ] = c vK"),

@@ -113,3 +113,37 @@ def test_parser_runs_no_text():
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert not names & {"eval", "exec", "compile"}
+
+
+def _names_in(tree):
+    """Every name a tree mentions: names, attributes, imported names, and
+    strings that are identifiers (bench/ wraps functions by name)."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.split(".")[-1]
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            yield n.value
+
+
+def test_no_dead_public_definitions():
+    # a module-level public function or class that nothing names outside
+    # its own definition (its module's other statements, another src/
+    # module, a test or a benchmark) is dead code
+    root = SRC.parents[1]
+    files = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "bench").glob("*.py")]
+    trees = {p: ast.parse(p.read_text()) for p in files}
+    named = {p: set(_names_in(t)) for p, t in trees.items()}
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        elsewhere = set().union(*(names for p, names in named.items() if p != path))
+        body = trees[path].body
+        own = [set(_names_in(m)) for m in body]
+        for i, n in enumerate(body):
+            if (isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")
+                    and n.name not in elsewhere.union(*own[:i], *own[i + 1:])):
+                dead.append(f"{path.stem}.{n.name} (line {n.lineno})")
+    assert not dead, f"public definitions nothing else names: {', '.join(dead)}"

@@ -8,7 +8,7 @@ import pytest
 from liesym import add, is_zero, mul, parse, rat
 from liesym.jets import VectorField
 from liesym.liealg import (
-    StructureConstants, commutator_table, compare_with_golden,
+    CommutatorTable, commutator_table, compare_with_golden,
     format_table, jacobi_check, lie_bracket, load_golden_table,
 )
 from liesym.detsys import SymmetryBasis, check_membership
@@ -85,8 +85,17 @@ class TestTable:
     def test_translation_subalgebra_commutes(self, pde, basis):
         sub = SymmetryBasis([basis.fields[i] for i in (1, 2, 5, 6, 9)])
         t = commutator_table(sub)
-        assert all(all(c == 0 for c in entry)
-                   for row in t.entries for entry in row)
+        assert t.closed and not t.c
+
+    def test_bracket_outside_the_span_fails_in_both_orders(self, basis):
+        # [v3, v8] = v10 leaves the span of {v3, v8}
+        v3, v8 = basis.fields[2], basis.fields[7]
+        t = commutator_table(SymmetryBasis([v3, v8]))
+        assert not t.closed and not t.is_skew_symmetric() and not t.c
+        assert set(t.failures) == {(0, 1), (1, 0)}
+        assert _field_equal(t.failures[(1, 0)], lie_bracket(v8, v3))
+        assert t.cell(0, 1) is None and t.cell(1, 1) == {}
+        assert format_table(t).splitlines()[1:] == ["v1   0   ?", "v2   ?   0"]
 
     def test_linear_independence(self, basis):
         # V_i has the coordinates e_i exactly when no basis column is free
@@ -101,14 +110,14 @@ class TestTable:
 
 class TestStructureConstants:
     def test_jacobi_holds(self, table):
-        rep = jacobi_check(table.structure_constants())
+        rep = jacobi_check(table)
         assert rep["ok"]
         assert rep["jacobi_violations"] == []
 
     def test_corrupted_constant_reported(self, table):
-        sc = table.structure_constants()
-        sc.c[(0, 1)][1] = Fraction(1, 3)  # corrupt c[1][2][2]
-        rep = jacobi_check(sc)
+        c = {pair: dict(cell) for pair, cell in table.c.items()}
+        c[(0, 1)][1] = Fraction(1, 3)  # corrupt c[1][2][2]
+        rep = jacobi_check(CommutatorTable(table.basis, c, {}))
         assert not rep["ok"]
 
     def test_sparse_checks_match_brute_force(self, table):
@@ -116,7 +125,8 @@ class TestStructureConstants:
         rng = random.Random(3)
         found = 0
         for _ in range(4):
-            c = [[list(e) for e in row] for row in table.entries]
+            c = [[[table.c.get((i, j), {}).get(k, Fraction(0)) for k in range(n)]
+                  for j in range(n)] for i in range(n)]
             for _ in range(rng.randint(1, 3)):
                 c[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] = \
                     Fraction(rng.randint(-3, 3), rng.randint(1, 4))
@@ -127,16 +137,18 @@ class TestStructureConstants:
                              + c[k][i][m] * c[m][j][l] for m in range(n)) != 0]
             anti = [(i, j, k) for i in range(n) for j in range(n)
                     for k in range(n) if c[i][j][k] != -c[j][i][k]]
-            rep = jacobi_check(StructureConstants(c))
+            sparse = {(i, j): {k: x for k, x in enumerate(c[i][j]) if x}
+                      for i in range(n) for j in range(n) if any(c[i][j])}
+            rep = jacobi_check(CommutatorTable(table.basis, sparse, {}))
             assert rep["jacobi_violations"] == jacobi
             assert rep["antisymmetry_violations"] == anti
             assert rep["ok"] == (not jacobi and not anti)
             found += len(jacobi) + len(anti)
         assert found    # the corruptions were seen
 
-    def test_trivial_algebra_vacuous(self):
-        sc = StructureConstants([[[Fraction(0)]]])
-        rep = jacobi_check(sc)
+    def test_trivial_algebra_vacuous(self, basis):
+        one = SymmetryBasis(basis.fields[:1])
+        rep = jacobi_check(CommutatorTable(one, {}, {}))
         assert rep["ok"]
 
 

@@ -75,6 +75,21 @@ def test_surd_folding():
     assert is_zero(parse("sqrt(8) - 2*sqrt(2)"))
 
 
+@pytest.mark.parametrize("text", [
+    "6^(1/2) - 2^(1/2)*3^(1/2)",
+    "2^(1/3)*4^(1/3) - 2",
+    "(-6)^(1/2) - (-1)^(1/2)*2^(1/2)*3^(1/2)",
+    "12^(2/3) - 2*18^(1/3)",
+    "(2/3)^(1/2)*3^(1/2) - 2^(1/2)",
+    "(-12)^(1/3) + 2^(2/3)*3^(1/3)",
+    # 1009 has no prime factor below 1000 and stays one base
+    "2018^(1/2) - 2^(1/2)*1009^(1/2)",
+])
+def test_surds_split_into_prime_bases(text):
+    assert is_zero(parse(text))
+    assert not is_zero(parse(f"{text} + 6^(1/2)"))
+
+
 def test_exp_argument_splitting():
     e = parse("exp(x + y) - exp(x)*exp(y)")
     assert is_zero(e)

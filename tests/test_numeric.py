@@ -14,8 +14,8 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import liesym
-from liesym import add, fun, mul, parse, pow_, rat
-from liesym.expr import EvalDomainError, ExprError, Fun, Mul, Pow, Rat, Sym
+from liesym import add, fun, jet, mul, parse, pow_, rat
+from liesym.expr import EvalDomainError, ExprError, Fun, Mul, Pow, Rat, Sym, Ufunc
 from liesym.numeric import (
     DD_PREC, DOMAIN_ERRORS, _BACKENDS, compile_residual, compile_terms,
     eval_numeric, sampled,
@@ -222,6 +222,21 @@ def test_dd_has_no_complex_mode():
     # complex claims are sampled in double; dd is never silently remapped
     with pytest.raises(KeyError):
         compile_terms([_syms[0]], "dd", complex_mode=True)
+
+
+@pytest.mark.parametrize("other, message", [
+    (jet("u", "x"), "expression contains jet variables"),
+    (Ufunc("F", (_syms[0],)), "expression contains unbound unknown functions"),
+])
+def test_compile_refuses_jets_and_unknown_functions(other, message):
+    # the symbol order comes from every term; a jet or an unknown function
+    # in any term is refused, a jet first
+    fn, syms = compile_terms([_syms[2], add(_syms[0], _syms[1])])
+    assert syms == (Sym("t"), Sym("x"), Sym("y")) and fn(1, 2, 3) == (1, 5)
+    with pytest.raises(EvalDomainError, match=message):
+        compile_terms([_syms[0], mul(_syms[1], other)])
+    with pytest.raises(EvalDomainError, match="jet variables"):
+        compile_terms([Ufunc("F", (_syms[0],)), mul(other, jet("u", "y"))])
 
 
 @pytest.mark.parametrize("precision, complex_mode", _ALL)
