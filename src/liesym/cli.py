@@ -3,6 +3,11 @@
 Subcommands: derive, solve, table, flow, verify, sample, pipeline.
 Exit codes: 0 pass, 1 verification failure, 2 input error, 3 resource
 limit.  With a fixed seed two runs produce byte-identical output.
+
+`pipeline` forks one child, where POSIX fork exists, for derive, solve
+and table, and verifies the catalog in its own process meanwhile; the
+output is the same as when the stages run in turn, as they do without
+fork.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -219,24 +225,19 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_pipeline(args) -> int:
-    pde = _load_pde_arg(args.pde)
-    summary = {"config": {"pde": args.pde or "kdv31.pde", "degree": args.degree,
-                          "points": args.points, "tol": args.tol,
-                          "precision": args.precision, "seed": args.seed}}
-    text = []
-
+def _algebra_stages(pde, degree):
+    """derive -> solve -> membership -> table: (summary entries, text
+    lines, the failed stage or None)."""
+    summary, text = {}, []
     system = detsys.extract_determining(pde)
     summary["derive"] = {"constraints": len(system)}
     text.append(f"derive: {len(system)} determining constraints")
 
-    basis = detsys.solve_poly_ansatz(system, detsys.PolyAnsatz(system, args.degree))
+    basis = detsys.solve_poly_ansatz(system, detsys.PolyAnsatz(system, degree))
     summary["solve"] = {"dimension": basis.dimension}
-    text.append(f"solve: dimension {basis.dimension} at degree {args.degree}")
+    text.append(f"solve: dimension {basis.dimension} at degree {degree}")
     if basis.dimension != 10:
-        summary["ok"] = False
-        _finish_pipeline(args, summary, text + ["pipeline: FAIL (solve)"])
-        return 1
+        return summary, text, "solve"
 
     ref = liealg.reference_basis(pde)
     membership_ok = all(detsys.check_membership(basis, V) is not None for V in ref.fields)
@@ -253,15 +254,88 @@ def cmd_pipeline(args) -> int:
     text.append(f"table: closed={table.closed} skew={table.is_skew_symmetric()} "
                 f"jacobi={jac['ok']} golden_mismatches={len(mism)}")
     stage_ok = membership_ok and table.closed and jac["ok"] and not mism
-    if not stage_ok:
-        summary["ok"] = False
-        _finish_pipeline(args, summary, text + ["pipeline: FAIL (table)"])
-        return 1
+    return summary, text, None if stage_ok else "table"
 
-    records = load_catalog(args.catalog)
-    results = verify_mod.verify_catalog(records, pde, points=args.points,
-                                        tol=args.tol, seed=args.seed,
-                                        precision=args.precision)
+
+def _outcome(fn):
+    """(fn(), None), or (None, the exception it raised)."""
+    try:
+        return fn(), None
+    except Exception as exc:
+        return None, exc
+
+
+def _beside(work, other):
+    """Run work() in a forked child while other() runs here; return the
+    (value, exception) outcome of each.  Where os.fork is missing or
+    fails, they run in turn.  liesym starts no threads, so the child
+    inherits no lock that another thread holds."""
+    import pickle
+    pid = None
+    if hasattr(os, "fork"):
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+    if pid is None:
+        return _outcome(work), _outcome(other)
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as fh:
+                pickle.dump(_outcome(work), fh)
+            code = 0
+        finally:
+            # whatever was raised, the child never returns into the caller,
+            # and os._exit flushes no stdio buffer it shares with it
+            os._exit(code)
+    os.close(w)
+    status = None
+    try:
+        with open(r, "rb") as fh:
+            mine = _outcome(other)
+            data = fh.read()
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:  # interrupted before the child's result was read
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        how = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise ResourceLimitError(f"the derive/solve/table process ended by {how}")
+    return pickle.loads(data), mine
+
+
+def cmd_pipeline(args) -> int:
+    pde = _load_pde_arg(args.pde)
+    summary = {"config": {"pde": args.pde or "kdv31.pde", "degree": args.degree,
+                          "points": args.points, "tol": args.tol,
+                          "precision": args.precision, "seed": args.seed}}
+
+    def verify_catalog():
+        return verify_mod.verify_catalog(load_catalog(args.catalog), pde,
+                                         points=args.points, tol=args.tol,
+                                         seed=args.seed, precision=args.precision)
+
+    # the catalog verify needs none of derive, solve or table, so it runs
+    # here while they run in a child; their outcome still decides first
+    (algebra, error), (results, verify_error) = _beside(
+        lambda: _algebra_stages(pde, args.degree), verify_catalog)
+    if error is not None:
+        raise error
+    entries, text, failed = algebra
+    summary.update(entries)
+    if failed:
+        summary["ok"] = False
+        _finish_pipeline(args, summary, text + [f"pipeline: FAIL ({failed})"])
+        return 1
+    if verify_error is not None:
+        raise verify_error
+
     failures = sorted(r.name for r in results if not r.ok)
     summary["verify"] = {"total": len(results),
                          "as_expected": sum(r.ok for r in results),

@@ -498,7 +498,8 @@ def _reduce(a: NF) -> NF:
 # ---------------------------------------------------------------------------
 # the normalizer
 
-@lru_cache(maxsize=None)
+# bounded; one shipped command fills at most about 2200 entries
+@lru_cache(maxsize=1 << 14)
 def normalize(e: Expr) -> NF:
     t = type(e)
     if t is Rat:

@@ -47,9 +47,14 @@ from .expr import (
 
 class ParseError(Exception):
     def __init__(self, msg, line=1, col=1, expected=None):
-        self.line, self.col, self.expected = line, col, tuple(expected or ())
+        self.msg, self.line, self.col = msg, line, col
+        self.expected = tuple(expected or ())
         hint = f" (expected one of: {', '.join(self.expected)})" if self.expected else ""
         super().__init__(f"{msg} at line {line}, column {col}{hint}")
+
+    def __reduce__(self):
+        # pickle rebuilds from the parts, not from the formatted message
+        return type(self), (self.msg, self.line, self.col, self.expected)
 
 
 class ParseContext:

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,17 @@ from liesym import Sym, Ufunc, add, fun, jet, mul, pow_, rat
 from liesym.jets import load_pde
 from liesym.liealg import reference_basis
 from importlib import resources
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """A test must reap every child process it starts."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left unreaped: {left}")
 
 
 @pytest.fixture(scope="session")

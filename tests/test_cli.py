@@ -548,7 +548,7 @@ class TestPipeline:
         assert rc == 2
         assert "no u_t term" in err
 
-    @pytest.mark.parametrize("command", ["derive", "solve"])
+    @pytest.mark.parametrize("command", ["derive", "solve", "pipeline"])
     @pytest.mark.parametrize("eq", ["u_t + u_xt", "u_t + u_tt"])
     def test_other_evolution_derivative_is_input_error(self, capsys, tmp_path, command, eq):
         # solving for u_t must leave no t-derivative; this used to recurse
@@ -558,3 +558,40 @@ class TestPipeline:
         rc, out, err = run(capsys, command, "--pde", str(bad))
         assert (rc, out) == (2, "")
         assert err == "error: solving for u_t leaves another t-derivative\n"
+
+    def test_table_stage_error_exits_2(self, capsys, tmp_path):
+        # the KdV31 reference basis has four xi, the heat equation two
+        heat = tmp_path / "heat.pde"
+        heat.write_text("vars x t\ndep u\neq u_t - u_xx\n")
+        rc, out, err = run(capsys, "pipeline", "--pde", str(heat), "--degree", "3")
+        assert (rc, out, err) == (2, "", "error: one xi per independent variable\n")
+
+    def test_failed_solve_outranks_a_catalog_error(self, capsys):
+        # the catalog is read beside derive, solve and table, and its error
+        # is raised only once they have passed
+        rc, out, err = run(capsys, "pipeline", "--pde", os.path.join(_DATA, "kdv_v.pde"),
+                           "--catalog", "/nonexistent")
+        assert (rc, err) == (1, "")
+        assert out.splitlines()[-1] == "pipeline: FAIL (solve)"
+
+    def test_dead_stage_process_is_a_resource_limit(self, capsys, monkeypatch):
+        import liesym.cli as cli
+        monkeypatch.setattr(cli, "_algebra_stages", lambda pde, degree: os._exit(9))
+        rc, out, err = run(capsys, "pipeline", "--points", "2")
+        assert (rc, out, err) == (3, "", "resource limit: the derive/solve/table "
+                                         "process ended by exit status 9\n")
+
+    @pytest.mark.parametrize("fork", ["missing", "failing"])
+    def test_stages_in_turn_without_fork(self, capsys, tmp_path, monkeypatch, fork):
+        argv = ["pipeline", "--points", "10", "--degree", "1"]
+        outputs = []
+        for patched in (False, True):
+            if patched and fork == "missing":
+                monkeypatch.delattr(os, "fork")
+            elif patched:
+                def refused():
+                    raise BlockingIOError("fork refused")
+                monkeypatch.setattr(os, "fork", refused)
+            j = tmp_path / f"{patched}.json"
+            outputs.append((*run(capsys, *argv, "--json", str(j)), j.read_bytes()))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0

@@ -79,6 +79,11 @@ def test_normalize_holds_the_only_memo():
     assert sites == ["normal.normalize"]
 
 
+def test_normalize_memo_is_bounded():
+    from liesym.normal import normalize
+    assert normalize.cache_info().maxsize is not None
+
+
 def _imported_modules(tree):
     """The liesym module or outside package each import statement names."""
     for node in ast.walk(tree):

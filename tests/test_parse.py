@@ -105,6 +105,17 @@ def test_error_positions(text, message, line, col):
     assert str(err.value).startswith(f"{message} at line {line}, column {col}")
 
 
+def test_error_survives_pickling():
+    # a pipeline stage raised in a forked child reaches the parent pickled
+    import pickle
+    err = ParseError("unknown name q", 3, 5, ["x", "y"])
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is ParseError and str(back) == str(err) == \
+        "unknown name q at line 3, column 5 (expected one of: x, y)"
+    assert (back.msg, back.line, back.col, back.expected) == \
+        ("unknown name q", 3, 5, ("x", "y"))
+
+
 def test_zero_divisor_exits_2_at_its_position(capsys):
     rc = main(["sample", "--expr=y/0", "--grid", "x=0:1:2"])
     assert rc == 2
