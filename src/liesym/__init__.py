@@ -13,7 +13,7 @@ from .jets import (
     symmetry_condition, total_derivative,
 )
 from .detsys import (
-    DeterminingSystem, PolyAnsatz, SymmetryBasis, check_membership,
+    DeterminingSystem, SymmetryBasis, check_membership,
     extract_determining, solve_poly_ansatz,
 )
 from .liealg import commutator_table, jacobi_check, lie_bracket, reference_basis

@@ -22,9 +22,9 @@ from fractions import Fraction
 from mpmath import nstr
 
 from .catalog import CatalogError, load_catalog, solution_context
-from .expr import ExprError, Pow, Rat, ResourceLimitError, nodes, to_text
+from .expr import ExprError, ResourceLimitError, to_text
 from .jets import load_pde
-from .numeric import DOMAIN_ERRORS, compile_terms
+from .numeric import DOMAIN_ERRORS, compile_terms, is_complex
 from .normal import canonical
 from .parse import ParseError, data_lines, data_text, parse
 from . import detsys, flows, liealg, verify as verify_mod
@@ -59,7 +59,7 @@ def cmd_derive(args) -> int:
 def cmd_solve(args) -> int:
     pde = _load_pde_arg(args.pde)
     system = detsys.extract_determining(pde)
-    basis = detsys.solve_poly_ansatz(system, detsys.PolyAnsatz(system, args.degree))
+    basis = detsys.solve_poly_ansatz(system, args.degree)
     lines = [f"dimension {basis.dimension}"]
     for i, V in enumerate(basis.fields, 1):
         coeffs = ", ".join(to_text(canonical(c)) for c in (*V.xi, V.eta))
@@ -72,7 +72,7 @@ def cmd_table(args) -> int:
     pde = _load_pde_arg(args.pde)
     if args.basis == "solve":
         system = detsys.extract_determining(pde)
-        basis = detsys.solve_poly_ansatz(system, detsys.PolyAnsatz(system, args.degree))
+        basis = detsys.solve_poly_ansatz(system, args.degree)
     else:
         basis = liealg.reference_basis(pde)
     table = liealg.commutator_table(basis)
@@ -140,40 +140,32 @@ def cmd_verify(args) -> int:
     return 0 if ok_all else 1
 
 
-def _parse_grid(specs):
-    axes = []
+def _split(specs):
+    """The non-empty name=value parts of comma-separated specs, as
+    (name, value, part) triples."""
     for spec in specs:
         for part in spec.split(","):
             part = part.strip()
-            if not part:
-                continue
-            name, _, rng = part.partition("=")
-            pieces = rng.split(":")
-            if len(pieces) != 3:
-                raise ParseError(f"grid axis {part!r} needs name=lo:hi:count")
-            lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
-            if count < 2:
-                raise ParseError("grid axis needs count >= 2")
-            axes.append((name.strip(), lo, hi, count))
+            if part:
+                name, _, value = part.partition("=")
+                yield name.strip(), value, part
+
+
+def _parse_grid(specs):
+    axes = []
+    for name, rng, part in _split(specs):
+        pieces = rng.split(":")
+        if len(pieces) != 3:
+            raise ParseError(f"grid axis {part!r} needs name=lo:hi:count")
+        lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
+        if count < 2:
+            raise ParseError("grid axis needs count >= 2")
+        axes.append((name, lo, hi, count))
     return axes
 
 
 def _parse_fixed(specs):
-    fixed = {}
-    for spec in specs:
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            name, _, v = part.partition("=")
-            fixed[name.strip()] = float(v)
-    return fixed
-
-
-def _is_real(e) -> bool:
-    """No even root of a negative constant, such as i = (-1)^(1/2), in e."""
-    return all(x.exp.denominator % 2 == 1 for x in nodes(e)
-               if type(x) is Pow and type(x.base) is Rat and x.base.value < 0)
+    return {name: float(v) for name, v, _ in _split(specs)}
 
 
 def cmd_sample(args) -> int:
@@ -188,13 +180,13 @@ def cmd_sample(args) -> int:
         rec = records[args.name]
         f = parse(rec.get("claim"), solution_context())
         params = rec.params()
-    if not _is_real(f):
+    if is_complex(f):
         raise ValueError("the claim holds the imaginary unit i; sample is real only")
     axes = _parse_grid(args.grid or [])
-    fixed = dict(params)
-    fixed.update(_parse_fixed(args.fix or []))
+    given = _parse_fixed(args.fix or [])
+    fixed = {**params, **given}
     swept = [a[0] for a in axes]
-    overlap = sorted(set(swept) & set(_parse_fixed(args.fix or [])))
+    overlap = sorted(set(swept) & set(given))
     if overlap:
         raise ParseError(f"symbols both swept and fixed: {', '.join(overlap)}")
     for name in swept:
@@ -233,7 +225,7 @@ def _algebra_stages(pde, degree):
     summary["derive"] = {"constraints": len(system)}
     text.append(f"derive: {len(system)} determining constraints")
 
-    basis = detsys.solve_poly_ansatz(system, detsys.PolyAnsatz(system, degree))
+    basis = detsys.solve_poly_ansatz(system, degree)
     summary["solve"] = {"dimension": basis.dimension}
     text.append(f"solve: dimension {basis.dimension} at degree {degree}")
     if basis.dimension != 10:

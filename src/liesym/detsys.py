@@ -116,51 +116,38 @@ def extract_determining(pde: PDE) -> DeterminingSystem:
 # ---------------------------------------------------------------------------
 # polynomial ansatz
 
-class PolyAnsatz:
-    """Degree-bounded polynomial forms for every unknown infinitesimal.
-
-    `monomials` are exponent tuples over `sys.coords`: 1, then each degree
-    in combinations_with_replacement order.  Column f * len(monomials) + m
-    holds the coefficient of monomial m in unknown f.
-    """
-
-    def __init__(self, sys: DeterminingSystem, degree: int):
-        if degree < 1:
-            raise ValueError("ansatz degree must be >= 1")
-        self.degree = degree
-        self.sys = sys
-        n = len(sys.coords)
-        self.monomials = [(0,) * n]
-        for d in range(1, degree + 1):
-            for combo in combinations_with_replacement(range(n), d):
-                self.monomials.append(tuple(map(combo.count, range(n))))
-        self.ncols = len(sys.unknowns) * len(self.monomials)
-
-
 class SymmetryBasis:
-    def __init__(self, fields, ansatz=None, vectors=None):
+    def __init__(self, fields, vectors=None):
         self.fields = tuple(fields)
         self.dimension = len(self.fields)
-        self.ansatz = ansatz
         self.vectors = vectors
 
     def __len__(self):
         return self.dimension
 
 
-def solve_poly_ansatz(sys: DeterminingSystem, ansatz: PolyAnsatz) -> SymmetryBasis:
-    """Exact nullspace of the constraint system on the ansatz coefficients.
+def solve_poly_ansatz(sys: DeterminingSystem, degree: int) -> SymmetryBasis:
+    """Exact nullspace of the constraint system on polynomial unknowns of
+    degree at most `degree`.
 
-    The last coordinate of sys names the dependent variable.
+    The last coordinate of sys names the dependent variable.  The ansatz
+    monomials are exponent tuples over sys.coords: 1, then each degree in
+    combinations_with_replacement order; column f * len(monomials) + m
+    holds the coefficient of monomial m in unknown f.
 
     Every normal-form term of a constraint is c * rest * f_J for exactly one
     unknown jet f_J.  The J-th derivative of the ansatz monomial x^e is
     prod(perm(e_i, J_i)) * x^(e - J), so the term adds that multiple of c to
     column (f, e) of the row keyed by (constraint, rest * x^(e - J)).
     """
+    if degree < 1:
+        raise ValueError("ansatz degree must be >= 1")
+    axes = range(len(sys.coords))
+    monomials = [tuple(map(combo.count, axes)) for d in range(degree + 1)
+                 for combo in combinations_with_replacement(axes, d)]
     unknowns = {name: i for i, name in enumerate(sys.unknowns)}
     names = [s.name for s in sys.coords]
-    nmono = len(ansatz.monomials)
+    nmono = len(monomials)
     rows: dict = {}
     for k, terms in enumerate(sys.rows):
         for mono, c in terms.items():
@@ -173,7 +160,7 @@ def solve_poly_ansatz(sys: DeterminingSystem, ansatz: PolyAnsatz) -> SymmetryBas
             J = dict(fjets[0].idx)
             order = [J.get(n, 0) for n in names]
             base = unknowns[fjets[0].dep] * nmono
-            for m, e in enumerate(ansatz.monomials):
+            for m, e in enumerate(monomials):
                 scale = math.prod(map(math.perm, e, order))
                 if not scale:
                     continue
@@ -182,18 +169,19 @@ def solve_poly_ansatz(sys: DeterminingSystem, ansatz: PolyAnsatz) -> SymmetryBas
                     entries[s] = entries.get(s, 0) + ei - ji
                 row = rows.setdefault((k, _mono(entries)), {})
                 row[base + m] = row.get(base + m, 0) + c * scale
-    vectors = linalg.nullspace(list(rows.values()), ansatz.ncols)
+    ncols = len(sys.unknowns) * nmono
+    vectors = linalg.nullspace(list(rows.values()), ncols)
     dep = sys.coords[-1].name
     nvars = len(sys.coords) - 1
     atoms = (*sys.coords[:nvars], jet(dep, ()))
     monos = [mul(*(a for a, n in zip(atoms, e) for _ in range(n)))
-             for e in ansatz.monomials]
+             for e in monomials]
     fields = []
     for v in vectors:
         comps = [add(*(mul(Rat(x), m) for x, m in zip(v[f:f + nmono], monos) if x))
-                 for f in range(0, ansatz.ncols, nmono)]
+                 for f in range(0, ncols, nmono)]
         fields.append(VectorField(comps[:nvars], comps[nvars], sys.coords[:nvars], dep))
-    return SymmetryBasis(fields, ansatz, vectors)
+    return SymmetryBasis(fields, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -262,5 +250,5 @@ def systems_equivalent(sys_a: DeterminingSystem, sys_b: DeterminingSystem,
     nullspace basis is read off the unique RREF of a matrix with the same
     columns, so the bases are equal exactly when the solution spaces are."""
     return (sys_a.coords == sys_b.coords
-            and solve_poly_ansatz(sys_a, PolyAnsatz(sys_a, degree)).vectors
-            == solve_poly_ansatz(sys_b, PolyAnsatz(sys_b, degree)).vectors)
+            and solve_poly_ansatz(sys_a, degree).vectors
+            == solve_poly_ansatz(sys_b, degree).vectors)

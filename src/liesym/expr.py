@@ -629,6 +629,17 @@ def _term_text(coeff: Fraction, factors) -> str:
     return s
 
 
+def _signed_text(term: Expr, minus: str, plus: str) -> str:
+    """A product or rational term as minus or plus, by its coefficient's
+    sign, then the text of its magnitude."""
+    c, restx = _coeff_rest(term)
+    if restx is None:
+        body = _frac_text(abs(c))
+    else:
+        body = _term_text(c, restx.factors if type(restx) is Mul else (restx,))
+    return (minus if c < 0 else plus) + body
+
+
 def to_text(e: Expr) -> str:
     t = type(e)
     if t is Rat:
@@ -651,22 +662,8 @@ def to_text(e: Expr) -> str:
     if t is Pow:
         return _pow_text(e.base, e.exp)
     if t is Mul:
-        c, restx = _coeff_rest(e)
-        factors = restx.factors if type(restx) is Mul else (restx,)
-        body = _term_text(c, factors)
-        return f"-{body}" if c < 0 else body
+        return _signed_text(e, "-", "")
     if t is Add:
-        parts = []
-        for i, term in enumerate(e.terms):
-            c, restx = _coeff_rest(term)
-            if restx is None:
-                body = _frac_text(abs(c))
-            else:
-                factors = restx.factors if type(restx) is Mul else (restx,)
-                body = _term_text(c, factors)
-            if i == 0:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f" - {body}" if c < 0 else f" + {body}")
-        return "".join(parts)
+        return _signed_text(e.terms[0], "-", "") + "".join(
+            _signed_text(x, " - ", " + ") for x in e.terms[1:])
     raise ExprError(f"cannot print {e!r}")

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .expr import (
     Add, Expr, Fun, Jet, Mul, Pow, Rat, ResourceLimitError, Sym, Ufunc,
-    add, as_rational, fun, mul, pow_, rat, skey, _coeff_rest, _q, _rat_exact_pow,
+    add, as_rational, fun, mul, pow_, rat, skey, _q, _rat_exact_pow,
 )
 
 _EXPANSION_LIMIT = 200_000
@@ -169,18 +169,7 @@ def _canon_term(raw: dict, coeff) -> NF:
         if ta is Pow:
             stack.append((a.base, a.exp * q))
         elif ta is Mul:
-            c, restx = _coeff_rest(a)
-            if c != 1:
-                fc, fe = _rat_pow_fold(c, q)
-                coeff *= fc
-                for b, e in fe.items():
-                    flat[b] = flat.get(b, 0) + e
-            if restx is not None:
-                if type(restx) is Mul:
-                    for fct in restx.factors:
-                        stack.append((fct, q))
-                else:
-                    stack.append((restx, q))
+            stack.extend((f, q) for f in a.factors)
         elif ta is Rat:
             fc, fe = _rat_pow_fold(a.value, q)
             coeff *= fc

@@ -9,14 +9,16 @@ per-point residual reduction to the same code.  `eval_numeric` compiles
 its one term per call; callers that evaluate many points compile once
 themselves and draw the points from `sampled`, the one seeded sampler.
 
-Backends: double (float, or complex for claims that hold `i`) and real
-dd (106 bits, the double-double significand budget).  A complex claim
-runs in double at either precision: its verdict is the exact normal
-form.  Real dd code is written as the `mpmath.libmp` calls that
-mpmath's own mpf operators and functions make, on raw `_mpf_` tuples at
-106 bits rounding to nearest: the same bits as mpf arithmetic (mpmath
-1.3.0, whose libmp rounding the dd pins in the tests hold), without an
-object or a precision context per operation.  Its inputs enter exactly
+Backends: double, dd (106 bits, the double-double significand budget)
+and double complex.  The caller asks for double or dd, and the claim
+chooses complex: terms that hold an even root of a negative constant, as
+`i = (-1)^(1/2)` enters a claim, run in double complex at either
+precision, since their verdict is the exact normal form.  Real dd code
+is written as the `mpmath.libmp` calls that mpmath's own mpf operators
+and functions make, on raw `_mpf_` tuples at 106 bits rounding to
+nearest: the same bits as mpf arithmetic (mpmath 1.3.0, whose libmp
+rounding the dd pins in the tests hold), without an object or a
+precision context per operation.  Its inputs enter exactly
 in the prologue, so no term is left computing in double, and
 `compile_terms` wraps each result as an mpf once.  Its `exp`, `sinh`
 and `cosh` raise OverflowError where `math`'s do, and its integer and
@@ -137,15 +139,15 @@ def _dd_in(v):
 
 # the names generated code runs with
 _BACKENDS = {
-    ("double", False): dict(
+    "double": dict(
         tanh=math.tanh, sech=_sech, sinh=math.sinh, cosh=math.cosh,
         exp=math.exp, rp=_rp_real, const=float,
     ),
-    ("double", True): dict(
+    "complex": dict(
         tanh=cmath.tanh, sech=_csech, sinh=cmath.sinh, cosh=cmath.cosh,
         exp=cmath.exp, rp=_rp_complex, const=complex,
     ),
-    ("dd", False): dict(  # libmp's own names: mpf_add, fzero, to_float, ...
+    "dd": dict(  # libmp's own names: mpf_add, fzero, to_float, ...
         vars(libmp), tanh=libmp.mpf_tanh, rp=_dd_rp, fits=_dd_fits, const=_dd_const,
         dd_in=_dd_in,
         exp=_dd_bounded(libmp.mpf_exp, math.exp),
@@ -160,6 +162,7 @@ _BACKENDS = {
 _OBJECTS = dict(add="{x}+{y}", mul="{x}*{y}", fun="{fn}({a})", ipow="{b}**({n})")
 _SPELLING = {
     "double": _OBJECTS,
+    "complex": _OBJECTS,
     "dd": dict(
         add=f"mpf_add({{x}},{{y}},{_PR})", mul=f"mpf_mul({{x}},{{y}},{_PR})",
         fun=f"{{fn}}({{a}},{_PR})",
@@ -217,23 +220,39 @@ def _emit(terms, names: dict, backend: dict, spell: dict):
     return lines, consts, [local(e) for e in terms]
 
 
-def _compile(terms, precision, complex_mode, tail):
+def _imaginary(x: Expr) -> bool:
+    """x is an even root of a negative constant, such as i = (-1)^(1/2)."""
+    return (type(x) is Pow and type(x.base) is Rat and x.base.value < 0
+            and x.exp.denominator % 2 == 0)
+
+
+def is_complex(*terms) -> bool:
+    """Whether terms hold an even root of a negative constant, and so
+    compile to the double complex backend."""
+    return any(map(_imaginary, nodes(*terms)))
+
+
+def _compile(terms, precision, tail):
     """One function of the terms' symbols: their straight-line code, then
-    the lines tail(result locals, real dd?) returns."""
-    kinds, syms = set(), set()
+    the lines tail(result locals, real dd?) returns.  The backend is the
+    requested precision, or double complex when a term holds an even root
+    of a negative constant."""
+    kinds, syms, mode = set(), set(), precision
     for x in nodes(*terms):
         kinds.add(type(x))
         if type(x) is Sym:
             syms.add(x)
+        elif _imaginary(x):
+            mode = "complex"
     if Jet in kinds:
         raise EvalDomainError("expression contains jet variables")
     if Ufunc in kinds:
         raise EvalDomainError("expression contains unbound unknown functions")
-    backend = _BACKENDS[precision, complex_mode]
+    backend = _BACKENDS[mode]
     syms = sorted(syms, key=lambda s: s.name)
     names = {s: f"v{i}" for i, s in enumerate(syms)}
-    lines, consts, results = _emit(terms, names, backend, _SPELLING[precision])
-    raw = precision == "dd"
+    lines, consts, results = _emit(terms, names, backend, _SPELLING[mode])
+    raw = mode == "dd"
     # inputs enter exactly, so no term is left computing in double
     body = ([f"{v} = dd_in({v})" for v in names.values() if raw]
             + lines + tail(results, raw))
@@ -268,29 +287,28 @@ def _reduction(results, raw):
             f"return {rel}"]
 
 
-def compile_terms(terms, precision: str = "double", complex_mode: bool = False):
+def compile_terms(terms, precision: str = "double"):
     """Compile terms into one function; return (fn, symbol order).
 
     fn takes one positional value per symbol and returns the tuple of term
     values.  A subtree shared between or within terms is computed once.
     """
-    return _compile(terms, precision, complex_mode, _values)
+    return _compile(terms, precision, _values)
 
 
-def compile_residual(terms, precision: str = "double", complex_mode: bool = False):
+def compile_residual(terms, precision: str = "double"):
     """Compile the relative residual of terms; return (fn, symbol order).
 
     fn takes one positional value per symbol and returns the float
     |sum t| / (1 + sum |t|), reduced at the backend's precision; it
     raises EvalDomainError when sum |t| exceeds 1e12.
     """
-    return _compile(terms, precision, complex_mode, _reduction)
+    return _compile(terms, precision, _reduction)
 
 
-def eval_numeric(e: Expr, env: dict, precision: str = "double",
-                 complex_mode: bool = False):
+def eval_numeric(e: Expr, env: dict, precision: str = "double"):
     """Evaluate at a point; env maps symbols (or their names) to numbers."""
-    fn, syms = compile_terms((e,), precision, complex_mode)
+    fn, syms = compile_terms((e,), precision)
     vals = []
     for s in syms:
         if s in env:
@@ -326,11 +344,10 @@ def sampled(fn, nfree: int, points: int, budget: int, seed: int, box):
         yield out
 
 
-def sampled_residual(terms, params, points, seed, precision,
-                     complex_mode=False, box=(0.5, 2.5)):
+def sampled_residual(terms, params, points, seed, precision, box=(0.5, 2.5)):
     """(max, count) of |sum terms| / (1 + sum |terms|) over the points that
     `sampled` draws for the symbols params does not bind by name."""
-    fn, syms = compile_residual(terms, precision, complex_mode)
+    fn, syms = compile_residual(terms, precision)
     args = [params.get(s.name) for s in syms]
     free = [k for k, s in enumerate(syms) if s.name not in params]
 

@@ -23,16 +23,15 @@ from .parse import ParseContext, parse
 
 
 class ResidualReport:
-    def __init__(self, symbolic, max_rel, samples, precision, detail=None):
+    def __init__(self, symbolic, max_rel, samples, detail=None):
         self.symbolic = symbolic          # "zero" | "nonzero" | "undecided"
         self.max_rel = max_rel
         self.samples = samples
-        self.precision = precision
         self.detail = detail or {}
 
     def __repr__(self):
         return (f"<residual {self.symbolic}; max_rel={self.max_rel:.3e} "
-                f"over {self.samples} pts ({self.precision})>")
+                f"over {self.samples} pts>")
 
 
 def _check_claim(f: Expr, dep: str):
@@ -52,15 +51,15 @@ def substituted_terms(equation: Expr, f: Expr, variables, dep: str) -> list:
 
 
 def residual(f: Expr, pde: PDE, params=None, points: int = 100,
-             tol: float = 1e-9, seed: int = 0, precision: str = "double",
-             complex_mode: bool = False) -> ResidualReport:
+             tol: float = 1e-9, seed: int = 0,
+             precision: str = "double") -> ResidualReport:
     """Substitute f into the equation; decide symbolically, sample numerically.
 
     Unlike a reduced-equation claim, a solution is never accepted formally:
     one that holds unknown functions or unbound jets raises EvalDomainError.
     """
     rep = ode_residual(f, pde.delta, pde.vars, pde.dep, params, points, tol,
-                       seed, precision, complex_mode)
+                       seed, precision)
     if rep.detail.get("formal"):
         raise EvalDomainError("solution holds unknown functions or jets; "
                               "no point can be sampled")
@@ -72,20 +71,17 @@ def residual(f: Expr, pde: PDE, params=None, points: int = 100,
 
 def ode_residual(solution: Expr, equation: Expr, variables, dep: str,
                  params=None, points: int = 60, tol: float = 1e-9,
-                 seed: int = 0, precision: str = "double",
-                 complex_mode: bool = False) -> ResidualReport:
+                 seed: int = 0, precision: str = "double") -> ResidualReport:
     _check_claim(solution, dep)
     terms = substituted_terms(equation, solution, variables, dep)
     symbolic = "zero" if normalize(add(*terms)).is_zero() else "undecided"
     if any(free_ufunc_names(t) or free_jets(t) for t in terms):
         # formal unknown functions cannot be sampled numerically
-        return ResidualReport(symbolic, 0.0, 0, precision,
-                              {"formal": True})
-    worst, good = sampled_residual(terms, params or {}, points, seed,
-                                   precision, complex_mode)
+        return ResidualReport(symbolic, 0.0, 0, {"formal": True})
+    worst, good = sampled_residual(terms, params or {}, points, seed, precision)
     if symbolic == "undecided":
         symbolic = "nonzero" if worst > tol else "undecided"
-    return ResidualReport(symbolic, worst, good, precision)
+    return ResidualReport(symbolic, worst, good)
 
 
 def ode_condition(solution: Expr, equation: Expr, variables, dep: str,
@@ -257,7 +253,7 @@ def _claim_verdict(rec, pde, points, tol, seed, precision):
         ctx = solution_context()
         f = parse(rec.get("claim"), ctx)
         target = (pde.delta, pde.vars, pde.dep)
-        bad = undeclared_divisors(f, rec.nonzero(), ("x", "y", "z", "t"))
+        bad = undeclared_divisors(f, rec.nonzero(), [v.name for v in pde.vars])
         suffix = f" undeclared-divisors={','.join(bad)}" if bad else ""
     if rec.expected == "conditional":
         m = ode_condition(f, *target, parse(rec.get("condition"), ctx))
@@ -268,8 +264,6 @@ def _claim_verdict(rec, pde, points, tol, seed, precision):
     if rec.kind == "ode":
         rep = ode_residual(f, *target, rec.params(), min(points, 60), tol, seed,
                            precision)
-    elif rec.kind == "solution-complex":  # double complex; the verdict is exact
-        rep = residual(f, pde, rec.params(), points, tol, seed, "double", True)
     else:
         rep = residual(f, pde, rec.params(), points, tol, seed, precision)
     if rep.symbolic == "zero" and rep.max_rel < tol:
@@ -303,6 +297,7 @@ def _weierstrass_verdict(rec, pde, points, tol, seed, precision):
     return res == ZERO, f"residual = {res}"
 
 
+# a solution-complex record holds i, so its claim samples in double complex
 _VERDICTS = {"solution": _claim_verdict, "solution-complex": _claim_verdict,
              "ode": _claim_verdict, "reduction": _reduction_verdict,
              "weierstrass": _weierstrass_verdict}

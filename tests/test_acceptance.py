@@ -15,7 +15,7 @@ import pytest
 from liesym import Sym, is_zero, parse
 from liesym.catalog import load_catalog, solution_context
 from liesym.detsys import (
-    PolyAnsatz, check_membership, extract_determining, reference_system,
+    check_membership, extract_determining, reference_system,
     solve_poly_ansatz, systems_equivalent,
 )
 from liesym.flows import compare_flow, exponentiate, load_reference_groups, \
@@ -43,8 +43,7 @@ def system(pde):
 
 @pytest.fixture(scope="module")
 def solved(pde, system):
-    return {d: solve_poly_ansatz(system, PolyAnsatz(system, d))
-            for d in (1, 2)}
+    return {d: solve_poly_ansatz(system, d) for d in (1, 2)}
 
 
 @pytest.fixture(scope="module")

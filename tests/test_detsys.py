@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from liesym import Sym, add, jet, mul, normalize, parse, rat, substitute
 from liesym.detsys import (
-    DeterminingSystem, PolyAnsatz, check_membership, extract_determining, is_symmetry, reference_system,
+    DeterminingSystem, check_membership, extract_determining, is_symmetry, reference_system,
     satisfies_system, solve_poly_ansatz, systems_equivalent, )
 from liesym.jets import VectorField, jet_bindings, load_pde
 from liesym.parse import ParseContext
@@ -25,7 +25,7 @@ def system(pde):
 
 @pytest.fixture(scope="module")
 def basis_d1(pde, system):
-    return solve_poly_ansatz(system, PolyAnsatz(system, 1))
+    return solve_poly_ansatz(system, 1)
 
 
 def VF(pde, xs, eta):
@@ -105,8 +105,8 @@ class TestRowsAndConstraints:
         _, system = any_system
         again = DeterminingSystem.of(system.constraints, system.unknowns, system.coords)
         for degree in (1, 2):
-            assert (solve_poly_ansatz(again, PolyAnsatz(again, degree)).vectors
-                    == solve_poly_ansatz(system, PolyAnsatz(system, degree)).vectors)
+            assert (solve_poly_ansatz(again, degree).vectors
+                    == solve_poly_ansatz(system, degree).vectors)
 
 
 class TestSolver:
@@ -114,7 +114,7 @@ class TestSolver:
         assert basis_d1.dimension == 10
 
     def test_dimension_degree_2(self, pde, system):
-        basis = solve_poly_ansatz(system, PolyAnsatz(system, 2))
+        basis = solve_poly_ansatz(system, 2)
         assert basis.dimension == 10
 
     def test_solver_fields_are_symmetries(self, pde, basis_d1):
@@ -126,20 +126,21 @@ class TestSolver:
             assert check_membership(basis_d1, V) is not None
 
     def test_ansatz_coefficient_count(self, system):
-        a1 = PolyAnsatz(system, 1)
-        a2 = PolyAnsatz(system, 2)
-        assert a1.ncols == 5 * 6       # 5 * C(6,1)
-        assert a2.ncols == 5 * 21      # 5 * C(7,2)
+        # one column per coefficient of a monomial in one of 5 unknowns
+        assert len(solve_poly_ansatz(system, 1).vectors[0]) == 5 * 6   # 5 * C(6,1)
+        assert len(solve_poly_ansatz(system, 2).vectors[0]) == 5 * 21  # 5 * C(7,2)
+        with pytest.raises(ValueError, match="ansatz degree must be >= 1"):
+            solve_poly_ansatz(system, 0)
 
     def test_dimension_degree_3(self, pde, system, basis):
         # no cubic infinitesimals appear either: the published ten span it
-        basis_d3 = solve_poly_ansatz(system, PolyAnsatz(system, 3))
+        basis_d3 = solve_poly_ansatz(system, 3)
         assert basis_d3.dimension == 10
         for V in basis.fields:
             assert check_membership(basis_d3, V) is not None
 
     def test_dimension_degree_4(self, pde, system, basis):
-        basis_d4 = solve_poly_ansatz(system, PolyAnsatz(system, 4))
+        basis_d4 = solve_poly_ansatz(system, 4)
         assert basis_d4.dimension == 10
         for V in basis.fields:
             assert check_membership(basis_d4, V) is not None
@@ -202,12 +203,12 @@ class TestAssemblyOracle:
     @example((_CANCELLING, 2))
     def test_random_linear_systems(self, case):
         system, degree = case
-        basis = solve_poly_ansatz(system, PolyAnsatz(system, degree))
+        basis = solve_poly_ansatz(system, degree)
         assert basis.vectors == _symbolic_nullspace(system, degree)
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_paper_system(self, pde, system, degree):
-        basis = solve_poly_ansatz(system, PolyAnsatz(system, degree))
+        basis = solve_poly_ansatz(system, degree)
         assert basis.vectors == _symbolic_nullspace(system, degree)
 
     @pytest.mark.parametrize("text, message", [
@@ -218,7 +219,7 @@ class TestAssemblyOracle:
         ctx = ParseContext(indep=["x", "t", "u"], deps=_UNKNOWNS)
         system = DeterminingSystem.of([parse(text, ctx)], _UNKNOWNS, _COORDS)
         with pytest.raises(ValueError, match=message):
-            solve_poly_ansatz(system, PolyAnsatz(system, 1))
+            solve_poly_ansatz(system, 1)
 
 
 class TestTextbookAlgebras:
@@ -235,7 +236,7 @@ class TestTextbookAlgebras:
     def test_dimension(self, vars_, eq, dims):
         pde = load_pde(f"vars {vars_}\ndep u\neq {eq}\n")
         system = extract_determining(pde)
-        got = {d: solve_poly_ansatz(system, PolyAnsatz(system, d)).dimension
+        got = {d: solve_poly_ansatz(system, d).dimension
                for d in dims}
         assert got == dims
 
@@ -285,7 +286,7 @@ class TestOtherEquation:
         from liesym.liealg import commutator_table, jacobi_check
         kdv = load_pde("vars x t\ndep u\neq u_t + 6*u*u_x + u_xxx\n")
         sys_k = extract_determining(kdv)
-        basis = solve_poly_ansatz(sys_k, PolyAnsatz(sys_k, 1))
+        basis = solve_poly_ansatz(sys_k, 1)
         assert basis.dimension == 4
         assert all(is_symmetry(V, kdv) for V in basis.fields)
         boost = VF(kdv, ["t", "0"], "1/6")
@@ -299,7 +300,7 @@ class TestOtherEquation:
         # the basis fields act on the PDE's own dependent variable, not on u
         kdv = load_pde("vars x t\ndep v\neq v_t + v*v_x + v_xxx\n")
         sys_v = extract_determining(kdv)
-        basis = solve_poly_ansatz(sys_v, PolyAnsatz(sys_v, 1))
+        basis = solve_poly_ansatz(sys_v, 1)
         assert basis.dimension == 4
         assert all(is_symmetry(V, kdv) for V in basis.fields)
         ctx = ParseContext(indep=("x", "t"), deps=("v",))

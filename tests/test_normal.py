@@ -303,7 +303,7 @@ def test_gaussian_zero_iff_numerically_zero(pair, p, q, variant):
     sides = [_claim(s.replace("P", f"({p})").replace("Q", f"({q})"))
              for s in (lhs, rhs)]
     exact = normalize(add(sides[0], mul(rat(-1), sides[1]))).is_zero()
-    fn, syms = compile_terms(sides, "double", complex_mode=True)
+    fn, syms = compile_terms(sides, "double")
 
     def close(*draw):
         l, r = fn(*draw)

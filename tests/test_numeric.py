@@ -15,7 +15,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import liesym
 from liesym import add, fun, jet, mul, parse, pow_, rat
-from liesym.expr import EvalDomainError, ExprError, Fun, Mul, Pow, Rat, Sym, Ufunc
+from liesym.expr import EvalDomainError, ExprError, Fun, Mul, Pow, Rat, Sym, Ufunc, nodes
 from liesym.numeric import (
     DD_PREC, DOMAIN_ERRORS, _BACKENDS, compile_residual, compile_terms,
     eval_numeric, sampled,
@@ -25,7 +25,10 @@ _syms = [Sym(n) for n in ("x", "y", "t")]
 _FUNS = ("tanh", "sech", "sinh", "cosh", "exp")
 _RATS = [rat(v) for v in (-2, -1, 0, 1, 2, 3)] + [rat(1, 2), rat(5, 3), rat(-3, 4)]
 _EXPONENTS = (-2, -1, 2, 3, rat(1, 2), rat(1, 3), rat(-3, 2))
-_ALL = [("double", False), ("double", True), ("dd", False)]
+_I = pow_(rat(-1), rat(1, 2))
+# (requested precision, whether an i term is appended): the claim chooses
+# the complex backend, so a case with i runs double complex at either precision
+_ALL = [("double", False), ("double", True), ("dd", False), ("dd", True)]
 
 
 def _mp_rp(b, p, q):
@@ -69,10 +72,23 @@ _MP = dict(tanh=mpmath.tanh, sech=lambda v: 1 / mpmath.cosh(v),
            cosh=_like_double(mpmath.cosh, math.cosh),
            exp=_like_double(mpmath.exp, math.exp),
            const=lambda c: mpmath.mpf(c.numerator) / c.denominator)
-_REFERENCE = {("double", False): _BACKENDS[("double", False)],
-              ("double", True): _BACKENDS[("double", True)],
-              ("dd", False): dict(_MP, rp=_in_double_range(_mp_rp),
-                                  ipow=_in_double_range(operator.pow))}
+_REFERENCE = {"double": _BACKENDS["double"],
+              "complex": _BACKENDS["complex"],
+              "dd": dict(_MP, rp=_in_double_range(_mp_rp),
+                         ipow=_in_double_range(operator.pow))}
+
+
+def _mode(precision, terms):
+    """The backend terms should compile to: complex when one holds an even
+    root of a negative constant, such as i, else the requested precision."""
+    if any(type(x) is Pow and type(x.base) is Rat and x.base.value < 0
+           and x.exp.denominator % 2 == 0 for x in nodes(*terms)):
+        return "complex"
+    return precision
+
+
+def _with_i(terms, with_i):
+    return terms + [_I] if with_i else terms
 
 
 def _reference(e, env, backend):
@@ -94,9 +110,10 @@ def _reference(e, env, backend):
     return reduce(operator.mul if t is Mul else operator.add, parts)
 
 
-def _reference_terms(terms, env, precision, complex_mode):
-    backend = _REFERENCE[(precision, complex_mode)]
-    if precision == "double":
+def _reference_terms(terms, env, precision):
+    mode = _mode(precision, terms)
+    backend = _REFERENCE[mode]
+    if mode != "dd":
         return [_reference(e, env, backend) for e in terms]
     with mpmath.workprec(DD_PREC):
         env = {s: mpmath.mpmathify(v) for s, v in env.items()}
@@ -132,10 +149,10 @@ def _combine(sub):
 _leaves = st.sampled_from(_syms) | st.sampled_from(_RATS)
 
 
-def _point(complex_mode):
+def _point(with_i):
     # full-mantissa values, so a reordered product or sum would round apart
     part = st.just(0.0) | st.integers(-10**9, 10**9).map(lambda k: k / 5e8)
-    if complex_mode:
+    if with_i:
         return st.builds(complex, part, part)
     return part
 
@@ -147,15 +164,15 @@ def _terms(data, leaves):
     return data.draw(st.lists(_combine(st.sampled_from(pool)), min_size=1, max_size=4))
 
 
-@pytest.mark.parametrize("precision, complex_mode", _ALL)
+@pytest.mark.parametrize("precision, with_i", _ALL)
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
-def test_claim_callable_matches_tree_evaluation(precision, complex_mode, data):
-    terms = _terms(data, _leaves)
-    fn, syms = compile_terms(terms, precision, complex_mode)
-    env = {s: data.draw(_point(complex_mode)) for s in syms}
+def test_claim_callable_matches_tree_evaluation(precision, with_i, data):
+    terms = _with_i(_terms(data, _leaves), with_i)
+    fn, syms = compile_terms(terms, precision)
+    env = {s: data.draw(_point(with_i)) for s in syms}
     try:
-        want = _reference_terms(terms, env, precision, complex_mode)
+        want = _reference_terms(terms, env, precision)
     except DOMAIN_ERRORS:
         with pytest.raises(DOMAIN_ERRORS):
             fn(*[env[s] for s in syms])
@@ -164,10 +181,10 @@ def test_claim_callable_matches_tree_evaluation(precision, complex_mode, data):
     assert [_bits(v) for v in got] == [_bits(v) for v in want]
 
 
-@pytest.mark.parametrize("precision, complex_mode", _ALL)
+@pytest.mark.parametrize("precision, with_i", _ALL)
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
-def test_residual_matches_reduction_of_values(precision, complex_mode, data):
+def test_residual_matches_reduction_of_values(precision, with_i, data):
     # |sum t| / (1 + sum |t|) of the compiled values, reduced on mpmath
     # objects at 106 bits (floats ignore the precision)
     terms = _terms(data, _leaves)
@@ -175,10 +192,11 @@ def test_residual_matches_reduction_of_values(precision, complex_mode, data):
     # outside every function, where mpmath would build a huge exponent
     terms[0] = mul(rat(data.draw(st.sampled_from([1, 7 * 10**11, -3 * 10**12]))),
                    terms[0])
-    fn, syms = compile_residual(terms, precision, complex_mode)
-    values, value_syms = compile_terms(terms, precision, complex_mode)
+    terms = _with_i(terms, with_i)
+    fn, syms = compile_residual(terms, precision)
+    values, value_syms = compile_terms(terms, precision)
     assert syms == value_syms
-    point = [data.draw(_point(complex_mode)) for _ in syms]
+    point = [data.draw(_point(with_i)) for _ in syms]
     try:
         vals = values(*point)
     except DOMAIN_ERRORS:
@@ -198,10 +216,13 @@ def test_residual_matches_reduction_of_values(precision, complex_mode, data):
     assert type(got) is float and repr(got) == repr(want)
 
 
-@pytest.mark.parametrize("precision, complex_mode", _ALL)
-def test_residual_rejects_large_scale(precision, complex_mode):
+@pytest.mark.parametrize("precision, with_i", _ALL)
+def test_residual_rejects_large_scale(precision, with_i):
     x = _syms[0]
-    fn, syms = compile_residual([mul(rat(2**40), x), rat(-1)], precision, complex_mode)
+    terms = [mul(rat(2**40), x), rat(-1)]
+    if with_i:  # an i term that vanishes at x = 2^-40
+        terms.append(mul(_I, add(x, rat(-1, 2**40))))
+    fn, syms = compile_residual(terms, precision)
     with pytest.raises(EvalDomainError):
         fn(1.5)  # sum |t| is about 1.6e12
     assert fn(2.0**-40) == 0.0
@@ -218,10 +239,18 @@ def test_real_dd_residual_enters_no_precision_context(monkeypatch):
     assert fn(0.7) > 0
 
 
-def test_dd_has_no_complex_mode():
-    # complex claims are sampled in double; dd is never silently remapped
-    with pytest.raises(KeyError):
-        compile_terms([_syms[0]], "dd", complex_mode=True)
+def test_dd_on_a_claim_holding_i_runs_double_complex():
+    # the claim chooses the backend: dd asked of a claim that holds i gives
+    # the double complex value, where it once raised or hit no backend
+    x = _syms[0]
+    claim = add(x, mul(rat(1, 3), _I))
+    got = eval_numeric(claim, {"x": 0.7}, "dd")
+    assert type(got) is complex and repr(got) == repr(eval_numeric(claim, {"x": 0.7}))
+    terms = [mul(x, _I), fun("tanh", x), rat(-1, 3)]
+    dd, _ = compile_residual(terms, "dd")
+    double, _ = compile_residual(terms, "double")
+    assert repr(dd(0.7)) == repr(double(0.7)) and dd(0.7) > 0
+    assert isinstance(eval_numeric(parse("x+1"), {"x": 1.0}, "dd"), mpmath.mpf)
 
 
 @pytest.mark.parametrize("other, message", [
@@ -239,14 +268,14 @@ def test_compile_refuses_jets_and_unknown_functions(other, message):
         compile_terms([Ufunc("F", (_syms[0],)), mul(other, jet("u", "y"))])
 
 
-@pytest.mark.parametrize("precision, complex_mode", _ALL)
-def test_singular_point_raises_in_both(precision, complex_mode):
+@pytest.mark.parametrize("precision, with_i", _ALL)
+def test_singular_point_raises_in_both(precision, with_i):
     x = _syms[0]
-    terms = [pow_(x, -1), mul(rat(2), x)]
-    fn, syms = compile_terms(terms, precision, complex_mode)
+    terms = _with_i([pow_(x, -1), mul(rat(2), x)], with_i)
+    fn, syms = compile_terms(terms, precision)
     assert syms == (x,)
     with pytest.raises(DOMAIN_ERRORS):
-        _reference_terms(terms, {x: 0.0}, precision, complex_mode)
+        _reference_terms(terms, {x: 0.0}, precision)
     with pytest.raises(DOMAIN_ERRORS):
         fn(0.0)
 

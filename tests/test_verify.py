@@ -227,7 +227,7 @@ class TestCatalog:
         # so it is rejected like one, not raised as OverflowError
         terms = (parse("a + a*i", solution_context()),)
         with pytest.raises(EvalDomainError, match="all residual sample points"):
-            sampled_residual(terms, {"a": 1e308}, 5, 0, "double", complex_mode=True)
+            sampled_residual(terms, {"a": 1e308}, 5, 0, "double")
 
     @pytest.mark.parametrize("text", [
         "kind: solution\nclaim: u_x*y\nexpected: conditional\ncondition: y",
@@ -264,11 +264,13 @@ class TestCatalog:
         # does not verify a residual that does not normalize to zero
         (None, "kind: solution-complex\nclaim: x*y/(6*t) + i*x/10^12\nexpected: zero",
          "falsified", "symbolic=undecided max_rel=1.09e-12"),
+        # the claim, not its record kind, chooses double complex sampling
+        ("u8u9-rational-corrected", "kind: solution", "verified", "max_rel=0.00e+00"),
     ], ids=["unknown-kind", "weierstrass-bad-c2", "weierstrass-bad-prefactor",
             "reduction-unexpected-match",
             "weierstrass-unexpected-match", "solution-not-proportional",
             "ode-conditional", "solution-unexpected-match", "solution-mismatch",
-            "complex-below-tol-not-exact"])
+            "complex-below-tol-not-exact", "complex-claim-as-solution"])
     def test_verdict_rows(self, pde, by_name, base, text, status, detail):
         # one verdict rule: the expected status when the kind's check holds,
         # falsified when it does not; text overrides fields of a shipped record
