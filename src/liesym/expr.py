@@ -28,6 +28,7 @@ call only: `normal.normalize` holds the one process-wide memo.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 
 class ExprError(Exception):
@@ -243,11 +244,10 @@ MINUS_ONE = Rat(-1)
 # ---------------------------------------------------------------------------
 # total order on node shapes
 
-def skey(e: Expr):
-    """The structural key: a kind tag (Rat 0, Sym 1, Jet 2, Ufunc 3, Fun 4,
-    Pow 5, Mul 6, Add 7), then the node's fields with each child's key in
-    its place.  Keys order node shapes totally; equal keys, equal trees."""
-    return e._k
+# The structural key: a kind tag (Rat 0, Sym 1, Jet 2, Ufunc 3, Fun 4,
+# Pow 5, Mul 6, Add 7), then the node's fields with each child's key in
+# its place.  Keys order node shapes totally; equal keys, equal trees.
+skey = attrgetter("_k")
 
 
 def _base_exp(e: Expr):
@@ -304,7 +304,6 @@ def add(*terms) -> Expr:
 def mul(*factors) -> Expr:
     coeff = 1
     powers: dict = {}
-    order: list = []
     stack = list(reversed(factors))
     while stack:
         e = stack.pop()
@@ -316,20 +315,16 @@ def mul(*factors) -> Expr:
             coeff *= e.value
             continue
         b, q = _base_exp(e)
-        if b in powers:
-            powers[b] += q
-        else:
-            powers[b] = q
-            order.append(b)
+        powers[b] = powers.get(b, 0) + q
     if coeff == 0:
         return ZERO
     out = []
     redo = False
-    for b in sorted(order, key=skey):
+    for b in sorted(powers, key=skey):
         q = powers[b]
         if q == 0:
             continue
-        p = pow_(b, q)
+        p = b if q == 1 else pow_(b, q)
         # pow_ may collapse (2^2 -> 4) or distribute ((x*y)^2 -> x^2*y^2)
         if type(p) is Rat:
             coeff *= p.value

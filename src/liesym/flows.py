@@ -43,6 +43,7 @@ class GroupElement:
         self.maps = tuple(maps)
         self.field = field
         self.eps = eps
+        self._inverse = None
 
     def coords(self):
         return tuple(self.field.vars) + (jet(self.field.dep, ()),)
@@ -53,8 +54,11 @@ class GroupElement:
                 for c, m in zip(self.coords(), self.maps)}
 
     def inverse_maps(self):
-        neg = mul(rat(-1), self.eps)
-        return tuple(substitute(m, {self.eps: neg}) for m in self.maps)
+        """The maps at -eps, computed on the first call."""
+        if self._inverse is None:
+            neg = mul(rat(-1), self.eps)
+            self._inverse = tuple(substitute(m, {self.eps: neg}) for m in self.maps)
+        return self._inverse
 
     def __repr__(self):
         body = ", ".join(str(canonical(m)) for m in self.maps)

@@ -6,7 +6,10 @@ integral and `Fraction` otherwise, as in expr, so a quotient is taken
 as `_q(Fraction(a, b))`, never with `/`.  Monomial atoms are symbols,
 jet variables, unknown-function derivatives, elementary-function
 applications with canonical arguments, surd remnants (integer bases at
-fractional exponents), and normalized sums at fractional exponents.  Negative
+fractional exponents), and normalized sums at fractional exponents.  Two
+monomials whose atoms are all plain (symbols, jets, unknown functions,
+and elementary functions other than sech and cosh) multiply by adding
+exponents; any other pair goes through _canon_term.  Negative
 integer powers of sums are cleared into the denominator, so rational
 identities decide exactly.  The only rewrite rules applied are
 sech(h)^2 -> 1 - tanh(h)^2 and cosh(h)^2 -> 1 + sinh(h)^2, plus additive
@@ -44,8 +47,9 @@ _EMPTY: Monomial = ()
 
 
 def _mono(entries: dict) -> Monomial:
-    return tuple(sorted(((a, _q(e)) for a, e in entries.items() if e != 0),
-                        key=lambda p: skey(p[0])))
+    # tuple() of a list: the tuple of a generator may keep an oversized
+    # block, and the normalize memo keeps its monomials alive
+    return tuple([(a, _q(e)) for a in sorted(entries, key=skey) if (e := entries[a]) != 0])
 
 
 def mono_key(m: Monomial):
@@ -242,28 +246,39 @@ def _den_lcm(d1: Monomial, d2: Monomial) -> Monomial:
     return _mono(acc)
 
 
+def _plain_atom(a) -> bool:
+    """True for atoms whose exponents _canon_term only adds."""
+    return type(a) in (Sym, Jet, Ufunc) or (type(a) is Fun and a.fn not in ("sech", "cosh"))
+
+
 def _terms_mul(t1: dict, t2: dict) -> NF:
-    """Convolution product of two plain term maps (fraction aware)."""
+    """Convolution product of two term maps (fraction aware).  Two
+    monomials of plain atoms multiply by adding exponents (Johnson, "Sparse
+    polynomial arithmetic", 1974); any other pair goes through _canon_term."""
     acc: dict = {}
     extra: list = []
+    right = [(m2, c2, all(_plain_atom(a) for a, _ in m2)) for m2, c2 in t2.items()]
     for m1, c1 in t1.items():
         d1 = dict(m1)
-        for m2, c2 in t2.items():
+        plain1 = all(_plain_atom(a) for a, _ in m1)
+        for m2, c2, plain2 in right:
             d = dict(d1)
             for a, e in m2:
                 d[a] = d.get(a, 0) + e
-            piece = _canon_term(d, c1 * c2)
-            if piece.is_zero():
-                continue
-            if piece.den == _EMPTY:
-                for m, c in piece.terms.items():
-                    v = acc.get(m, 0) + c
-                    if v:
-                        acc[m] = _q(v)
-                    else:
-                        acc.pop(m, None)
+            if plain1 and plain2:
+                pieces = ((_mono(d), c1 * c2),)
             else:
-                extra.append(piece)
+                piece = _canon_term(d, c1 * c2)
+                if piece.den != _EMPTY:
+                    extra.append(piece)
+                    continue
+                pieces = piece.terms.items()
+            for m, c in pieces:
+                v = acc.get(m, 0) + c
+                if v:
+                    acc[m] = _q(v)
+                else:
+                    acc.pop(m, None)
             _guard(len(acc))
     out = NF(acc)
     for piece in extra:
@@ -397,11 +412,6 @@ def _lex_vec(term_maps):
         return tuple(v)
 
     return vec
-
-
-def _plain_atom(a) -> bool:
-    """True for atoms whose exponents _canon_term only adds."""
-    return type(a) in (Sym, Jet, Ufunc) or (type(a) is Fun and a.fn not in ("sech", "cosh"))
 
 
 def _try_div(terms: dict, patoms: dict):

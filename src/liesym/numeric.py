@@ -43,8 +43,8 @@ from mpmath.libmp import (
 )
 
 from .expr import (
-    Add, EvalDomainError, Expr, ExprError, Fun, Jet, Mul, Pow, Rat, Sym, Ufunc,
-    nodes,
+    ZERO, Add, EvalDomainError, Expr, ExprError, Fun, Jet, Mul, Pow, Rat, Sym,
+    Ufunc, nodes,
 )
 
 DD_PREC = 106
@@ -301,9 +301,10 @@ def compile_residual(terms, precision: str = "double"):
 
     fn takes one positional value per symbol and returns the float
     |sum t| / (1 + sum |t|), reduced at the backend's precision; it
-    raises EvalDomainError when sum |t| exceeds 1e12.
+    raises EvalDomainError when sum |t| exceeds 1e12.  Terms that are
+    exactly 0 add nothing on any backend and are dropped before compiling.
     """
-    return _compile(terms, precision, _reduction)
+    return _compile([t for t in terms if t != ZERO], precision, _reduction)
 
 
 def eval_numeric(e: Expr, env: dict, precision: str = "double"):

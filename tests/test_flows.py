@@ -138,6 +138,13 @@ class TestTransform:
         expect = parse("tanh(x - eps*t) + eps*y/6", _ctx(pde))
         assert equivalent(moved, expect)
 
+    def test_inverse_maps_are_the_maps_at_minus_eps_built_once(self, flows10):
+        for g in flows10:
+            inv = g.inverse_maps()
+            assert inv == tuple(substitute(m, {g.eps: mul(rat(-1), g.eps)})
+                                for m in g.maps)
+            assert g.inverse_maps() is inv
+
     def test_u_map_must_be_affine(self, pde, flows10):
         from liesym.flows import _u_affine
         from liesym.expr import jet

@@ -1,6 +1,7 @@
 """Normal forms: rewrite rules, rational identities, the expansion guard."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -10,8 +11,10 @@ from liesym import (
 )
 from liesym import normal
 from liesym.catalog import solution_context
+from liesym.detsys import extract_determining
 from liesym.expr import (
-    Add, EvalDomainError, Fun, Mul, Pow, Rat, children, free_symbols, to_text,
+    Add, EvalDomainError, Fun, Jet, Mul, Pow, Rat, Ufunc, children, free_symbols,
+    to_text,
 )
 from liesym.normal import as_expr, canonical, nf_div_exact
 from liesym.numeric import compile_terms, sampled
@@ -241,6 +244,85 @@ def test_inexact_catalog_division_stops_early(monkeypatch):
     monkeypatch.setattr(normal, "_canon_term", counting)
     assert normal._try_div(a.terms, p.terms) is None
     assert len(calls) <= 8
+
+
+# ---------------------------------------------------------------------------
+# products of term maps: plain monomials add exponents
+
+
+def _terms_mul_oracle(t1, t2):
+    """Every pair of monomials canonicalized by _canon_term, the pieces
+    without a denominator collected first, the others added after."""
+    acc, extra = {}, []
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            merged = dict(m1)
+            for a, e in m2:
+                merged[a] = merged.get(a, 0) + e
+            piece = normal._canon_term(merged, c1 * c2)
+            if piece.den:
+                extra.append(piece)
+                continue
+            for m, c in piece.terms.items():
+                v = acc.get(m, 0) + c
+                if v:
+                    acc[m] = normal._q(v)
+                else:
+                    acc.pop(m, None)
+    out = normal.NF(acc)
+    for piece in extra:
+        out = normal.nf_add(out, piece)
+    return out
+
+
+# plain atoms of every kind, then the atoms _canon_term rewrites: sech and
+# cosh (squares), a surd base and a sum (fractional exponents)
+_MUL_PLAIN = (x, y, Jet("u", (("x", 1),)), Ufunc("F", (x,), (1,)),
+              fun("tanh", y), fun("exp", x))
+_MUL_ALL = _MUL_PLAIN + (fun("sech", x), fun("cosh", x), rat(2), add(rat(1), x))
+_MUL_EXPS = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-1, 3),
+                             Fraction(5, 3)])
+_MUL_COEFFS = st.sampled_from([-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+def _raw_term_maps(atoms):
+    mono = st.dictionaries(st.sampled_from(atoms), _MUL_EXPS, max_size=3).map(normal._mono)
+    return st.dictionaries(mono, _MUL_COEFFS, min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([_MUL_PLAIN, _MUL_ALL]).flatmap(
+    lambda atoms: st.tuples(_raw_term_maps(atoms), _raw_term_maps(atoms))))
+def test_terms_mul_matches_canon_term_pair_by_pair(case):
+    t1, t2 = case
+    plain = all(normal._plain_atom(a) for t in case for m in t for a, _ in m)
+    event(f"all atoms plain: {plain}")
+    want = _terms_mul_oracle(t1, t2)
+    if plain:  # plain products add exponents and never reach _canon_term
+        with mock.patch.object(normal, "_canon_term", side_effect=AssertionError):
+            got = normal._terms_mul(t1, t2)
+    else:
+        got = normal._terms_mul(t1, t2)
+    assert got == want
+    assert list(got.terms) == list(want.terms)  # the same insertion order
+    for v in _nf_numbers(got):
+        assert type(v) is int or (type(v) is Fraction and v.denominator != 1), v
+
+
+def test_derive_makes_no_canon_term_call(pde, monkeypatch):
+    # every atom of kdv31's symmetry condition is plain, so its normal form
+    # takes no _canon_term call (6117 when every product went through it)
+    calls = []
+    canon = normal._canon_term
+
+    def counting(raw, coeff):
+        calls.append(raw)
+        return canon(raw, coeff)
+
+    monkeypatch.setattr(normal, "_canon_term", counting)
+    normalize.cache_clear()  # a cached condition would take no call either
+    assert extract_determining(pde).rows
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from liesym import add, fun, jet, mul, parse, pow_, rat
 from liesym.expr import EvalDomainError, ExprError, Fun, Mul, Pow, Rat, Sym, Ufunc, nodes
 from liesym.numeric import (
     DD_PREC, DOMAIN_ERRORS, _BACKENDS, compile_residual, compile_terms,
-    eval_numeric, sampled,
+    eval_numeric, sampled, sampled_residual,
 )
 
 _syms = [Sym(n) for n in ("x", "y", "t")]
@@ -251,6 +251,20 @@ def test_dd_on_a_claim_holding_i_runs_double_complex():
     double, _ = compile_residual(terms, "double")
     assert repr(dd(0.7)) == repr(double(0.7)) and dd(0.7) > 0
     assert isinstance(eval_numeric(parse("x+1"), {"x": 1.0}, "dd"), mpmath.mpf)
+
+
+@pytest.mark.parametrize("precision, with_i", [("double", False), ("dd", False),
+                                              ("dd", True)])
+def test_exact_zero_terms_leave_the_residual_unchanged(precision, with_i):
+    # compile_residual drops terms that are exactly 0: adding one changes
+    # no bit of the reduction on any backend
+    x, y = _syms[:2]
+    terms = _with_i([mul(rat(3), x, y), fun("tanh", x), rat(-1, 3)], with_i)
+    want = sampled_residual(terms, {}, 25, 3, precision)
+    assert want[1] == 25
+    padded = [rat(0)] + [p for t in terms for p in (t, rat(0), rat(0))]
+    assert sampled_residual(padded, {}, 25, 3, precision) == want
+    assert sampled_residual([rat(0)] * 3, {}, 25, 3, precision) == (0.0, 25)
 
 
 @pytest.mark.parametrize("other, message", [
