@@ -187,7 +187,7 @@ class Ufunc(Expr):
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "dorders", dorders)
         object.__setattr__(self, "_h", hash(("U", name, dorders, args)))
-        object.__setattr__(self, "_k", (3, name, dorders, tuple(a._k for a in args)))
+        object.__setattr__(self, "_k", (3, name, dorders, tuple([a._k for a in args])))
 
 
 class Fun(Expr):
@@ -223,7 +223,7 @@ class Mul(Expr):
         factors = tuple(factors)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "_h", hash(("M", factors)))
-        object.__setattr__(self, "_k", (6, tuple(f._k for f in factors)))
+        object.__setattr__(self, "_k", (6, tuple([f._k for f in factors])))
 
 
 class Add(Expr):
@@ -233,7 +233,7 @@ class Add(Expr):
         terms = tuple(terms)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_h", hash(("A", terms)))
-        object.__setattr__(self, "_k", (7, tuple(x._k for x in terms)))
+        object.__setattr__(self, "_k", (7, tuple([x._k for x in terms])))
 
 
 ZERO = Rat(0)

@@ -162,19 +162,12 @@ def _canon_term(raw: dict, coeff) -> NF:
     """Canonicalize one raw monomial (atom -> exponent) into a small NF."""
     if coeff == 0:
         return NF_ZERO
-    # phase 1: structural decomposition of products/powers
+    # phase 1: fold rational bases into the coefficient and their surds
     flat: dict = {}
-    stack = list(raw.items())
-    while stack:
-        a, q = stack.pop()
+    for a, q in raw.items():
         if q == 0:
             continue
-        ta = type(a)
-        if ta is Pow:
-            stack.append((a.base, a.exp * q))
-        elif ta is Mul:
-            stack.extend((f, q) for f in a.factors)
-        elif ta is Rat:
+        if type(a) is Rat:
             fc, fe = _rat_pow_fold(a.value, q)
             coeff *= fc
             for b, e in fe.items():
@@ -455,6 +448,8 @@ def _try_div(terms: dict, patoms: dict):
             return None
         (qm2, qc2), = piece.terms.items()
         quot[qm2] = _q(quot.get(qm2, 0) + qc2)
+        if not quot[qm2]:  # a monomial visited twice cancelled
+            del quot[qm2]
         sub = _terms_mul({qm2: qc2}, patoms)
         if sub.den != _EMPTY:
             return None

@@ -177,6 +177,8 @@ def _try_div_oracle(terms, patoms):
             return None
         (qm2, qc2), = piece.terms.items()
         quot[qm2] = quot.get(qm2, Fraction(0)) + qc2
+        if not quot[qm2]:
+            del quot[qm2]
         sub = normal._terms_mul({qm2: qc2}, patoms)
         if sub.den != ():
             return None
@@ -221,7 +223,10 @@ def test_try_div_matches_step_limited_loop(case):
     assert got == _try_div_oracle(qp.terms, p)
     if all(normal._plain_atom(b) for m in p for b, _ in m):
         assert got == q
-    assert normal._try_div(a, p) == _try_div_oracle(a, p)
+    other = normal._try_div(a, p)
+    assert other == _try_div_oracle(a, p)
+    for quot in (got, other):
+        assert quot is None or all(quot.values())
 
 
 def test_inexact_catalog_division_stops_early(monkeypatch):
@@ -350,6 +355,14 @@ def test_gaussian_identities_normalize_to_zero(text):
     assert normalize(_claim(text)).is_zero()
 
 
+def test_cancelled_quotient_monomial_leaves_no_zero_term():
+    # the division of 1 - x + i + i*x by 1 + i*x visits the quotient
+    # monomial 1/x twice, and its two coefficients cancel
+    n = normalize(_claim("(1 - x + i + i*x)/(1 + i*x)"))
+    assert all(n.terms.values())
+    assert n == normalize(_claim("1 + i"))
+
+
 def test_imaginary_unit_prints_as_i():
     assert to_text(_claim("(-1)^(1/2)*a")) == "i*a"
     assert to_text(canonical(_claim("i^3"))) == "-i"
@@ -472,6 +485,8 @@ def test_exact_data_holds_no_float_and_no_integral_fraction(a, b, c, q):
         nfs.append(quotient)
     numbers = [v for e in exprs for v in _tree_numbers(e)]
     for n in nfs:
+        # canonical atoms only: a product or a power is split into its atoms
+        assert not [a for m in (*n.terms, n.den) for a, _ in m if type(a) in (Pow, Mul)]
         numbers += _nf_numbers(n) + _tree_numbers(as_expr(n))
         if n.terms:  # as_expr would turn a float content quotient back exact
             numbers += normal._primitive(n.terms)[1].values()
