@@ -232,7 +232,8 @@ def _algebra_stages(pde, degree):
         return summary, text, "solve"
 
     ref = liealg.reference_basis(pde)
-    membership_ok = all(detsys.check_membership(basis, V) is not None for V in ref.fields)
+    rows = detsys.membership_rows(basis)
+    membership_ok = all(detsys.check_membership(basis, V, rows) is not None for V in ref.fields)
     table = liealg.commutator_table(ref)
     mism = liealg.compare_with_golden(table)
     jac = liealg.jacobi_check(table)
@@ -427,7 +428,9 @@ def main(argv=None) -> int:
             # command line, each checked by its option's type and choices
             common = _common_options()
             for key, value in cfg.items():
-                if key in _DEFAULTS and getattr(args, key) is None:
+                if key not in _DEFAULTS:
+                    raise argparse.ArgumentError(None, f"unknown key {key!r}")
+                if getattr(args, key) is None:
                     setattr(args, key,
                             getattr(common.parse_args([f"--{key}={value}"]), key))
         except OSError as exc:

@@ -201,21 +201,25 @@ def _field_vector(V: VectorField):
     return entries
 
 
-def check_membership(basis: SymmetryBasis, V: VectorField):
-    """Exact rational coordinates of V in the basis, or None.
-
-    One row {basis index: coefficient} per (slot, monomial) key; the
-    kernel's exact RREF makes any solution it returns a true one.
-    """
+def membership_rows(basis: SymmetryBasis) -> dict:
+    """The basis's side of the membership system: one row {basis index:
+    coefficient} per (slot, monomial) key."""
     rows: dict = {}
     for i, B in enumerate(basis.fields):
         for key, c in _field_vector(B).items():
             rows.setdefault(key, {})[i] = c
+    return rows
+
+
+def check_membership(basis: SymmetryBasis, V: VectorField, rows=None):
+    """Exact rational coordinates of V in the basis, or None; rows are
+    `membership_rows(basis)`, which a caller testing many fields builds
+    once.  The kernel's exact RREF makes any solution it returns true."""
+    rows = membership_rows(basis) if rows is None else rows
     target = _field_vector(V)
-    for key in target:
-        rows.setdefault(key, {})
-    return linalg.lin_solve(list(rows.values()), [target.get(k, 0) for k in rows],
-                            len(basis.fields))
+    keys = [*rows, *(k for k in target if k not in rows)]
+    return linalg.lin_solve([rows.get(k, {}) for k in keys],
+                            [target.get(k, 0) for k in keys], len(basis.fields))
 
 
 def is_symmetry(V: VectorField, pde: PDE) -> bool:

@@ -19,10 +19,10 @@ both built from its children's when the node is constructed, so equality
 and the total order need neither a memo nor a walk.  `children` is the
 one place that knows where a node keeps its subtrees; `nodes` walks
 them, and the structure queries are filters over it.  Every rewriting
-walk, substitution included, is a leaf function passed to `rewrite`.  In
-the same way every derivative, partial or total, is the derivative of
-the leaves passed to `derivation`.  These walks keep their memos for one
-call only: `normal.normalize` holds the one process-wide memo.
+walk, substitution included, is a leaf function passed to `rewrite`, and
+every derivative, partial or total, the derivative of the leaves passed
+to `derivation`.  These two, `normal.normalize` and the numeric code
+emitter all run on `fold`, whose memo lives for one call.
 """
 
 from __future__ import annotations
@@ -422,7 +422,8 @@ def jet(dep: str, idx=()) -> Jet:
 
 # ---------------------------------------------------------------------------
 # tree walking: children() is the one place that knows where a node keeps
-# its subtrees, and nodes() the one walk the structure queries filter
+# its subtrees, nodes() the one walk the structure queries filter, and
+# fold() the one walk that builds a result per subtree
 
 def children(e: Expr) -> tuple:
     """The direct subtrees of e in stored order; () for a leaf."""
@@ -474,6 +475,23 @@ _REBUILD = {
 }
 
 
+def fold(roots, node) -> list:
+    """The results of node(x, kids) for the roots, node called once per
+    distinct subtree x of them, children first, kids the (non-None)
+    results for children(x).  The memo lives for this call only."""
+    memo: dict = {}
+
+    def walk(x: Expr):
+        got = memo.get(x)
+        if got is None:
+            got = memo[x] = node(x, tuple(map(walk, children(x))))
+        return got
+
+    out = list(map(walk, roots))
+    del walk  # walk's closure holds walk itself; unbind it to leave no cycle
+    return out
+
+
 def rewrite(e: Expr, leaf) -> Expr:
     """Rebuild e bottom-up through the smart constructors.
 
@@ -481,27 +499,15 @@ def rewrite(e: Expr, leaf) -> Expr:
     reaches it with its arguments already rewritten.  Each distinct subtree
     is rebuilt once.
     """
-    memo: dict = {}
-
-    def walk(x: Expr) -> Expr:
-        got = memo.get(x)
-        if got is not None:
-            return got
+    def node(x: Expr, kids) -> Expr:
         t = type(x)
-        if t is Rat:
-            out = x
-        elif t is Sym or t is Jet:
-            out = leaf(x)
-        else:
-            kids = tuple(map(walk, children(x)))
-            out = (leaf(Ufunc(x.name, kids, x.dorders)) if t is Ufunc
-                   else _REBUILD[t](x, kids))
-        memo[x] = out
-        return out
+        if t in _REBUILD:
+            return _REBUILD[t](x, kids)
+        if t is Ufunc:
+            x = Ufunc(x.name, kids, x.dorders)
+        return x if t is Rat else leaf(x)
 
-    out = walk(e)
-    del walk  # walk's closure holds walk itself; unbind it to leave no cycle
-    return out
+    return fold((e,), node)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -523,41 +529,29 @@ def derivation(e: Expr, dleaf) -> Expr:
     slots of unknown functions follow the chain rule; rationals are
     constants.  Each distinct subtree is differentiated once per call.
     """
-    memo: dict = {}
-
-    def walk(x: Expr) -> Expr:
-        got = memo.get(x)
-        if got is not None:
-            return got
+    def node(x: Expr, ds) -> Expr:
         t = type(x)
         if t is Rat:
-            out = ZERO
-        elif t is Sym or t is Jet:
-            out = dleaf(x)
-        elif t is Add:
-            out = add(*map(walk, x.terms))
-        elif t is Mul:
+            return ZERO
+        if t is Sym or t is Jet:
+            return dleaf(x)
+        if t is Add:
+            return add(*ds)
+        if t is Mul:
             fs = x.factors
-            out = add(*(mul(*fs[:i], d, *fs[i + 1:])
-                        for i, d in enumerate(map(walk, fs)) if d != ZERO))
-        elif t is Pow:
-            d = walk(x.base)
-            out = ZERO if d == ZERO else mul(Rat(x.exp), pow_(x.base, x.exp - 1), d)
-        elif t is Fun:
-            d = walk(x.arg)
-            out = ZERO if d == ZERO else mul(_FUN_DERIV[x.fn](x.arg), d)
-        elif t is Ufunc:
+            return add(*(mul(*fs[:i], d, *fs[i + 1:])
+                         for i, d in enumerate(ds) if d != ZERO))
+        if t is Pow:
+            return ZERO if ds[0] == ZERO else mul(Rat(x.exp), pow_(x.base, x.exp - 1), ds[0])
+        if t is Fun:
+            return ZERO if ds[0] == ZERO else mul(_FUN_DERIV[x.fn](x.arg), ds[0])
+        if t is Ufunc:
             ks = x.dorders
-            out = add(*(mul(Ufunc(x.name, x.args, ks[:i] + (ks[i] + 1,) + ks[i + 1:]), d)
-                        for i, d in enumerate(map(walk, x.args)) if d != ZERO))
-        else:
-            raise ExprError(f"cannot differentiate {x!r}")
-        memo[x] = out
-        return out
+            return add(*(mul(Ufunc(x.name, x.args, ks[:i] + (ks[i] + 1,) + ks[i + 1:]), d)
+                         for i, d in enumerate(ds) if d != ZERO))
+        raise ExprError(f"cannot differentiate {x!r}")
 
-    out = walk(e)
-    del walk  # as in rewrite: no cycle is left for the collector
-    return out
+    return fold((e,), node)[0]
 
 
 def differentiate(e: Expr, v) -> Expr:

@@ -14,7 +14,7 @@ from .expr import add, mul, rat
 from .jets import PDE, VectorField
 from .normal import canonical
 from .parse import ParseContext, ParseError, data_lines, data_text, parse
-from .detsys import SymmetryBasis, check_membership
+from .detsys import SymmetryBasis, check_membership, membership_rows
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -86,13 +86,13 @@ def commutator_table(basis: SymmetryBasis) -> CommutatorTable:
     """Each unordered pair is bracketed and decomposed once."""
     n = len(basis)
     c, failures = {}, {}
-    fields = basis.fields
+    fields, rows = basis.fields, membership_rows(basis)
     for i in range(n):
         for j in range(i + 1, n):
             br = lie_bracket(fields[i], fields[j])
             if br.is_zero():
                 continue
-            coords = check_membership(basis, br)
+            coords = check_membership(basis, br, rows)
             if coords is None:
                 failures[(i, j)], failures[(j, i)] = br, br.scaled(-1)
                 continue

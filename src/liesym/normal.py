@@ -16,18 +16,19 @@ sech(h)^2 -> 1 - tanh(h)^2 and cosh(h)^2 -> 1 + sinh(h)^2, plus additive
 splitting of exp arguments (exp(a*m) -> exp(m)^a) used for argument
 identification.  A denominator sum cancels when exact Laurent division
 by it succeeds; a trailing-monomial bound ends an inexact division early
-when the divisor's atoms are plain (see _try_div).
+when the divisor's atoms are plain (see _try_div).  `normalize` folds
+(`expr.fold`) each distinct subtree once per call, and keeps nothing.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import reduce
 
 from .expr import (
-    Add, Expr, Fun, Jet, Mul, Pow, Rat, ResourceLimitError, Sym, Ufunc,
-    add, as_rational, fun, mul, pow_, rat, skey, _q, _rat_exact_pow,
+    ZERO, Add, Expr, Fun, Jet, Mul, Pow, Rat, ResourceLimitError, Sym, Ufunc,
+    add, as_rational, fold, fun, mul, pow_, skey, _q, _rat_exact_pow,
 )
 
 _EXPANSION_LIMIT = 200_000
@@ -48,7 +49,7 @@ _EMPTY: Monomial = ()
 
 def _mono(entries: dict) -> Monomial:
     # tuple() of a list: the tuple of a generator may keep an oversized
-    # block, and the normalize memo keeps its monomials alive
+    # block, and a stored normal form keeps its monomials alive
     return tuple([(a, _q(e)) for a in sorted(entries, key=skey) if (e := entries[a]) != 0])
 
 
@@ -319,15 +320,8 @@ def _scale_terms(terms: dict, mono: Monomial) -> dict:
     return out.terms
 
 
-def nf_scale(a: NF, c) -> NF:
-    c = _q(c)
-    if c == 0 or a.is_zero():
-        return NF_ZERO
-    return NF({m: _q(v * c) for m, v in a.terms.items()}, a.den)
-
-
 def nf_neg(a: NF) -> NF:
-    return nf_scale(a, -1)
+    return NF({m: -c for m, c in a.terms.items()}, a.den)
 
 
 def _primitive(terms: dict):
@@ -492,22 +486,23 @@ def _reduce(a: NF) -> NF:
 # ---------------------------------------------------------------------------
 # the normalizer
 
-# bounded; one shipped command fills at most about 2200 entries
-@lru_cache(maxsize=1 << 14)
 def normalize(e: Expr) -> NF:
+    """The normal form of e, each distinct subtree normalized once."""
+    return fold((e,), _normal_node)[0]
+
+
+def _normal_node(e: Expr, kids) -> NF:
+    """The normal form of e from kids, the normal forms of its children."""
     t = type(e)
     if t is Rat:
         return nf_const(e.value)
-    if t in (Sym, Jet):
-        return NF({((e, 1),): 1})
-    if t is Ufunc:
-        cargs = tuple(as_expr(normalize(a)) for a in e.args)
-        atom = Ufunc(e.name, cargs, e.dorders)
+    if t in (Sym, Jet, Ufunc):
+        atom = Ufunc(e.name, tuple(map(as_expr, kids)), e.dorders) if t is Ufunc else e
         return NF({((atom, 1),): 1})
     if t is Fun:
-        arg = normalize(e.arg)
+        arg, = kids
         if arg.is_zero():
-            return normalize(fun(e.fn, rat(0)))
+            return nf_const(fun(e.fn, ZERO).value)
         if e.fn == "exp":
             # additive splitting: exp(sum c_i m_i / D) -> prod exp(m_i/D)^c_i
             entries: dict = {}
@@ -515,20 +510,13 @@ def normalize(e: Expr) -> NF:
                 atom = Fun("exp", as_expr(NF({m: 1}, arg.den)))
                 entries[atom] = entries.get(atom, 0) + c
             return _canon_term(entries, 1)
-        carg = as_expr(arg)
-        return NF({((Fun(e.fn, carg), 1),): 1})
+        return NF({((Fun(e.fn, as_expr(arg)), 1),): 1})
     if t is Pow:
-        return nf_pow(normalize(e.base), e.exp)
+        return nf_pow(kids[0], e.exp)
     if t is Mul:
-        out = NF_ONE
-        for f in e.factors:
-            out = nf_mul(out, normalize(f))
-        return out
+        return reduce(nf_mul, kids, NF_ONE)
     if t is Add:
-        out = NF_ZERO
-        for x in e.terms:
-            out = nf_add(out, normalize(x))
-        return out
+        return reduce(nf_add, kids, NF_ZERO)
     raise TypeError(f"cannot normalize {e!r}")
 
 
@@ -538,7 +526,7 @@ def as_expr(a: NF) -> Expr:
     for m in sorted(a.terms, key=mono_key):
         c = a.terms[m]
         parts.append(mul(Rat(c), *(pow_(atom, e) for atom, e in m)))
-    num = add(*parts) if parts else rat(0)
+    num = add(*parts) if parts else ZERO
     if not a.den:
         return num
     return mul(num, *(pow_(atom, -e) for atom, e in a.den))

@@ -44,7 +44,7 @@ from mpmath.libmp import (
 
 from .expr import (
     ZERO, Add, EvalDomainError, Expr, ExprError, Fun, Jet, Mul, Pow, Rat, Sym,
-    Ufunc, nodes,
+    Ufunc, fold, nodes,
 )
 
 DD_PREC = 106
@@ -184,15 +184,11 @@ def _emit(terms, names: dict, backend: dict, spell: dict):
     tree lists them and Add/Mul fold left, so every value equals what a
     nested expression of the same tree gives.
     """
-    memo = dict(names)
     lines: list = []
     consts: list = []
 
-    def fold(op, parts):
-        return reduce(lambda x, y: spell[op].format(x=x, y=y), map(local, parts))
-
-    def local(e: Expr) -> str:
-        got = memo.get(e)
+    def local(e: Expr, kids) -> str:
+        got = names.get(e)
         if got is not None:
             return got
         t = type(e)
@@ -200,24 +196,23 @@ def _emit(terms, names: dict, backend: dict, spell: dict):
             consts.append(backend["const"](e.value))
             rhs = f"C[{len(consts) - 1}]"
         elif t is Fun:
-            rhs = spell.get(e.fn, spell["fun"]).format(fn=e.fn, a=local(e.arg))
+            rhs = spell.get(e.fn, spell["fun"]).format(fn=e.fn, a=kids[0])
         elif t is Pow:
-            b, q = local(e.base), e.exp
+            b, q = kids[0], e.exp
             if q.denominator == 1:
                 rhs = spell["ipow"].format(b=b, n=q.numerator)
             else:
                 rhs = f"rp({b},{q.numerator},{q.denominator})"
-        elif t is Mul:
-            rhs = fold("mul", e.factors)
-        elif t is Add:
-            rhs = fold("add", e.terms)
+        elif t is Mul or t is Add:
+            op = spell["mul" if t is Mul else "add"]
+            rhs = reduce(lambda x, y: op.format(x=x, y=y), kids)
         else:
             raise ExprError(f"cannot compile {e!r}")
-        got = memo[e] = f"t{len(lines)}"
+        got = f"t{len(lines)}"
         lines.append(f"{got} = {rhs}")
         return got
 
-    return lines, consts, [local(e) for e in terms]
+    return lines, consts, fold(terms, local)
 
 
 def _imaginary(x: Expr) -> bool:
@@ -260,7 +255,7 @@ def _compile(terms, precision, tail):
            + "".join(f"    {ln}\n" for ln in body))
     ns = dict(backend, C=consts, EvalDomainError=EvalDomainError)
     exec(src, ns)
-    return ns["_f"], tuple(syms)
+    return ns.pop("_f"), tuple(syms)  # popped: ns holding _f would be a cycle
 
 
 def _values(results, raw):

@@ -17,7 +17,7 @@ from .expr import (
     substitute,
 )
 from .jets import PDE, jet_bindings
-from .normal import as_expr, canonical, is_zero, nf_div_exact, normalize
+from .normal import NF, _primitive, as_expr, canonical, is_zero, nf_div_exact, normalize
 from .numeric import sampled_residual
 from .parse import ParseContext, parse
 
@@ -84,12 +84,25 @@ def ode_residual(solution: Expr, equation: Expr, variables, dep: str,
     return ResidualReport(symbolic, worst, good)
 
 
+def _divides_by(m: NF, condition: NF) -> bool:
+    """Whether m has a negative power of an atom of a one-term condition,
+    or the primitive sum of a longer condition in its denominator."""
+    terms = condition.terms
+    atoms = ({a for a, _ in next(iter(terms))} if len(terms) == 1
+             else {as_expr(NF(_primitive(terms)[1]))})
+    return any(a in atoms for a, _ in m.den) or any(
+        a in atoms and e < 0 for mono in m.terms for a, e in mono)
+
+
 def ode_condition(solution: Expr, equation: Expr, variables, dep: str,
                   condition: Expr):
-    """Exact multiplier m with residual == m * condition, or None."""
+    """Exact multiplier m with residual == m * condition, or None; None too
+    when m divides by the condition, as the residual need not vanish then."""
     _check_claim(solution, dep)
     terms = substituted_terms(equation, solution, variables, dep)
-    return nf_div_exact(normalize(add(*terms)), normalize(condition))
+    cond = normalize(condition)
+    m = nf_div_exact(normalize(add(*terms)), cond)
+    return None if m is None or _divides_by(m, cond) else m
 
 
 # ---------------------------------------------------------------------------

@@ -68,11 +68,13 @@ def weierstrass_zeta(zv, g3):
     return weierstrass_jet(zv, g3)[3]
 
 
-def second_difference(f, z, h):
-    """Richardson-extrapolated central second difference of f at z."""
-    d1 = (f(z + h) - 2 * f(z) + f(z - h)) / (h * h)
+def second_difference(f, z, h, fz=None):
+    """Richardson-extrapolated central second difference of f at z, each
+    stencil point evaluated once; fz is f(z) when the caller has it."""
+    fz = f(z) if fz is None else fz
+    d1 = (f(z + h) - 2 * fz + f(z - h)) / (h * h)
     h2 = h / 2
-    d2 = (f(z + h2) - 2 * f(z) + f(z - h2)) / (h2 * h2)
+    d2 = (f(z + h2) - 2 * fz + f(z - h2)) / (h2 * h2)
     return (4 * d2 - d1) / 3
 
 
@@ -94,7 +96,7 @@ def wp_ode_residual(zv, g3, h=1e-5):
         z = mpmath.mpc(zv)
         hh = mpmath.mpf(h)
         p = weierstrass_p(z, g3)
-        p2 = second_difference(lambda w: weierstrass_p(w, g3), z, hh)
+        p2 = second_difference(lambda w: weierstrass_p(w, g3), z, hh, p)
         return float(abs(p2 - 6 * p * p) / (1 + abs(6 * p * p)))
 
 

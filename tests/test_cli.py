@@ -175,6 +175,25 @@ class TestFlow:
         assert rc == 0
         assert "t~ = eps + t" in out
 
+    @pytest.mark.parametrize("field, digest", [
+        (1, "359df6934cf416b64a92c8ba44be0b86db3f00fb1277596672d03731202f5180"),
+        (2, "796a383adf73149ef4d4254a07d39ac6ce98a49a9acd9ddd117a26568cca7974"),
+        (3, "3110c07e944453b4784b62981744d18769ff326518ea7eafc3b3b14dbb8c9888"),
+        (4, "6c695a524de4d51bad5b58797a7735e07ae09c5332b8df67aa3438db11b48ac7"),
+        (5, "fe6f0684606ae5b1586a0ad0fed7a2efb1192e4bc8aaf0e952e9c77dd8488014"),
+        (6, "efa092a65458e47762a928bd304b1443a70e0b8fcc20b57236190d8a91bd198d"),
+        (7, "6c60f951ee7f24a607e6a1cf039060f1e1d7d9c394602b6130aa3e15eb86fc90"),
+        (8, "89a6eff64852ee31a029e3397759d0b3a7c86b4b81e9ac7ca91463074e49846b"),
+        (9, "234d6a9e81bf3b7d01a2c286339bd369ce77cb5f320a0613a6a026b085fa0e2b"),
+        (10, "1cd1a751f0bd67d42c8a76bc636236ab8d8e79ec64e28d96c7e11b821de2af4c"),
+    ])
+    def test_output_is_byte_stable(self, capsys, field, digest):
+        # each generator's flow, as a map and at eps = 1/2, as every
+        # earlier version printed it
+        rc, out, _ = run(capsys, "flow", "--field", str(field), "--epsilon", "1/2")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_apply_solution(self, capsys, tmp_path):
         sol = tmp_path / "sol.txt"
         sol.write_text("x*y/(6*t)\n")
@@ -520,6 +539,14 @@ class TestPipeline:
         rc, out, err = run(capsys, "sample", "--config", str(cfg),
                            "--expr", "x", "--grid", "x=1:2:2")
         assert (rc, out, err) == (2, "", f"error: {cfg}: {message}\n")
+
+    def test_unknown_config_key_is_input_error(self, capsys, tmp_path):
+        # a misspelt key is refused, not dropped: `degre = 3` would
+        # otherwise run at the default degree
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("degre = 3\n")
+        rc, out, err = run(capsys, "solve", "--config", str(cfg))
+        assert (rc, out, err) == (2, "", f"error: {cfg}: unknown key 'degre'\n")
 
     @pytest.mark.parametrize("exc, message", [
         (RecursionError("maximum recursion depth exceeded"),

@@ -10,11 +10,11 @@ from liesym import (
     pow_, rat, substitute, to_text,
 )
 from liesym.expr import (
-    Add, ExprError, Fun, Jet, Mul, Pow, Rat, Sym, Ufunc, free_jets,
+    Add, ExprError, Fun, Jet, Mul, Pow, Rat, Sym, Ufunc, fold, free_jets,
     free_symbols, free_ufunc_names, nodes, rewrite, skey,
 )
 from liesym.normal import as_expr, nf_const
-from liesym.numeric import EvalDomainError, eval_numeric
+from liesym.numeric import EvalDomainError, compile_terms, eval_numeric
 from liesym.parse import ParseError
 
 from conftest import TREE_JETS, TREE_SYMBOLS, expr_trees
@@ -132,8 +132,9 @@ def test_exact_constants_refuse_floats(make):
 
 
 def test_walks_leave_no_cyclic_garbage():
-    # a rewrite or derivation frees its memo by reference counting alone,
-    # so peak memory does not wait for the cycle collector
+    # a fold frees its memo, and a compiled function its namespace, by
+    # reference counting alone, so peak memory does not wait for the
+    # cycle collector
     import gc
     e = parse("(x^3*y + tanh(x*y))^3*exp(x) + sech(x)^2*y")
     gc.collect()
@@ -141,6 +142,9 @@ def test_walks_leave_no_cyclic_garbage():
     try:
         differentiate(e, x)
         substitute(e, {x: add(y, t)})
+        normalize(e)
+        for precision in ("double", "dd"):
+            compile_terms((e,), precision)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -307,6 +311,25 @@ def test_structure_queries_match_brute_force(e):
     assert walked[0] == e
     both = list(nodes(e, x, e))
     assert both[0] == e and len(both) == len(set(both)) and set(both) == set(brute) | {x}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(walker_exprs, min_size=1, max_size=3))
+def test_fold_calls_node_once_per_distinct_subtree(roots):
+    # a root repeated, and a leaf of the first root as a root of its own,
+    # so subtrees are shared across roots as well as within them
+    roots = [*roots, roots[0], list(nodes(roots[0]))[-1]]
+    order = {}
+
+    def node(e, kids):
+        assert e not in order
+        # every child was visited first, and kids holds its result
+        assert kids == tuple(order[c] for c in _kids(e))
+        order[e] = len(order)
+        return order[e]
+
+    assert fold(roots, node) == [order[r] for r in roots]
+    assert len(order) == len(list(nodes(*roots)))
 
 
 _KINDS = (Rat, Sym, Jet, Ufunc, Fun, Pow, Mul, Add)

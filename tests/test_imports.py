@@ -72,16 +72,40 @@ def _memo_sites(path):
             yield f"{path.stem}.{owner.get(id(n), f'<line {n.lineno}>')}"
 
 
-def test_normalize_holds_the_only_memo():
+def test_src_holds_no_functools_memo():
     # a process-wide memo keeps every key it has seen alive for the life
-    # of the process; one more is added to this list on purpose
+    # of the process; a walk's memo lives for one call (expr.fold)
     sites = [site for p in sorted(SRC.glob("*.py")) for site in _memo_sites(p)]
-    assert sites == ["normal.normalize"]
+    assert sites == []
 
 
-def test_normalize_memo_is_bounded():
-    from liesym.normal import normalize
-    assert normalize.cache_info().maxsize is not None
+def _once_per_process(stmts):
+    """The statements that run once per process: a module's own, and those
+    of its class bodies and compound statements, not of function bodies."""
+    for s in stmts:
+        yield s
+        if not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _once_per_process(getattr(s, field, ()))
+
+
+def _empty_collection(v) -> bool:
+    """v is an empty dict, list or set: a literal or a bare constructor call."""
+    return ((isinstance(v, ast.Dict) and not v.keys)
+            or (isinstance(v, ast.List) and not v.elts)
+            or (isinstance(v, ast.Call) and isinstance(v.func, ast.Name)
+                and v.func.id in ("dict", "list", "set") and not v.args and not v.keywords))
+
+
+def test_no_module_level_empty_collection():
+    # an empty dict, list or set bound once per process is how a
+    # hand-rolled process-wide memo starts
+    found = [f"{p.stem} (line {s.lineno})" for p in MODULES
+             for s in _once_per_process(ast.parse(p.read_text()).body)
+             if isinstance(s, (ast.Assign, ast.AnnAssign)) and s.value is not None
+             and any(map(_empty_collection,
+                         s.value.elts if isinstance(s.value, ast.Tuple) else (s.value,)))]
+    assert not found, f"module-level empty collections: {', '.join(found)}"
 
 
 def _imported_modules(tree):

@@ -325,7 +325,6 @@ def test_derive_makes_no_canon_term_call(pde, monkeypatch):
         return canon(raw, coeff)
 
     monkeypatch.setattr(normal, "_canon_term", counting)
-    normalize.cache_clear()  # a cached condition would take no call either
     assert extract_determining(pde).rows
     assert calls == []
 
@@ -432,7 +431,6 @@ def test_int_and_fraction_exponents_are_interchangeable(e):
     twin = _with_fraction_exponents(e)
     assert twin == e and hash(twin) == hash(e)
     got = normalize(e)
-    normalize.cache_clear()  # twin == e, so the cache would hand back got
     again = normalize(twin)
     assert again == got and hash(again) == hash(got)
     assert to_text(as_expr(again)) == to_text(as_expr(got))

@@ -15,7 +15,7 @@ from liesym.verify import (
     ReductionAnsatz, check_reduction, ode_condition, ode_residual, residual,
     verify_catalog, verify_record, weierstrass_residual,
 )
-from liesym.normal import canonical
+from liesym.normal import canonical, nf_pow, normalize
 from liesym import numeric
 from liesym.numeric import sampled_residual
 
@@ -92,6 +92,29 @@ class TestOdeResidual:
         syms = tuple(Sym(v) for v in ("r", "s"))
         m = ode_condition(sol, eq, syms, "G", cond)
         assert m is not None and not m.is_zero()
+
+    @pytest.mark.parametrize("condition", ["k", "k^2*b", "(k + 1)^(1/2)"])
+    def test_multiplier_dividing_a_monomial_condition_is_refused(self, condition):
+        # R = 2*w leaves the residual 1 = k^(-1) * k: it does not vanish
+        # at k = 0, so the condition does not explain it
+        eq, sol, syms, dep = self._setup("R_w - 1", "2*w")
+        cond = parse(condition, ParseContext(indep=("w",), deps=("R",)))
+        assert ode_condition(sol, eq, syms, dep, cond) is None
+
+    def test_multiplier_dividing_a_sum_condition_is_refused(self, monkeypatch):
+        # a single-monomial quotient does not put the condition's own sum
+        # in a denominator, so the division is stubbed to return
+        # 1/(k^2 - a) for the residual 1
+        from liesym import verify
+        eq, sol, syms, dep = self._setup("R_w - 1", "2*w")
+        cond = parse("2*k^2 - 2*a", ParseContext(indep=("w",), deps=("R",)))
+        inverse = nf_pow(normalize(cond), -1)
+        monkeypatch.setattr(verify, "nf_div_exact", lambda a, b: inverse)
+        assert inverse.den and ode_condition(sol, eq, syms, dep, cond) is None
+        # a multiplier free of the sum is still accepted
+        free = normalize(parse("a/k^2", ParseContext(indep=("w",), deps=("R",))))
+        monkeypatch.setattr(verify, "nf_div_exact", lambda a, b: free)
+        assert ode_condition(sol, eq, syms, dep, cond) is free
 
     def test_formal_general_solution(self):
         eq, sol, syms, dep = self._setup("s*G_s + r*G_r", "f(s/r)",
