@@ -5,9 +5,10 @@ Exit codes: 0 pass, 1 verification failure, 2 input error, 3 resource
 limit.  With a fixed seed two runs produce byte-identical output.
 
 `pipeline` forks one child, where POSIX fork exists, for derive, solve
-and table, and verifies the catalog in its own process meanwhile; the
-output is the same as when the stages run in turn, as they do without
-fork.
+and table, and verifies the catalog in its own process meanwhile; once
+the child has failed, the verify stops at the next record.  The output
+is the same as when the stages run in turn, as they do without fork,
+where a failed algebra skips the verify.
 """
 
 from __future__ import annotations
@@ -258,12 +259,17 @@ def _outcome(fn):
         return None, exc
 
 
-def _beside(work, other):
-    """Run work() in a forked child while other() runs here; return the
-    (value, exception) outcome of each.  Where os.fork is missing or
-    fails, they run in turn.  liesym starts no threads, so the child
-    inherits no lock that another thread holds."""
+def _beside(work, steps, stop):
+    """Run work() in a forked child while this process takes the items of
+    the iterable steps; return the (value, exception) outcomes of work()
+    and of the list of items taken.  Between items the child's pipe is
+    polled: once the child has died, or has finished with an outcome for
+    which stop holds, no more items are taken.  Where os.fork is missing
+    or fails, work runs first, then the steps unless stop holds for its
+    outcome.  liesym starts no threads, so the child inherits no lock that
+    another thread holds."""
     import pickle
+    import select
     pid = None
     if hasattr(os, "fork"):
         r, w = os.pipe()
@@ -273,7 +279,8 @@ def _beside(work, other):
             os.close(r)
             os.close(w)
     if pid is None:
-        return _outcome(work), _outcome(other)
+        theirs = _outcome(work)
+        return theirs, (None, None) if stop(theirs) else _outcome(lambda: list(steps))
     if pid == 0:
         code = 1
         try:
@@ -289,8 +296,22 @@ def _beside(work, other):
     status = None
     try:
         with open(r, "rb") as fh:
-            mine = _outcome(other)
-            data = fh.read()
+            data = None
+
+            def take():
+                nonlocal data
+                items = []
+                for item in steps:
+                    items.append(item)
+                    if data is None and select.select([fh], [], [], 0)[0]:
+                        data = fh.read()  # the child has finished, or died
+                        if not data or stop(pickle.loads(data)):
+                            break
+                return items
+
+            mine = _outcome(take)
+            if data is None:
+                data = fh.read()
         status = os.waitpid(pid, 0)[1]
     finally:
         if status is None:  # interrupted before the child's result was read
@@ -303,21 +324,28 @@ def _beside(work, other):
     return pickle.loads(data), mine
 
 
+def _algebra_failed(outcome) -> bool:
+    """Whether an _algebra_stages outcome raised or names a failed stage."""
+    value, error = outcome
+    return error is not None or value[2] is not None
+
+
 def cmd_pipeline(args) -> int:
     pde = _load_pde_arg(args.pde)
     summary = {"config": {"pde": args.pde or "kdv31.pde", "degree": args.degree,
                           "points": args.points, "tol": args.tol,
                           "precision": args.precision, "seed": args.seed}}
 
-    def verify_catalog():
-        return verify_mod.verify_catalog(load_catalog(args.catalog), pde,
-                                         points=args.points, tol=args.tol,
-                                         seed=args.seed, precision=args.precision)
+    def verdicts():
+        for rec in load_catalog(args.catalog):
+            yield verify_mod.verify_record(rec, pde, points=args.points, tol=args.tol,
+                                           seed=args.seed, precision=args.precision)
 
     # the catalog verify needs none of derive, solve or table, so it runs
-    # here while they run in a child; their outcome still decides first
+    # here while they run in a child; their outcome still decides first,
+    # and once they have failed the verify stops
     (algebra, error), (results, verify_error) = _beside(
-        lambda: _algebra_stages(pde, args.degree), verify_catalog)
+        lambda: _algebra_stages(pde, args.degree), verdicts(), _algebra_failed)
     if error is not None:
         raise error
     entries, text, failed = algebra

@@ -14,6 +14,7 @@ exponents.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
 from itertools import combinations_with_replacement
 
@@ -148,6 +149,7 @@ def solve_poly_ansatz(sys: DeterminingSystem, degree: int) -> SymmetryBasis:
     unknowns = {name: i for i, name in enumerate(sys.unknowns)}
     names = [s.name for s in sys.coords]
     nmono = len(monomials)
+    derived: dict = {}  # J -> [(m, scale, e - J)] over the monomials J leaves nonzero
     rows: dict = {}
     for k, terms in enumerate(sys.rows):
         for mono, c in terms.items():
@@ -158,15 +160,16 @@ def solve_poly_ansatz(sys: DeterminingSystem, degree: int) -> SymmetryBasis:
             if len(fjets) > 1 or rest.pop(fjets[0]) != 1:
                 raise ValueError("constraint is not linear in the unknowns")
             J = dict(fjets[0].idx)
-            order = [J.get(n, 0) for n in names]
+            order = tuple(J.get(n, 0) for n in names)
+            if order not in derived:
+                derived[order] = [(m, scale, tuple(map(operator.sub, e, order)))
+                                  for m, e in enumerate(monomials)
+                                  if (scale := math.prod(map(math.perm, e, order)))]
             base = unknowns[fjets[0].dep] * nmono
-            for m, e in enumerate(monomials):
-                scale = math.prod(map(math.perm, e, order))
-                if not scale:
-                    continue
+            for m, scale, shift in derived[order]:
                 entries = dict(rest)
-                for s, ei, ji in zip(sys.coords, e, order):
-                    entries[s] = entries.get(s, 0) + ei - ji
+                for s, d in zip(sys.coords, shift):
+                    entries[s] = entries.get(s, 0) + d
                 row = rows.setdefault((k, _mono(entries)), {})
                 row[base + m] = row.get(base + m, 0) + c * scale
     ncols = len(sys.unknowns) * nmono

@@ -280,20 +280,22 @@ def add(*terms) -> Expr:
     stack = list(terms)
     while stack:
         e = stack.pop()
-        if type(e) is Add:
+        t = type(e)
+        if t is Add:
             stack.extend(e.terms)
-            continue
-        c, rest = _coeff_rest(e)
-        if rest is None:
-            const += c
+        elif t is Rat:
+            const += e.value
         else:
+            c, rest = _coeff_rest(e)
             acc[rest] = acc.get(rest, 0) + c
     out = []
     for restx in sorted(acc, key=skey):
         c = acc[restx]
         if c == 0:
             continue
-        out.append(restx if c == 1 else mul(Rat(c), restx))
+        if c != 1:  # mul(Rat(c), restx), as restx holds no coefficient
+            restx = Mul((Rat(c), *restx.factors) if type(restx) is Mul else (Rat(c), restx))
+        out.append(restx)
     if const != 0 or not out:
         out.insert(0, Rat(const))
     if len(out) == 1:
@@ -304,18 +306,21 @@ def add(*terms) -> Expr:
 def mul(*factors) -> Expr:
     coeff = 1
     powers: dict = {}
-    stack = list(reversed(factors))
+    pows: dict = {}  # base -> a Pow factor of it, returned again if its exponent stays
+    stack = list(factors)
     while stack:
         e = stack.pop()
         t = type(e)
         if t is Mul:
-            stack.extend(reversed(e.factors))
-            continue
-        if t is Rat:
+            stack.extend(e.factors)
+        elif t is Rat:
             coeff *= e.value
-            continue
-        b, q = _base_exp(e)
-        powers[b] = powers.get(b, 0) + q
+        elif t is Pow:
+            b = e.base
+            powers[b] = powers.get(b, 0) + e.exp
+            pows[b] = e
+        else:
+            powers[e] = powers.get(e, 0) + 1
     if coeff == 0:
         return ZERO
     out = []
@@ -324,7 +329,12 @@ def mul(*factors) -> Expr:
         q = powers[b]
         if q == 0:
             continue
-        p = b if q == 1 else pow_(b, q)
+        if q == 1:
+            p = b
+        else:
+            p = pows.get(b) if pows else None
+            if p is None or p.exp != q:
+                p = pow_(b, q)
         # pow_ may collapse (2^2 -> 4) or distribute ((x*y)^2 -> x^2*y^2)
         if type(p) is Rat:
             coeff *= p.value

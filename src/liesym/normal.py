@@ -15,14 +15,16 @@ identities decide exactly.  The only rewrite rules applied are
 sech(h)^2 -> 1 - tanh(h)^2 and cosh(h)^2 -> 1 + sinh(h)^2, plus additive
 splitting of exp arguments (exp(a*m) -> exp(m)^a) used for argument
 identification.  A denominator sum cancels when exact Laurent division
-by it succeeds; a trailing-monomial bound ends an inexact division early
-when the divisor's atoms are plain (see _try_div).  `normalize` folds
-(`expr.fold`) each distinct subtree once per call, and keeps nothing.
+by it succeeds; an inexact division ends early when the divisor's atoms
+are plain or i, read as part of a Gaussian-rational coefficient (see
+_try_div).  `normalize` folds (`expr.fold`) each distinct subtree once
+per call, and keeps nothing.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import reduce
 
@@ -221,23 +223,36 @@ def _canon_term(raw: dict, coeff) -> NF:
 # ---------------------------------------------------------------------------
 # arithmetic on normal forms
 
-def _den_mul(d1: Monomial, d2: Monomial) -> Monomial:
-    if not d1:
-        return d2
-    if not d2:
-        return d1
-    acc = dict(d1)
-    for a, e in d2:
-        acc[a] = acc.get(a, 0) + e
-    return _mono(acc)
-
-
 def _den_lcm(d1: Monomial, d2: Monomial) -> Monomial:
     acc = dict(d1)
     for a, e in d2:
         if acc.get(a, 0) < e:
             acc[a] = e
     return _mono(acc)
+
+
+def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """The product of two monomials whose exponents only add (of plain
+    atoms, or denominators): a merge of the two atom-sorted tuples."""
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        p1, p2 = m1[i], m2[j]
+        k1, k2 = p1[0]._k, p2[0]._k
+        if k1 == k2:
+            e = p1[1] + p2[1]
+            if e:
+                out.append((p1[0], _q(e)))
+            i += 1
+            j += 1
+        elif k1 < k2:
+            out.append(p1)
+            i += 1
+        else:
+            out.append(p2)
+            j += 1
+    return (*out, *m1[i:], *m2[j:])
 
 
 def _plain_atom(a) -> bool:
@@ -253,15 +268,14 @@ def _terms_mul(t1: dict, t2: dict) -> NF:
     extra: list = []
     right = [(m2, c2, all(_plain_atom(a) for a, _ in m2)) for m2, c2 in t2.items()]
     for m1, c1 in t1.items():
-        d1 = dict(m1)
         plain1 = all(_plain_atom(a) for a, _ in m1)
         for m2, c2, plain2 in right:
-            d = dict(d1)
-            for a, e in m2:
-                d[a] = d.get(a, 0) + e
             if plain1 and plain2:
-                pieces = ((_mono(d), c1 * c2),)
+                pieces = ((_mono_mul(m1, m2), c1 * c2),)
             else:
+                d = dict(m1)
+                for a, e in m2:
+                    d[a] = d.get(a, 0) + e
                 piece = _canon_term(d, c1 * c2)
                 if piece.den != _EMPTY:
                     extra.append(piece)
@@ -284,7 +298,7 @@ def nf_mul(a: NF, b: NF) -> NF:
     if a.is_zero() or b.is_zero():
         return NF_ZERO
     prod = _terms_mul(a.terms, b.terms)
-    den = _den_mul(_den_mul(a.den, b.den), prod.den)
+    den = _mono_mul(_mono_mul(a.den, b.den), prod.den)
     return _reduce(NF(prod.terms, den))
 
 
@@ -401,16 +415,55 @@ def _lex_vec(term_maps):
     return vec
 
 
+_I, _HALF = Rat(-1), Fraction(1, 2)  # i is the surd atom _I at exponent _HALF
+
+
+def _gaussian(terms: dict, patoms: dict) -> bool:
+    """Whether the divisor's atoms are plain or i = (-1)^(1/2), and i
+    enters the dividend only as itself when the divisor holds it.  Then
+    division never brings in a new atom, and it works over the Gaussian
+    rationals: i is part of the coefficient and only i*i = -1 folds."""
+    pairs = [p for m in patoms for p in m]
+    if not all(_plain_atom(a) or (a, e) == (_I, _HALF) for a, e in pairs):
+        return False
+    holds_i = any(a == _I for a, _ in pairs)
+    return not holds_i or all(a != _I or e == _HALF for m in terms for a, e in m)
+
+
+def _spans_fit(terms: dict, patoms: dict, group, atoms) -> bool:
+    """Whether each group of terms spreads over at least the divisor's
+    range of exponents in every one of atoms, as an exact quotient needs:
+    in one atom the top and the bottom degree parts of Q_g*P are those of
+    Q_g times those of P, and none vanishes, as P's leading coefficients
+    are nonzero Gaussian rationals, so units (Ostrowski: the Newton
+    polytope of a product is the Minkowski sum of the factors')."""
+    groups: dict = {}
+    for m in terms:
+        groups.setdefault(group(m), []).append(dict(m))
+
+    def spans(rows):
+        return [max(r.get(a, 0) for r in rows) - min(r.get(a, 0) for r in rows)
+                for a in atoms]
+
+    need = spans([dict(m) for m in patoms])
+    return all(all(map(operator.ge, spans(rows), need)) for rows in groups.values())
+
+
 def _try_div(terms: dict, patoms: dict):
     """Exact division of a term map by a primitive sum polynomial, or None.
 
     Quotient monomials come off in decreasing lex order.  If every divisor
-    atom is plain, multiplying by the divisor P only adds exponents, so
-    terms = Q*P splits into A_g = Q_g*P per group g of exponents on the
-    other atoms, and trail(A_g) = trail(Q_g)*trail(P) (Cox, Little and
-    O'Shea, ch. 2): a quotient monomial below trail(A_g)/trail(P) proves
-    the division inexact.  Otherwise a rewrite may bring in new atoms, so
-    the order is rebuilt each step.  The step limit is the backstop.
+    atom is plain or i (see _gaussian), multiplying by the divisor P only
+    adds exponents, up to a Gaussian-rational coefficient, so the order is
+    built once, and terms = Q*P splits into A_g = Q_g*P per group g of
+    exponents on the other atoms.  A group narrower than P in some atom
+    proves the division inexact (_spans_fit).  If P is plain, also
+    trail(A_g) = trail(Q_g)*trail(P) (Cox, Little and O'Shea, ch. 2): a
+    quotient monomial below trail(A_g)/trail(P) proves it inexact.  With i
+    in P the order puts i first, so a monomial below that bound may still
+    cancel later (1 + i*x divides i - x through 1/x).  Otherwise a rewrite
+    may bring in new atoms, so the order is rebuilt each step.  The step
+    limit is the backstop.
     """
     rem = dict(terms)
     quot: dict = {}
@@ -419,18 +472,22 @@ def _try_div(terms: dict, patoms: dict):
     plead = max(patoms, key=vec)
     plc = patoms[plead]
     pat = {a for m in patoms for a, _ in m}
+    stable = _gaussian(terms, patoms)  # no step brings in a new atom
     bound = None
-    if all(_plain_atom(a) for a in pat):
+    if stable:
         def group(m):
             return tuple(p for p in m if p[0] not in pat)
-        ptrail = min(patoms, key=vec)
-        bound = {}
-        for m in sorted(terms, key=vec, reverse=True):  # the group's trail last
-            bound[group(m)] = vec(_mono_div(m, ptrail))
+        if not _spans_fit(terms, patoms, group, pat - {_I}):
+            return None
+        if _I not in pat:
+            ptrail = min(patoms, key=vec)
+            bound = {}
+            for m in sorted(terms, key=vec, reverse=True):  # the group's trail last
+                bound[group(m)] = vec(_mono_div(m, ptrail))
     for _ in range(limit):
         if not rem:
             return quot
-        if bound is None:
+        if not stable:
             vec = _lex_vec([rem, patoms])
         lead = max(rem, key=vec)
         qm = _mono_div(lead, plead)

@@ -12,9 +12,8 @@ from fractions import Fraction
 
 from .catalog import Record, record_context, solution_context, undeclared_divisors
 from .expr import (
-    ZERO, Add, EvalDomainError, Expr, Sym, Ufunc, add, children, derivation,
-    differentiate, free_jets, free_ufunc_names, jet, mul, pow_, rat, rewrite,
-    substitute,
+    ZERO, Add, EvalDomainError, Expr, Jet, Sym, Ufunc, add, children, derivation,
+    differentiate, free_jets, jet, mul, nodes, pow_, rat, rewrite, substitute,
 )
 from .jets import PDE, jet_bindings
 from .normal import NF, _primitive, as_expr, canonical, is_zero, nf_div_exact, normalize
@@ -75,7 +74,7 @@ def ode_residual(solution: Expr, equation: Expr, variables, dep: str,
     _check_claim(solution, dep)
     terms = substituted_terms(equation, solution, variables, dep)
     symbolic = "zero" if normalize(add(*terms)).is_zero() else "undecided"
-    if any(free_ufunc_names(t) or free_jets(t) for t in terms):
+    if any(type(x) in (Ufunc, Jet) for x in nodes(*terms)):
         # formal unknown functions cannot be sampled numerically
         return ResidualReport(symbolic, 0.0, 0, {"formal": True})
     worst, good = sampled_residual(terms, params or {}, points, seed, precision)
@@ -155,24 +154,25 @@ class ReductionAnsatz:
 def check_reduction(ans: ReductionAnsatz) -> ReductionReport:
     """Substitute the ansatz, re-express in similarity variables, compare.
 
-    The substituted equation res matches the claim when no jet J of the
-    unknown changes res/claim, that is when claim*d(res)/dJ - res*d(claim)/dJ
-    normalizes to zero for every such J; the multiplier is res/claim.
+    One multiplier decides: the substituted equation res matches the claim
+    when m = canonical(res/claim) does not change with the unknown, that
+    is when d(m)/dJ normalizes to zero for every jet J of the unknown that
+    m holds; m is then the reported multiplier.
     """
     res = add(*substituted_terms(ans.equation, ans.ansatz_expr(), ans.old_vars,
                                  ans.old_dep))
     res = substitute(res, ans.back)
     res = _ufunc_slots_to_jets(res, ans.unknown, ans.new_syms)
-    if is_zero(res):
+    nres = normalize(res)
+    if nres.is_zero():
         return ReductionReport(False, leftover="substitution vanished identically")
     claim = ans.claim
     if is_zero(claim):
         return ReductionReport(False, leftover="claimed equation is identically zero")
-    jets = [j for j in free_jets(res) | free_jets(claim) if j.dep == ans.unknown]
-    if all(is_zero(add(mul(claim, differentiate(res, j)),
-                       mul(rat(-1), res, differentiate(claim, j)))) for j in jets):
-        return ReductionReport(True, multiplier=canonical(mul(res, pow_(claim, -1))))
-    return ReductionReport(False, leftover=canonical(res))
+    m = canonical(mul(res, pow_(claim, -1)))
+    if all(is_zero(differentiate(m, j)) for j in free_jets(m) if j.dep == ans.unknown):
+        return ReductionReport(True, multiplier=m)
+    return ReductionReport(False, leftover=as_expr(nres))
 
 
 def _ufunc_slots_to_jets(e: Expr, name: str, new_syms) -> Expr:
@@ -183,7 +183,7 @@ def _ufunc_slots_to_jets(e: Expr, name: str, new_syms) -> Expr:
         if type(x) is not Ufunc or x.name != name:
             return x
         for a, s in zip(x.args, new_syms):
-            if not is_zero(add(a, mul(rat(-1), s))):
+            if a != s and not is_zero(add(a, mul(rat(-1), s))):
                 raise ValueError(
                     f"unknown-function argument {a} is not similarity "
                     f"variable {s.name} after the inverse substitution"

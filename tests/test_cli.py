@@ -608,6 +608,53 @@ class TestPipeline:
         assert (rc, out, err) == (3, "", "resource limit: the derive/solve/table "
                                          "process ended by exit status 9\n")
 
+    @staticmethod
+    def _count_verdicts(monkeypatch, delay=0.0):
+        """The records verify_record is called on in this process."""
+        import time
+        from liesym import verify
+        calls = []
+        real = verify.verify_record
+
+        def counting(rec, *args, **kwargs):
+            if delay and not calls:
+                time.sleep(delay)
+            calls.append(rec.name)
+            return real(rec, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "verify_record", counting)
+        return calls
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_every_verdict_is_reached_in_the_calling_process(self, capsys, monkeypatch):
+        # a tracer that wraps verify.verify_record sees each record's verdict
+        # in the process that called main, though derive/solve/table fork
+        from liesym.catalog import load_catalog
+        calls = self._count_verdicts(monkeypatch)
+        rc, _, _ = run(capsys, "pipeline", "--points", "10", "--degree", "1")
+        assert rc == 0
+        assert calls == [r.name for r in load_catalog(None)]
+
+    def test_failed_algebra_without_fork_skips_the_verify(self, capsys, monkeypatch):
+        argv = ["pipeline", "--pde", os.path.join(_DATA, "kdv_v.pde"), "--degree", "1"]
+        forked = run(capsys, *argv)
+        monkeypatch.delattr(os, "fork")
+        calls = self._count_verdicts(monkeypatch)
+        assert run(capsys, *argv) == forked
+        assert forked[0] == 1 and forked[1].splitlines()[-1] == "pipeline: FAIL (solve)"
+        assert calls == []
+
+    def test_failed_algebra_stops_the_verify(self, capsys, monkeypatch):
+        # the child fails at once and reports while the first record waits,
+        # so no second record is verified
+        import liesym.cli as cli
+        monkeypatch.setattr(cli, "_algebra_stages",
+                            lambda pde, degree: ({}, ["derive: stub"], "solve"))
+        calls = self._count_verdicts(monkeypatch, delay=0.5)
+        rc, out, err = run(capsys, "pipeline", "--points", "2")
+        assert (rc, out, err) == (1, "derive: stub\npipeline: FAIL (solve)\n", "")
+        assert len(calls) <= 1
+
     @pytest.mark.parametrize("fork", ["missing", "failing"])
     def test_stages_in_turn_without_fork(self, capsys, tmp_path, monkeypatch, fork):
         argv = ["pipeline", "--points", "10", "--degree", "1"]

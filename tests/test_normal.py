@@ -191,10 +191,12 @@ def _try_div_oracle(terms, patoms):
     return None
 
 
-# plain atoms take the early exit; a surd or sech(x) in the divisor keeps
-# the step limit (sech(x)^2 rewrites to tanh(x))
+# plain atoms take the early exit, and so does i = (-1)^(1/2) at a whole
+# exponent; another surd or sech(x) in the divisor keeps the step limit
+# (sech(x)^2 rewrites to tanh(x))
 _PLAIN = (x, y, z, fun("tanh", y))
-_ALL = _PLAIN + (pow_(rat(2), Fraction(1, 2)), fun("sech", x))
+_GAUSSIAN = _PLAIN + (pow_(rat(-1), Fraction(1, 2)),)
+_ALL = _GAUSSIAN + (pow_(rat(2), Fraction(1, 2)), fun("sech", x))
 _EXPS = st.sampled_from([Fraction(k) for k in (-2, -1, 0, 0, 0, 1, 2)]
                         + [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 3)])
 # sech exponents stay >= 0, so no sum is cleared into a denominator
@@ -212,7 +214,7 @@ def _term_maps(atoms, min_size):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([_PLAIN, _ALL]).flatmap(
+@given(st.sampled_from([_PLAIN, _GAUSSIAN, _ALL]).flatmap(
     lambda atoms: st.tuples(_term_maps(atoms, 2), _term_maps(_ALL, 1),
                             _term_maps(_ALL, 1))))
 def test_try_div_matches_step_limited_loop(case):
@@ -249,6 +251,39 @@ def test_inexact_catalog_division_stops_early(monkeypatch):
     monkeypatch.setattr(normal, "_canon_term", counting)
     assert normal._try_div(a.terms, p.terms) is None
     assert len(calls) <= 8
+
+
+def test_inexact_gaussian_division_stops_early(monkeypatch):
+    # a division the u8u9-rational check makes: i in the divisor used to
+    # rebuild the order and canonicalize every step until the step limit
+    ctx = solution_context()
+    a = normalize(parse("-96*a*b*k^4 + 96*i*a^2*b*k^2", ctx))
+    p = normalize(parse("alpha1*k + 2*i*a*x + 2*i*b*y", ctx))
+    assert len(a.terms) == 2 and a.den == () and len(p.terms) == 3
+    calls = []
+    canon, lex = normal._canon_term, normal._lex_vec
+
+    def counting(raw, coeff):
+        calls.append(raw)
+        return canon(raw, coeff)
+
+    def orders(term_maps):
+        calls.append(term_maps)
+        return lex(term_maps)
+
+    monkeypatch.setattr(normal, "_canon_term", counting)
+    monkeypatch.setattr(normal, "_lex_vec", orders)
+    assert normal._try_div(a.terms, p.terms) is None
+    assert len(calls) <= 8
+
+
+def test_gaussian_quotient_may_dip_below_the_trailing_bound():
+    # i - x = i*(1 + i*x): the loop takes 1/x first, below trail(i) = 1,
+    # then i and -1/x, so no per-step trailing bound holds with i in P
+    ctx = solution_context()
+    a, p = (normalize(parse(t, ctx)).terms for t in ("i - x", "1 + i*x"))
+    quot = normal._try_div(a, p)
+    assert quot == normalize(parse("i", ctx)).terms == _try_div_oracle(a, p)
 
 
 # ---------------------------------------------------------------------------

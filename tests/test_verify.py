@@ -136,6 +136,8 @@ class TestCheckReduction:
         assert not printed.matches
         assert corrected.matches
         assert to_text(canonical(corrected.multiplier)) == "-1/(4*t^(5/4))"
+        row = verify_record(by_name["red-scaling-printed"], pde)
+        assert (row.status, row.detail) == ("flagged", "does not reproduce the claimed equation")
 
     def test_galilean_multiplier(self, pde, by_name):
         rep = check_reduction(ReductionAnsatz(by_name["red-galilean-x"], pde))
@@ -169,19 +171,34 @@ class TestCheckReduction:
         ctx = ParseContext(indep=("q",), deps=("H",))
         assert is_zero(rep.multiplier - parse("a*b*(1 + q^2)", ctx))
 
-    @pytest.mark.parametrize("claim", [
-        "(6*H_q^2 + a*H_qqq)*(1 + q)",
-        "6*H_q^2 + a*H_qqq + 6*q*H_q^2 + a*q*H_qqq",
+    @pytest.mark.parametrize("claim, printed", [
+        ("(6*H_q^2 + a*H_qqq)*(1 + q)", "a*b/(1 + q)"),
+        ("6*H_q^2 + a*H_qqq + 6*q*H_q^2 + a*q*H_qqq",
+         "(6*a*b*H_q^2 + a^2*b*H_qqq)/(6*H_q^2 + a*q*H_qqq + a*H_qqq + 6*q*H_q^2)"),
     ], ids=["factored", "expanded"])
-    def test_rational_multiplier_exact(self, pde, by_name, claim):
+    def test_rational_multiplier_exact(self, pde, by_name, claim, printed):
         # multiplying the claim by (1 + q) forces multiplier a*b/(1 + q),
-        # which is no single monomial; the ratio holds no jet of H, exactly
+        # which is no single monomial; the ratio holds no jet of H, exactly.
+        # Expanded, the claim shares a factor with res that no gcd removes:
+        # the multiplier holds jets whose derivatives normalize to zero
         fields = dict(by_name["red-travelling-wave"].fields)
         fields["reduced"] = claim
         rep = check_reduction(ReductionAnsatz(Record("scaled2", fields), pde))
         assert rep.matches
         ctx = ParseContext(indep=("q",), deps=("H",))
         assert is_zero(rep.multiplier - parse("a*b/(1 + q)", ctx))
+        assert to_text(rep.multiplier) == printed
+
+    @pytest.mark.parametrize("claim", [
+        "(6*H_q^2 + a*H_qqq)/H_q",
+        "(6*H_q^2 + a*H_qqq)*H",
+        "(6*H_q^2 + a*H_qqq)*(H_q + q)/(1 + H_q)",
+    ], ids=["times-jet", "over-unknown", "jet-ratio"])
+    def test_multiplier_holding_a_jet_does_not_match(self, pde, by_name, claim):
+        fields = dict(by_name["red-travelling-wave"].fields)
+        fields["reduced"] = claim
+        rep = check_reduction(ReductionAnsatz(Record("jet", fields), pde))
+        assert not rep.matches and rep.multiplier is None
 
     def test_jet_dependent_ratio_does_not_match(self, pde, by_name):
         # res/claim = a*b/(1 + H_q) changes with the jet H_q
