@@ -33,20 +33,24 @@ class PDE:
 
 
 def load_pde(text: str) -> PDE:
-    """Parse a PDE definition: `vars ...`, `dep ...`, `eq <expr>` lines."""
-    variables = dep = eq_text = None
+    """Parse a PDE definition: `vars ...`, `dep ...`, `eq <expr>` lines,
+    each once; the variables are distinct, and dep is none of them."""
+    sections = {}
     for line in data_lines(text):
         head, _, rest = line.partition(" ")
-        if head == "vars":
-            variables = rest.split()
-        elif head == "dep":
-            dep = rest.strip()
-        elif head == "eq":
-            eq_text = rest.strip()
-        else:
+        if head not in ("vars", "dep", "eq"):
             raise ParseError(f"unknown PDE section {head!r}")
+        if head in sections:
+            raise ParseError(f"repeated PDE section {head!r}")
+        sections[head] = rest.strip()
+    variables, dep, eq_text = (sections.get(k) for k in ("vars", "dep", "eq"))
     if not (variables and dep and eq_text):
         raise ParseError("PDE definition needs vars, dep and eq sections")
+    variables = variables.split()
+    if len(set(variables)) < len(variables):
+        raise ParseError("repeated variable in the vars section")
+    if dep in variables:
+        raise ParseError(f"dependent variable {dep!r} is also an independent one")
     ctx = ParseContext(indep=variables, deps=(dep,))
     delta = parse(eq_text, ctx)
     pde = PDE(delta, tuple(map(Sym, variables)), dep)

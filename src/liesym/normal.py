@@ -15,16 +15,15 @@ identities decide exactly.  The only rewrite rules applied are
 sech(h)^2 -> 1 - tanh(h)^2 and cosh(h)^2 -> 1 + sinh(h)^2, plus additive
 splitting of exp arguments (exp(a*m) -> exp(m)^a) used for argument
 identification.  A denominator sum cancels when exact Laurent division
-by it succeeds; an inexact division ends early when the divisor's atoms
-are plain or i, read as part of a Gaussian-rational coefficient (see
-_try_div).  `normalize` folds (`expr.fold`) each distinct subtree once
-per call, and keeps nothing.
+by it succeeds: with plain or i atoms in the divisor, a degree box ends
+an inexact division early, and a divisor holding i divides through its
+real norm (see _try_div).  `normalize` folds (`expr.fold`) each
+distinct subtree once per call, and keeps nothing.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import reduce
 
@@ -334,10 +333,6 @@ def _scale_terms(terms: dict, mono: Monomial) -> dict:
     return out.terms
 
 
-def nf_neg(a: NF) -> NF:
-    return NF({m: -c for m, c in a.terms.items()}, a.den)
-
-
 def _primitive(terms: dict):
     """Content + sign extraction; returns (scale, primitive term map)."""
     num_gcd = 0
@@ -418,83 +413,72 @@ def _lex_vec(term_maps):
 _I, _HALF = Rat(-1), Fraction(1, 2)  # i is the surd atom _I at exponent _HALF
 
 
-def _gaussian(terms: dict, patoms: dict) -> bool:
-    """Whether the divisor's atoms are plain or i = (-1)^(1/2), and i
-    enters the dividend only as itself when the divisor holds it.  Then
-    division never brings in a new atom, and it works over the Gaussian
-    rationals: i is part of the coefficient and only i*i = -1 folds."""
-    pairs = [p for m in patoms for p in m]
-    if not all(_plain_atom(a) or (a, e) == (_I, _HALF) for a, e in pairs):
-        return False
-    holds_i = any(a == _I for a, _ in pairs)
-    return not holds_i or all(a != _I or e == _HALF for m in terms for a, e in m)
+def _box(terms: dict, patoms: dict):
+    """A test that every quotient monomial of an exact division of terms by
+    P = patoms passes, or None when none can.  With i read as part of a
+    Gaussian-rational coefficient, P only adds exponents, so terms = Q*P
+    splits into T_g = Q_g*P per group g of exponents on the atoms outside
+    P, and in each other atom of P the top and the bottom degree parts of
+    T_g are those of Q_g times those of P, none vanishing (Ostrowski: the
+    Newton polytope of a product is the Minkowski sum of the factors').
+    So Q_g's exponent on it lies in [min(T_g) - min(P), max(T_g) - max(P)]."""
+    pat = {a for m in patoms for a, _ in m}
 
+    def group(m):
+        return tuple(p for p in m if p[0] not in pat)
 
-def _spans_fit(terms: dict, patoms: dict, group, atoms) -> bool:
-    """Whether each group of terms spreads over at least the divisor's
-    range of exponents in every one of atoms, as an exact quotient needs:
-    in one atom the top and the bottom degree parts of Q_g*P are those of
-    Q_g times those of P, and none vanishes, as P's leading coefficients
-    are nonzero Gaussian rationals, so units (Ostrowski: the Newton
-    polytope of a product is the Minkowski sum of the factors')."""
+    def degrees(rows):
+        return {a: (min(r.get(a, 0) for r in rows), max(r.get(a, 0) for r in rows))
+                for a in pat - {_I}}
+
     groups: dict = {}
     for m in terms:
         groups.setdefault(group(m), []).append(dict(m))
+    pdeg = degrees([dict(m) for m in patoms])
+    box = {g: {a: (lo - pdeg[a][0], hi - pdeg[a][1]) for a, (lo, hi) in degrees(rows).items()}
+           for g, rows in groups.items()}
+    if any(lo > hi for b in box.values() for lo, hi in b.values()):
+        return None
 
-    def spans(rows):
-        return [max(r.get(a, 0) for r in rows) - min(r.get(a, 0) for r in rows)
-                for a in atoms]
+    def fits(qm):
+        e, b = dict(qm), box.get(group(qm))
+        return b is not None and all(lo <= e.get(a, 0) <= hi for a, (lo, hi) in b.items())
 
-    need = spans([dict(m) for m in patoms])
-    return all(all(map(operator.ge, spans(rows), need)) for rows in groups.values())
+    return fits
 
 
 def _try_div(terms: dict, patoms: dict):
-    """Exact division of a term map by a primitive sum polynomial, or None.
+    """Exact division of a term map by a polynomial P = patoms, or None.
 
-    Quotient monomials come off in decreasing lex order.  If every divisor
-    atom is plain or i (see _gaussian), multiplying by the divisor P only
-    adds exponents, up to a Gaussian-rational coefficient, so the order is
-    built once, and terms = Q*P splits into A_g = Q_g*P per group g of
-    exponents on the other atoms.  A group narrower than P in some atom
-    proves the division inexact (_spans_fit).  If P is plain, also
-    trail(A_g) = trail(Q_g)*trail(P) (Cox, Little and O'Shea, ch. 2): a
-    quotient monomial below trail(A_g)/trail(P) proves it inexact.  With i
-    in P the order puts i first, so a monomial below that bound may still
-    cancel later (1 + i*x divides i - x through 1/x).  Otherwise a rewrite
-    may bring in new atoms, so the order is rebuilt each step.  The step
-    limit is the backstop.
+    Quotient monomials come off in decreasing lex order, rebuilt at each
+    step, as a rewrite may bring in new atoms; the step limit is the
+    backstop.  If every atom of P is plain or i = (-1)^(1/2), and i is the
+    only power of -1 in terms when P holds it, the degree box (_box)
+    applies: when it is empty the division ends before the first step, and
+    a quotient monomial outside it proves the division inexact.  A P
+    holding i then divides terms*conj(P) by its real norm P*conj(P)
+    (Geddes, Czapor and Labahn, 1992), so the lex order never leads with i.
     """
-    rem = dict(terms)
-    quot: dict = {}
-    limit = 4 * len(terms) + 16
-    vec = _lex_vec([terms, patoms])
-    plead = max(patoms, key=vec)
-    plc = patoms[plead]
-    pat = {a for m in patoms for a, _ in m}
-    stable = _gaussian(terms, patoms)  # no step brings in a new atom
-    bound = None
-    if stable:
-        def group(m):
-            return tuple(p for p in m if p[0] not in pat)
-        if not _spans_fit(terms, patoms, group, pat - {_I}):
+    pairs = {p for m in patoms for p in m}
+    holds_i = (_I, _HALF) in pairs
+    fits = None
+    if all(_plain_atom(a) or (a, e) == (_I, _HALF) for a, e in pairs) and (
+            not holds_i or all(a != _I or e == _HALF for m in terms for a, e in m)):
+        if (fits := _box(terms, patoms)) is None:
             return None
-        if _I not in pat:
-            ptrail = min(patoms, key=vec)
-            bound = {}
-            for m in sorted(terms, key=vec, reverse=True):  # the group's trail last
-                bound[group(m)] = vec(_mono_div(m, ptrail))
-    for _ in range(limit):
+        if holds_i:  # i*i = -1 is the only fold, so no denominator
+            conj = {m: -c if (_I, _HALF) in m else c for m, c in patoms.items()}
+            return _try_div(_terms_mul(terms, conj).terms, _terms_mul(patoms, conj).terms)
+    rem, quot = dict(terms), {}
+    plead = max(patoms, key=_lex_vec([patoms]))
+    for _ in range(4 * len(terms) + 16):
         if not rem:
             return quot
-        if not stable:
-            vec = _lex_vec([rem, patoms])
-        lead = max(rem, key=vec)
+        lead = max(rem, key=_lex_vec([rem, patoms]))
         qm = _mono_div(lead, plead)
-        if bound is not None and vec(qm) < bound[group(lead)]:
+        if fits is not None and not fits(qm):
             return None
-        qc = _q(Fraction(rem[lead], plc))
-        piece = _canon_term(dict(qm), qc)
+        piece = _canon_term(dict(qm), _q(Fraction(rem[lead], patoms[plead])))
         if piece.den != _EMPTY or len(piece.terms) != 1:
             return None
         (qm2, qc2), = piece.terms.items()
@@ -605,22 +589,14 @@ def canonical(e: Expr) -> Expr:
 
 
 def nf_div_exact(a: NF, b: NF):
-    """a / b when the quotient is a single monomial (with denominator); else None."""
+    """a / b when the quotient is a single monomial (with denominator), else
+    None: _try_div of the numerators, the denominators moved onto it."""
     if b.is_zero():
         return None
     if a.is_zero():
         return NF_ZERO
-    vec = _lex_vec([a.terms, b.terms])
-    lead_a, lead_b = max(a.terms, key=vec), max(b.terms, key=vec)
-    entries = dict(lead_a)
-    for atom, e in lead_b:
-        entries[atom] = entries.get(atom, 0) - e
-    for atom, e in b.den:
-        entries[atom] = entries.get(atom, 0) + e
-    for atom, e in a.den:
-        entries[atom] = entries.get(atom, 0) - e
-    qc = _q(Fraction(a.terms[lead_a], b.terms[lead_b]))
-    cand = _reduce(_canon_term(entries, qc))
-    if nf_add(a, nf_neg(nf_mul(cand, b))).is_zero():
-        return cand
-    return None
+    q = _try_div(a.terms, b.terms)
+    if q is None or len(q) != 1:
+        return None
+    (m, c), = q.items()
+    return _reduce(_canon_term(dict(_mono_div(_mono_mul(m, b.den), a.den)), c))

@@ -586,6 +586,20 @@ class TestPipeline:
         assert (rc, out) == (2, "")
         assert err == "error: solving for u_t leaves another t-derivative\n"
 
+    @pytest.mark.parametrize("text, message", [
+        # a second eq line used to replace the first
+        ("vars x t\ndep u\neq u_t - u_xx\neq u_t + u_x\n", "repeated PDE section 'eq'"),
+        ("vars x x t\ndep u\neq u_t - u_xx\n", "repeated variable in the vars section"),
+        ("vars x t\ndep x\neq x_t - x_xx\n",
+         "dependent variable 'x' is also an independent one"),
+    ])
+    def test_ill_formed_pde_is_input_error(self, capsys, tmp_path, text, message):
+        bad = tmp_path / "bad.pde"
+        bad.write_text(text)
+        rc, out, err = run(capsys, "derive", "--pde", str(bad))
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {message} ") and "Traceback" not in err
+
     def test_table_stage_error_exits_2(self, capsys, tmp_path):
         # the KdV31 reference basis has four xi, the heat equation two
         heat = tmp_path / "heat.pde"

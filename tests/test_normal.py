@@ -213,6 +213,16 @@ def _term_maps(atoms, min_size):
             .map(lambda n: n.terms))
 
 
+def _gaussian_product(p, qp):
+    """Whether p's atoms are plain or i, p holds i, and qp holds -1 only as
+    i: then the division goes through the real norm of p."""
+    pairs = {b for m in p for b in m}
+    return ((normal._I, normal._HALF) in pairs
+            and all(normal._plain_atom(a) or (a, e) == (normal._I, normal._HALF)
+                    for a, e in pairs)
+            and all(a != normal._I or e == normal._HALF for m in qp for a, e in m))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([_PLAIN, _GAUSSIAN, _ALL]).flatmap(
     lambda atoms: st.tuples(_term_maps(atoms, 2), _term_maps(_ALL, 1),
@@ -222,11 +232,22 @@ def test_try_div_matches_step_limited_loop(case):
     qp = normal._terms_mul(q, p)
     assert qp.den == ()
     got = normal._try_div(qp.terms, p)
-    assert got == _try_div_oracle(qp.terms, p)
+    want = _try_div_oracle(qp.terms, p)
     if all(normal._plain_atom(b) for m in p for b, _ in m):
-        assert got == q
+        assert got == want == q
+    elif _gaussian_product(p, qp.terms):
+        # exact, and found even where the oracle's lex order, led by i,
+        # climbs to the step limit; not always q, as (-1)^(5/6)*i folds
+        assert got is not None and normal._terms_mul(got, p) == qp
+        assert want is None or got == want
+    else:
+        assert got == want
     other = normal._try_div(a, p)
-    assert other == _try_div_oracle(a, p)
+    want = _try_div_oracle(a, p)
+    if want is None and other is not None:  # found through the real norm
+        assert normal._terms_mul(other, p) == normal.NF(a)
+    else:
+        assert other == want
     for quot in (got, other):
         assert quot is None or all(quot.values())
 
@@ -278,12 +299,36 @@ def test_inexact_gaussian_division_stops_early(monkeypatch):
 
 
 def test_gaussian_quotient_may_dip_below_the_trailing_bound():
-    # i - x = i*(1 + i*x): the loop takes 1/x first, below trail(i) = 1,
-    # then i and -1/x, so no per-step trailing bound holds with i in P
+    # i - x = i*(1 + i*x): a lex order led by i takes 1/x first, below
+    # trail(i) = 1, then i and -1/x, so no trailing bound could end a
+    # division by a P holding i; through the real norm 1 + x^2 the quotient
+    # is the one monomial i
     ctx = solution_context()
     a, p = (normalize(parse(t, ctx)).terms for t in ("i - x", "1 + i*x"))
     quot = normal._try_div(a, p)
     assert quot == normalize(parse("i", ctx)).terms == _try_div_oracle(a, p)
+
+
+@pytest.mark.parametrize("text, want", [
+    # the oracle's order, led by i, alternates between the real and the
+    # imaginary part until the step limit; the real norm divides
+    ("(i*x - 1)/(x + i)", "i"),
+    ("(x^2 + 1)/(x + i)", "x - i"),
+    # inexact: (a - i*b)^2 over the norm a^2 + b^2 has an empty degree box
+    ("(a - i*b)/(a + i*b)", "(a - i*b)/(a + i*b)"),
+])
+def test_division_by_a_sum_holding_i_goes_through_its_real_norm(text, want):
+    assert to_text(canonical(_claim(text))) == want
+
+
+def test_norm_division_needs_i_as_the_only_power_of_minus_one():
+    # (-1)^(5/6)*i folds to the real branch, so dividing (-1)^(5/6)*(1 - i)
+    # by the norm of 1 + i would give a quotient Q with Q*(1 + i) not
+    # (-1)^(5/6); with another power of -1 in the dividend the division
+    # stays the step-limited loop, and finds none
+    ctx = solution_context()
+    a, p = (normalize(parse(t, ctx)).terms for t in ("(-1)^(5/6)", "1 + i"))
+    assert normal._try_div(a, p) is None and _try_div_oracle(a, p) is None
 
 
 # ---------------------------------------------------------------------------

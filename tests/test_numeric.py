@@ -205,15 +205,35 @@ def test_residual_matches_reduction_of_values(precision, with_i, data):
             fn(*point)
         return
     with mpmath.workprec(DD_PREC):
-        scale = sum(abs(v) for v in vals)
+        scale = _fold_sum(map(abs, vals))
         event(f"scale above 1e12: {scale > 1e12}")
         if scale > 1e12:
             with pytest.raises(EvalDomainError, match="residual terms too large"):
                 fn(*point)
             return
-        want = float(abs(sum(vals)) / (1 + scale))
+        want = float(abs(_fold_sum(vals)) / (1 + scale))
     got = fn(*point)
     assert type(got) is float and repr(got) == repr(want)
+
+
+def _fold_sum(values):
+    """0 + v0 + v1 + ..., folded left: the sums of the compiled residual,
+    where a float sum() would compensate on Python 3.12."""
+    return reduce(operator.add, values, 0)
+
+
+@pytest.mark.parametrize("with_i", [False, True])
+def test_residual_sums_fold_left_from_zero(with_i):
+    # 1e16 + 1.0 rounds to 1e16, so the left fold of 1e16, 1.0, -1e16 is
+    # 0.0 where a compensated sum gives 1.0.  Scaled by 2^-30, which keeps
+    # every rounding, the terms stay under the residual's 1e12 bound.
+    assert _fold_sum([1e16, 1.0, -1e16]) == 0.0
+    x, y = _syms[:2]
+    terms = [x, y, mul(rat(-1), x)]
+    if with_i:  # an i term that vanishes at the point: the complex backend
+        terms.append(mul(_I, add(y, rat(-1, 2**30))))
+    fn, _ = compile_residual(terms, "double")
+    assert fn(1e16 * 2.0**-30, 2.0**-30) == 0.0
 
 
 @pytest.mark.parametrize("precision, with_i", _ALL)
