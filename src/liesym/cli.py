@@ -476,6 +476,8 @@ def main(argv=None) -> int:
         "pipeline": cmd_pipeline,
     }
     try:
+        if args.points < 1 or not args.tol > 0:  # `not >` refuses a nan tol too
+            raise ValueError("--points must be >= 1 and --tol > 0")
         return handlers[args.command](args)
     except (ResourceLimitError, RecursionError, MemoryError) as exc:
         print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)

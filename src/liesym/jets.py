@@ -34,29 +34,37 @@ class PDE:
 
 def load_pde(text: str) -> PDE:
     """Parse a PDE definition: `vars ...`, `dep ...`, `eq <expr>` lines,
-    each once; the variables are distinct, and dep is none of them."""
-    sections = {}
-    for line in data_lines(text):
-        head, _, rest = line.partition(" ")
-        if head not in ("vars", "dep", "eq"):
-            raise ParseError(f"unknown PDE section {head!r}")
-        if head in sections:
-            raise ParseError(f"repeated PDE section {head!r}")
-        sections[head] = rest.strip()
+    each once; the variables are distinct, and dep is none of them.  A fault
+    is a ParseError at its line and column in text."""
+    sections, at = {}, {}  # head -> its text, and the line and column it starts at
+    for no, raw in enumerate(text.splitlines(), 1):
+        for line in data_lines(raw):
+            head, _, rest = line.partition(" ")
+            col = raw.index(line) + 1
+            if head not in ("vars", "dep", "eq"):
+                raise ParseError(f"unknown PDE section {head!r}", no, col)
+            if head in sections:
+                raise ParseError(f"repeated PDE section {head!r}", no, col)
+            sections[head] = rest.strip()
+            at[head] = no, col + len(line) - len(rest.lstrip())
     variables, dep, eq_text = (sections.get(k) for k in ("vars", "dep", "eq"))
     if not (variables and dep and eq_text):
         raise ParseError("PDE definition needs vars, dep and eq sections")
     variables = variables.split()
     if len(set(variables)) < len(variables):
-        raise ParseError("repeated variable in the vars section")
+        raise ParseError("repeated variable in the vars section", *at["vars"])
     if dep in variables:
-        raise ParseError(f"dependent variable {dep!r} is also an independent one")
+        raise ParseError(f"dependent variable {dep!r} is also an independent one", *at["dep"])
     ctx = ParseContext(indep=variables, deps=(dep,))
-    delta = parse(eq_text, ctx)
+    try:
+        delta = parse(eq_text, ctx)
+    except ParseError as exc:  # eq_text is one line, starting at at["eq"]
+        no, col = at["eq"]
+        raise ParseError(exc.msg, no, col + exc.col - 1, exc.expected) from None
     pde = PDE(delta, tuple(map(Sym, variables)), dep)
     lead = jet(dep, {pde.evolution: 1})
     if lead not in free_jets(delta):
-        raise ParseError(f"not an evolution equation: no {lead} term")
+        raise ParseError(f"not an evolution equation: no {lead} term", *at["eq"])
     return pde
 
 

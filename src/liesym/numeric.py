@@ -14,12 +14,14 @@ and double complex.  The caller asks for double or dd, and the claim
 chooses complex: terms that hold an even root of a negative constant, as
 `i = (-1)^(1/2)` enters a claim, run in double complex at either
 precision, since their verdict is the exact normal form.  Real dd code
-is written as the `mpmath.libmp` calls that mpmath's own mpf operators
-and functions make, on raw `_mpf_` tuples at 106 bits rounding to
-nearest: the same bits as mpf arithmetic (mpmath 1.3.0, whose libmp
-rounding the dd pins in the tests hold), without an object or a
-precision context per operation.  Its inputs enter exactly
-in the prologue, so no term is left computing in double, and
+computes on raw `_mpf_` tuples at 106 bits rounding to nearest, with no
+object or precision context per operation, and returns the tuples of the
+`mpmath.libmp` calls that mpf operators and functions make (mpmath 1.3.0,
+whose rounding the dd pins in the tests hold).  Products, sums, squares
+and float inputs run in kernels for this one precision, and sech and tanh
+of one argument share one pass of `mpf_cosh_sinh`; each kernel passes
+its edge cases to libmp, and the rest is libmp's own calls.  Its inputs
+enter exactly in the prologue, so no term is left computing in double, and
 `compile_terms` wraps each result as an mpf once.  Its `exp`, `sinh`
 and `cosh` raise OverflowError where `math`'s do, and its integer and
 rational powers where a double power overflows, so dd rejects the
@@ -126,10 +128,80 @@ def _dd_const(c):
                    DD_PREC, "n")
 
 
+def _dd_round(sign, man, exp):
+    """normalize(sign, man, exp, bc, 106, 'n') for man >= 0: round half to
+    even, then strip trailing zeros (a carry to 2**106 leaves 1)."""
+    if not man:
+        return fzero
+    n = man.bit_length() - DD_PREC
+    if n > 0:  # up if the first dropped bit is set, and a later one or the last kept
+        r = man >> (n - 1)
+        man = (r >> 1) + (r & 1 and (r & 2 or man & ((1 << (n - 1)) - 1)) > 0)
+        exp += n
+    z = (man & -man).bit_length() - 1
+    man >>= z
+    return sign, man, exp + z, man.bit_length()
+
+
+def _dd_mul(s, t):
+    """mpf_mul(s, t, 106, 'n'), which mpf_pow_int(s, 2, 106, 'n') equals at
+    s = t; _dd_round inlined in the hottest kernel (odd mantissas make an
+    odd product, so only a rounded one can end in zeros)."""
+    man = s[1] * t[1]
+    if not man:
+        return libmp.mpf_mul(s, t, DD_PREC, "n")
+    exp = s[2] + t[2]
+    n = man.bit_length() - DD_PREC
+    if n > 0:
+        r = man >> (n - 1)
+        man = (r >> 1) + (r & 1 and (r & 2 or man & ((1 << (n - 1)) - 1)) > 0)
+        z = (man & -man).bit_length() - 1
+        man >>= z
+        exp += n + z
+    return s[0] ^ t[0], man, exp, man.bit_length()
+
+
+def _dd_add(s, t):
+    """mpf_add(s, t, 106, 'n'), which is symmetric; libmp takes zeros,
+    specials and exponents more than 100 apart (its perturbation branch)."""
+    if s[2] < t[2]:
+        s, t = t, s
+    ssign, sman, sexp, _ = s
+    tsign, tman, texp, _ = t
+    if not (sman and tman) or sexp - texp > 100:
+        return libmp.mpf_add(s, t, DD_PREC, "n")
+    sman <<= sexp - texp
+    man = sman + tman if ssign == tsign else sman - tman
+    return _dd_round(ssign, man, texp) if man >= 0 else _dd_round(tsign, -man, texp)
+
+
+def _dd_cosh_tanh(x):
+    """(mpf_cosh(x, 106, 'n'), mpf_tanh(x, 106, 'n')) from one pass of the
+    main path of mpf_cosh_sinh, which both run at the same working precision;
+    libmp takes the other paths (zero, specials, mag < -120 and mag > 10)."""
+    sign, man, exp, bc = x
+    mag = exp + bc
+    if not man or mag < -DD_PREC - 14 or mag > 10:
+        return libmp.mpf_cosh(x, DD_PREC, "n"), libmp.mpf_tanh(x, DD_PREC, "n")
+    wp, n = DD_PREC + 14 - (mag if mag < -4 else 0), 0  # near 0, more bits for sinh
+    k = mag if mag > 1 else 0  # |x| >= 2 reduces modulo ln 2 at k more bits
+    offset = exp + wp + k
+    t = man << offset if offset >= 0 else man >> -offset
+    if k:
+        n, t = divmod(t, libmp.ln2_fixed(wp + k))
+        t >>= k
+    a, b = libmp.libelefun.exp_expneg_basecase(t, wp)
+    cosh, sinh = a + (b >> (2 * n)), a - (b >> (2 * n))
+    tanh = ((-sinh if sign else sinh) << wp) // cosh
+    return (libmp.from_man_exp(cosh, n - wp - 1, DD_PREC, "n"),
+            libmp.from_man_exp(tanh, -wp, DD_PREC, "n"))
+
+
 def _dd_in(v):
     """An input as a libmp tuple, converted exactly as mpmathify converts it."""
-    if type(v) is float:
-        return from_float(v)
+    if type(v) is float and math.isfinite(v):  # what from_float builds, in one step
+        man, d = v.as_integer_ratio()  # d is a power of two
+        return _dd_round(int(man < 0), abs(man), 1 - d.bit_length())
     with mpmath.workprec(DD_PREC):
         x = mpmath.mpmathify(v)
     if not hasattr(x, "_mpf_"):
@@ -148,8 +220,8 @@ _BACKENDS = {
         exp=cmath.exp, rp=_rp_complex, const=complex,
     ),
     "dd": dict(  # libmp's own names: mpf_add, fzero, to_float, ...
-        vars(libmp), tanh=libmp.mpf_tanh, rp=_dd_rp, fits=_dd_fits, const=_dd_const,
-        dd_in=_dd_in,
+        vars(libmp), rp=_dd_rp, fits=_dd_fits, const=_dd_const, dd_in=_dd_in,
+        mul=_dd_mul, add=_dd_add, cosh_tanh=_dd_cosh_tanh,
         exp=_dd_bounded(libmp.mpf_exp, math.exp),
         sinh=_dd_bounded(libmp.mpf_sinh, math.sinh),
         cosh=_dd_bounded(libmp.mpf_cosh, math.cosh),
@@ -158,17 +230,18 @@ _BACKENDS = {
 }
 
 # how each node is written: {x} {y} operands of a left fold, {a} a function
-# argument, {b} {n} an integer power; a function without its own entry is `fun`
+# argument, {b} {n} an integer power; a function or power n without its own
+# entry is `fun` or `ipow`.  With `hyp`, sech and tanh read the hyp of {a}
 _OBJECTS = dict(add="{x}+{y}", mul="{x}*{y}", fun="{fn}({a})", ipow="{b}**({n})")
 _SPELLING = {
     "double": _OBJECTS,
     "complex": _OBJECTS,
-    "dd": dict(
-        add=f"mpf_add({{x}},{{y}},{_PR})", mul=f"mpf_mul({{x}},{{y}},{_PR})",
-        fun=f"{{fn}}({{a}},{_PR})",
-        sech=f"mpf_rdiv_int(1,mpf_cosh({{a}},{_PR}),{_PR})",
-        ipow=f"fits(mpf_pow_int({{b}},{{n}},{_PR}))",
-    ),
+    "dd": {
+        "add": "add({x},{y})", "mul": "mul({x},{y})", "fun": f"{{fn}}({{a}},{_PR})",
+        "hyp": "cosh_tanh({a})", "sech": f"mpf_rdiv_int(1,{{a}}[0],{_PR})",
+        "tanh": "{a}[1]", "ipow": f"fits(mpf_pow_int({{b}},{{n}},{_PR}))",
+        "ipow2": "fits(mul({b},{b}))", "ipow-1": f"fits(mpf_rdiv_int(1,{{b}},{_PR}))",
+    },
 }
 
 # what a compiled function raises at a point outside its domain
@@ -178,14 +251,13 @@ DOMAIN_ERRORS = (EvalDomainError, ZeroDivisionError, OverflowError, ValueError)
 def _emit(terms, names: dict, backend: dict, spell: dict):
     """Straight-line code for terms, one assignment per distinct subtree.
 
-    Returns (lines, consts, results): the `tN = ...` lines in evaluation
-    order, the backend constants that `C[k]` refers to, and the local
+    Returns (lines, consts, results): the `tN = ...` (and `hN = ...`)
+    lines in evaluation order, the constants `C[k]` refers to, and the local
     holding each term.  Operands are computed in the order the stored
     tree lists them and Add/Mul fold left, so every value equals what a
     nested expression of the same tree gives.
     """
-    lines: list = []
-    consts: list = []
+    lines, consts, hyp = [], [], {}  # hyp: argument local -> its spell["hyp"] local
 
     def local(e: Expr, kids) -> str:
         got = names.get(e)
@@ -196,11 +268,18 @@ def _emit(terms, names: dict, backend: dict, spell: dict):
             consts.append(backend["const"](e.value))
             rhs = f"C[{len(consts) - 1}]"
         elif t is Fun:
-            rhs = spell.get(e.fn, spell["fun"]).format(fn=e.fn, a=kids[0])
+            a = kids[0]
+            if e.fn in ("sech", "tanh") and "hyp" in spell:
+                if a not in hyp:
+                    hyp[a] = f"h{len(lines)}"
+                    lines.append(f"{hyp[a]} = {spell['hyp'].format(a=a)}")
+                a = hyp[a]
+            rhs = spell.get(e.fn, spell["fun"]).format(fn=e.fn, a=a)
         elif t is Pow:
             b, q = kids[0], e.exp
             if q.denominator == 1:
-                rhs = spell["ipow"].format(b=b, n=q.numerator)
+                n = q.numerator
+                rhs = spell.get(f"ipow{n}", spell["ipow"]).format(b=b, n=n)
             else:
                 rhs = f"rp({b},{q.numerator},{q.denominator})"
         elif t is Mul or t is Add:
@@ -267,12 +346,12 @@ def _reduction(results, raw):
     """|sum t| / (1 + sum |t|) as a float, each sum 0 + t0 + ... folded left
     (sum() compensates on Python 3.12); a scale above 1e12 rejects the point."""
     if raw:
-        def total(rs):
-            return reduce(lambda x, y: f"mpf_add({x},{y},{_PR})", rs, "fzero")
-        scale = total(f"mpf_abs({r},{_PR})" for r in results)
+        def total(rs):  # every dd value has 106 bits, so 0 + t0 and |t| are exact
+            return reduce(lambda x, y: f"add({x},{y})", rs) if rs else "fzero"
+        scale = total([f"mpf_abs({r})" for r in results])
         big = "mpf_gt(scale,BIG)"
-        rel = (f"to_float(mpf_div(mpf_abs({total(results)},{_PR}),"
-               f"mpf_add(scale,fone,{_PR}),{_PR}),rnd='n')")
+        rel = (f"to_float(mpf_div(mpf_abs({total(results)}),"
+               f"add(scale,fone),{_PR}),rnd='n')")
     else:
         scale = "0" + "".join(f"+abs({r})" for r in results)
         big = "scale > 1e12"

@@ -540,6 +540,17 @@ class TestPipeline:
                            "--expr", "x", "--grid", "x=1:2:2")
         assert (rc, out, err) == (2, "", f"error: {cfg}: {message}\n")
 
+    @pytest.mark.parametrize("option", [("--points", "0"), ("--points", "-3"),
+                                        ("--tol", "-1"), ("--tol", "0"), ("--tol", "nan")])
+    def test_no_points_or_no_tolerance_is_input_error(self, capsys, tmp_path, option):
+        # --points 0 once failed every solution row with "all residual sample
+        # points hit singularities", and --tol -1 every record (exit 1)
+        message = "error: --points must be >= 1 and --tol > 0\n"
+        assert run(capsys, "verify", *option) == (2, "", message)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option[0][2:]} = {option[1]}\n")
+        assert run(capsys, "verify", "--config", str(cfg)) == (2, "", message)
+
     def test_unknown_config_key_is_input_error(self, capsys, tmp_path):
         # a misspelt key is refused, not dropped: `degre = 3` would
         # otherwise run at the default degree
@@ -599,6 +610,22 @@ class TestPipeline:
         rc, out, err = run(capsys, "derive", "--pde", str(bad))
         assert (rc, out) == (2, "")
         assert err.startswith(f"error: {message} ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("text, where", [
+        ("vars x t\ndep u\neq u_t - u_xx\neq u_t + u_x\n",
+         "repeated PDE section 'eq' at line 4, column 1"),
+        ("vars x t\n# no u_t term\ndep u\neq u_x - u_xx\n",
+         "not an evolution equation: no u_t term at line 4, column 4"),
+        # the * is column 7 of the expression and column 10 of the file
+        ("vars x t\ndep u\neq u_t + * u_xxx\n", "invalid syntax at line 3, column 10"),
+        ("vars x t\n  dep x\neq x_t - x_xx\n",
+         "dependent variable 'x' is also an independent one at line 2, column 7"),
+    ], ids=["repeated", "no-u_t", "syntax", "indented"])
+    def test_pde_fault_is_reported_where_it_is(self, capsys, tmp_path, text, where):
+        # every fault was once reported at line 1, column 1
+        bad = tmp_path / "bad.pde"
+        bad.write_text(text)
+        assert run(capsys, "derive", "--pde", str(bad)) == (2, "", f"error: {where}\n")
 
     def test_table_stage_error_exits_2(self, capsys, tmp_path):
         # the KdV31 reference basis has four xi, the heat equation two

@@ -1,5 +1,6 @@
 """Compiled claim callables against a recursive evaluator of the stored tree,
-the compiled residual reduction, and the one seeded sampler."""
+the compiled residual reduction, the dd kernels against the libmp calls they
+stand for, and the one seeded sampler."""
 
 import math
 import operator
@@ -11,14 +12,18 @@ from functools import reduce
 
 import mpmath
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
+from mpmath import libmp
 
 import liesym
 from liesym import add, fun, jet, mul, parse, pow_, rat
-from liesym.expr import EvalDomainError, ExprError, Fun, Mul, Pow, Rat, Sym, Ufunc, nodes
+from liesym.expr import (
+    ZERO, EvalDomainError, ExprError, Fun, Mul, Pow, Rat, Sym, Ufunc, nodes,
+)
 from liesym.numeric import (
-    DD_PREC, DOMAIN_ERRORS, _BACKENDS, compile_residual, compile_terms,
-    eval_numeric, sampled, sampled_residual,
+    DD_PREC, DOMAIN_ERRORS, _BACKENDS, _SPELLING, _dd_add, _dd_cosh_tanh, _dd_in,
+    _dd_mul, _emit, _reduction, compile_residual, compile_terms, eval_numeric,
+    sampled, sampled_residual,
 )
 
 _syms = [Sym(n) for n in ("x", "y", "t")]
@@ -388,6 +393,181 @@ def test_dd_inputs_enter_exactly():
     with mpmath.workprec(DD_PREC):
         assert v == mpmath.mpf(1) / 3
     assert isinstance(v, mpmath.mpf)
+
+
+# -- the dd kernels against the libmp calls they stand for, as raw tuples
+
+def _tuple(sign, man, exp):
+    """The canonical 106-bit tuple of (-1)^sign * man * 2^exp, as every dd
+    value is."""
+    return libmp.from_man_exp(-man if sign else man, exp, DD_PREC, "n")
+
+
+# any mantissa, all ones (a rounding that carries), or a power of two
+_MANTISSAS = st.one_of(st.integers(1, 2**DD_PREC - 1),
+                       st.integers(1, DD_PREC).map(lambda k: 2**k - 1),
+                       st.integers(0, DD_PREC - 1).map(lambda k: 2**k))
+# (m, d, q) with d * q = 2^m - 1 and q of at most 106 bits: the product
+# rounds up to 2^m, a carry into a power of two
+_CARRIES = [(m, d, (2**m - 1) // d) for m in range(107, 112) for d in range(3, 64, 2)
+            if (2**m - 1) % d == 0 and ((2**m - 1) // d).bit_length() <= DD_PREC]
+
+
+@st.composite
+def _dd_pairs(draw):
+    sign, exp = st.booleans(), st.integers(-300, 300)
+    how = draw(st.sampled_from(["near", "far", "zero", "cancel", "carry", "tie"]))
+    event(how)
+    if how == "carry":
+        m, d, q = draw(st.sampled_from(_CARRIES))
+        return _tuple(draw(sign), d, draw(exp)), _tuple(draw(sign), q, draw(exp))
+    if how == "tie":  # halfway between two neighbours: M*2^e +- 2^(e-1), or 3*q of 107 bits
+        top = st.integers(2**(DD_PREC - 1), 2**DD_PREC - 1) | st.just(2**DD_PREC - 1)
+        e = draw(exp)
+        if draw(st.booleans()):
+            return _tuple(draw(sign), draw(top), e), _tuple(draw(sign), 1, e - 1)
+        q = draw(st.integers(2**DD_PREC // 3 + 1, 2**(DD_PREC + 1) // 3)) | 1
+        return _tuple(draw(sign), 3, e), _tuple(draw(sign), q, draw(exp))
+    a = _tuple(draw(sign), draw(_MANTISSAS), draw(exp))
+    if how == "zero":
+        return a, libmp.fzero
+    if how == "cancel":  # -(a + k units in the last place of a), k = 0 exactly -a
+        k = draw(st.integers(-3, 3))
+        return a, libmp.mpf_neg(libmp.mpf_add(a, _tuple(k < 0, abs(k), a[2]), DD_PREC, "n"))
+    if how == "near":
+        gap = draw(st.integers(-100, 100))
+    else:  # libmp's perturbation branch
+        gap = draw(st.integers(101, 260)) * draw(st.sampled_from([-1, 1]))
+    return a, _tuple(draw(sign), draw(_MANTISSAS), a[2] + gap)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=_dd_pairs(), swap=st.booleans())
+def test_dd_kernel_mul_add_square(pair, swap):
+    a, b = pair[::-1] if swap else pair
+    assert _dd_mul(a, b) == libmp.mpf_mul(a, b, DD_PREC, "n")
+    assert _dd_add(a, b) == libmp.mpf_add(a, b, DD_PREC, "n")
+    # square(b) is mul(b, b), and b^-1 is 1/b
+    assert _dd_mul(b, b) == libmp.mpf_pow_int(b, 2, DD_PREC, "n")
+    if b[1]:
+        assert (libmp.mpf_rdiv_int(1, b, DD_PREC, "n")
+                == libmp.mpf_pow_int(b, -1, DD_PREC, "n"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sign=st.booleans(), man=_MANTISSAS, mag=st.integers(-130, 40))
+# arguments whose bits change without the ln 2 reduction at mag 2, without
+# the extra precision at mag -5, or with it at mag -4 (most agree either way)
+@example(sign=True, man=52006009123460467015743503217499, mag=2)
+@example(sign=False, man=73053729240170333461641140570363, mag=-5)
+@example(sign=True, man=55488916623512096184416603430679, mag=-4)
+def test_dd_kernel_cosh_tanh(sign, man, mag):
+    # the kernel takes -120 <= mag <= 10, with extra precision below -4;
+    # libmp its own branches beyond
+    event("mag < -120" if mag < -120 else "mag > 10" if mag > 10
+          else "-120 <= mag < -4" if mag < -4 else "-4 <= mag <= 10")
+    x = _tuple(sign, man, mag - man.bit_length())
+    assert _dd_cosh_tanh(x) == (libmp.mpf_cosh(x, DD_PREC, "n"), libmp.mpf_tanh(x, DD_PREC, "n"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.floats())
+def test_dd_kernel_float_input(v):
+    assert _dd_in(v) == libmp.from_float(v)
+
+
+@pytest.mark.parametrize("x", [libmp.fzero, libmp.finf, libmp.fninf, libmp.fnan])
+def test_dd_kernels_hand_zero_and_specials_to_libmp(x):
+    for y in (libmp.fzero, libmp.fone, libmp.finf, libmp.fninf, libmp.fnan):
+        assert _dd_mul(x, y) == libmp.mpf_mul(x, y, DD_PREC, "n")
+        assert _dd_add(x, y) == libmp.mpf_add(x, y, DD_PREC, "n") == _dd_add(y, x)
+    assert _dd_cosh_tanh(x) == (libmp.mpf_cosh(x, DD_PREC, "n"), libmp.mpf_tanh(x, DD_PREC, "n"))
+
+
+def _source(terms, mode):
+    """The body _compile writes for terms in mode, with the residual tail."""
+    syms = sorted({x for x in nodes(*terms) if type(x) is Sym}, key=lambda s: s.name)
+    names = {s: f"v{i}" for i, s in enumerate(syms)}
+    lines, consts, results = _emit(terms, names, _BACKENDS[mode], _SPELLING[mode])
+    return "\n".join(lines + _reduction(results, mode == "dd")), consts
+
+
+def test_dd_source_has_one_cosh_tanh_per_argument():
+    x, y = _syms[:2]
+    terms = [mul(pow_(fun("sech", x), 2), fun("tanh", x)), pow_(fun("tanh", x), 3),
+             fun("sech", mul(rat(2), x)), fun("tanh", mul(x, y)), fun("sech", mul(x, y))]
+    src, _ = _source(terms, "dd")
+    assert src.count("cosh_tanh(") == 3
+    assert "mpf_cosh" not in src and "mpf_tanh" not in src
+    # and the values are the bits of mpmath's own objects
+    fn, _ = compile_terms(terms, "dd")
+    env = {x: 0.7, y: -1.3}
+    want = _reference_terms(terms, env, "dd")
+    assert [_bits(v) for v in fn(0.7, -1.3)] == [_bits(v) for v in want]
+
+
+# the residual of the shipped u3-kink claim as double and double complex
+# code: the lines the dd kernels left as they were
+_U3_KINK = """\
+t0 = C[0]
+t1 = v0**(5)
+t2 = v0*v3
+t3 = v1*v5
+t4 = C[1]
+t5 = v0**(2)
+t6 = t4*t5*v1*v4
+t7 = v2+t2+t3+t6
+t8 = sech(t7)
+t9 = t8**(2)
+t10 = tanh(t7)
+t11 = t10**(2)
+t12 = t0*t1*v1*t9*t11
+t13 = C[2]
+t14 = t8**(4)
+t15 = t13*t1*v1*t14
+t16 = t12+t15
+t17 = C[3]
+t18 = t10**(4)
+t19 = t17*t1*v1*t9*t18
+t20 = C[4]
+t21 = t20*t1*v1*t14*t11
+t22 = t8**(6)
+t23 = t17*t1*v1*t22
+t24 = t19+t21+t23
+t25 = C[5]
+t26 = C[6]
+t27 = v0**(3)
+t28 = t26*t27*v1*t9*t11
+t29 = C[7]
+t30 = t29*t27*v1*t14
+t31 = t28+t30
+t32 = t25*t5*t9*t31
+t33 = C[8]
+t34 = t33*t1*v1*t14
+t35 = C[9]
+t36 = v0**(4)
+t37 = t26*t36*t9*t11
+t38 = t29*t36*t14
+t39 = t37+t38
+t40 = t35*v0*v1*t9*t39
+t41 = C[10]
+t42 = t41*t1*v1*t22
+scale = 0+abs(t16)+abs(t24)+abs(t32)+abs(t34)+abs(t40)+abs(t42)
+if scale > 1e12: raise EvalDomainError('residual terms too large at sample')
+return float(abs(0+t16+t24+t32+t34+t40+t42)/(1+scale))"""
+
+
+@pytest.mark.parametrize("mode", ["double", "complex"])
+def test_u3_kink_double_and_complex_sources_are_pinned(pde, mode):
+    from liesym import catalog
+    from liesym.verify import substituted_terms
+    rec = next(r for r in catalog.load_catalog() if r.name == "u3-kink")
+    claim = parse(rec.get("claim"), catalog.solution_context())
+    terms = [t for t in substituted_terms(pde.delta, claim, pde.vars, pde.dep) if t != ZERO]
+    src, consts = _source(terms, mode)
+    assert src == _U3_KINK
+    want = [-16, -4, 8, 16, -88, 20, 4, -2, -24, 10, 60]
+    assert [(type(c), c) for c in consts] == [(type(c), c) for c in map(_BACKENDS[mode]["const"], want)]
 
 
 class TestSampled:
